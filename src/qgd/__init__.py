@@ -6,12 +6,12 @@ and rotating-frame Hamiltonians (hamiltonian), the canonical entangler
 (equivalence), pulse schedules (pulses), and the CNOT compiler
 (compiler). A command-line front end lives in qgd.cli.
 """
-from .errors import (NonHermitianInput, NotUnitary, NonzeroJPrime,
-                     StepTooCoarse, UnknownGate, UnsupportedOp, ZeroCoupling)
-from .qmat import (PiecewiseHamiltonian, distance, expm_hermitian, kron,
-                   propagate, sample_generator)
-from .hamiltonian import (CouplingTensor, QubitParams, RotFrameParams,
-                          lab_frame_generator, reduce_coupling,
+from .errors import (NonHermitianInput, NotUnitary, NonzeroJPrime, QgdError,
+                     UnknownGate, UnsupportedOp, VerificationFailed,
+                     ZeroCoupling)
+from .qmat import distance, expm_hermitian, kron
+from .hamiltonian import (CouplingTensor, RotFrameParams,
+                          lab_frame_hamiltonian, reduce_coupling,
                           rot_frame_matrix, rwa_infidelity)
 from .entangler import (EntanglerCoords, Trajectory, canonical_entangler,
                         coords_from_area, trajectory)

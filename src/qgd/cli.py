@@ -5,9 +5,12 @@ Matrices travel as JSON 4x4 arrays of [re, im] pairs; coupling tensors as
 {"Jxx": ..., ..., "Jzz": ..., "unit": "..."}; schedules as lists of op
 objects in application order. QGD_TOL overrides the default tolerance.
 
-Exit codes: 1 parse failure, 2 non-unitary input, 3 zero coupling,
-4 nonzero J', 5 unsupported schedule op, 6 integrator non-convergence,
-7 unknown gate name.
+Exit codes: 1 invalid input (unparsable file or bad value), 2 non-unitary
+input, 3 zero coupling, 4 nonzero J', 5 unsupported schedule op,
+7 unknown gate name, 8 verification failed.
+
+Code 6 (integrator non-convergence) went with the lab-frame integrator
+and is not reused.
 """
 from __future__ import annotations
 
@@ -18,26 +21,32 @@ import sys
 import click
 import numpy as np
 
-from . import compiler, entangler, equivalence, hamiltonian, pulses, qmat
-from .errors import (NonzeroJPrime, NotUnitary, StepTooCoarse, UnknownGate,
-                     UnsupportedOp, ZeroCoupling)
+from . import compiler, entangler, equivalence, hamiltonian, pulses
+from .errors import (NonzeroJPrime, NotUnitary, QgdError, UnknownGate,
+                     UnsupportedOp, VerificationFailed, ZeroCoupling)
 
 _ERROR_CODES = [
     (NotUnitary, 2),
     (ZeroCoupling, 3),
     (NonzeroJPrime, 4),
     (UnsupportedOp, 5),
-    (StepTooCoarse, 6),
     (UnknownGate, 7),
+    (VerificationFailed, 8),
 ]
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    for etype, code in _ERROR_CODES:
-        if isinstance(exc, etype):
-            sys.exit(code)
-    sys.exit(1)
+class _Group(click.Group):
+    """The one error boundary: every QgdError and ValueError raised by the
+    group or a subcommand becomes a message on stderr and its exit code,
+    also under main(args, standalone_mode=False)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (QgdError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next((code for etype, code in _ERROR_CODES
+                           if isinstance(exc, etype)), 1))
 
 
 def _load_json(path: str):
@@ -45,59 +54,44 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"error: cannot parse {path}: {exc}", err=True)
-        sys.exit(1)
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def _matrix_from_json(data) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in data])
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4, got {m.shape}")
     except (TypeError, ValueError) as exc:
-        click.echo(f"error: bad matrix JSON: {exc}", err=True)
-        sys.exit(1)
+        raise ValueError(f"bad matrix JSON: {exc}") from exc
+    if m.shape != (4, 4):
+        raise ValueError(f"bad matrix JSON: expected 4x4, got {m.shape}")
     return m
 
 
 def _resolve_unitary(gate: str | None, input_path: str | None) -> np.ndarray:
     if (gate is None) == (input_path is None):
-        click.echo("error: give exactly one of --gate or --input", err=True)
-        sys.exit(1)
+        raise ValueError("give exactly one of --gate or --input")
     if gate is not None:
-        try:
-            return compiler.named_gate(gate)
-        except UnknownGate as exc:
-            _fail(exc)
+        return compiler.named_gate(gate)
     return _matrix_from_json(_load_json(input_path))
 
 
 def _resolve_params(data: dict) -> hamiltonian.RotFrameParams:
     """Accept either a full coupling tensor or reduced parameters."""
-    if "Jxx" in data:
+    if isinstance(data, dict) and "Jxx" in data:
         return hamiltonian.reduce_coupling(
             hamiltonian.CouplingTensor.from_dict(data))
-    try:
-        return hamiltonian.RotFrameParams.from_dict(data)
-    except KeyError as exc:
-        click.echo(f"error: coupling JSON missing key {exc}", err=True)
-        sys.exit(1)
+    return hamiltonian.RotFrameParams.from_dict(data)
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--tol", type=float, envvar="QGD_TOL", default=1e-9,
               show_default=True, help="Verification tolerance.")
-@click.option("--step", type=float, default=None,
-              help="Integrator step override.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Random seed for any stochastic tie-breaking.")
 @click.pass_context
-def main(ctx, tol, step, seed):
+def main(ctx, tol):
     """Two-qubit gate synthesis toolkit for weakly coupled qubits."""
-    if tol <= 0 or (step is not None and step <= 0):
-        click.echo("error: tolerance and step must be positive", err=True)
-        sys.exit(1)
-    ctx.obj = {"tol": tol, "step": step, "seed": seed}
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    ctx.obj = {"tol": tol}
 
 
 @main.command()
@@ -106,11 +100,7 @@ def main(ctx, tol, step, seed):
               help="JSON matrix file.")
 def invariants(gate, input_path):
     """Print the Makhlin invariants of a two-qubit unitary."""
-    u = _resolve_unitary(gate, input_path)
-    try:
-        inv = equivalence.makhlin_invariants(u)
-    except NotUnitary as exc:
-        _fail(exc)
+    inv = equivalence.makhlin_invariants(_resolve_unitary(gate, input_path))
     click.echo(json.dumps(inv.to_dict()))
 
 
@@ -120,11 +110,7 @@ def invariants(gate, input_path):
               help="JSON matrix file.")
 def kak(gate, input_path):
     """KAK-decompose a two-qubit unitary."""
-    u = _resolve_unitary(gate, input_path)
-    try:
-        factors = equivalence.kak_decompose(u)
-    except NotUnitary as exc:
-        _fail(exc)
+    factors = equivalence.kak_decompose(_resolve_unitary(gate, input_path))
     click.echo(json.dumps(factors.to_dict()))
 
 
@@ -137,10 +123,7 @@ def kak(gate, input_path):
 def compile_cmd(ctx, input_path, prefer):
     """Compile a verified CNOT (or SWAP*CNOT) pulse schedule."""
     p = _resolve_params(_load_json(input_path))
-    try:
-        result = compiler.compile_cnot(p, prefer=prefer, tol=ctx.obj["tol"])
-    except ZeroCoupling as exc:
-        _fail(exc)
+    result = compiler.compile_cnot(p, prefer=prefer, tol=ctx.obj["tol"])
     click.echo(json.dumps(result.to_dict()))
 
 
@@ -160,22 +143,17 @@ def simulate(ctx, input_path, coupling_path, target, mode):
     data = _load_json(input_path)
     if isinstance(data, dict) and "schedule" in data:
         schedule_json = data["schedule"]
-        params = hamiltonian.RotFrameParams.from_dict(data["params"])
+        params = hamiltonian.RotFrameParams.from_dict(data.get("params"))
         target = data.get("target", target)
     else:
         schedule_json = data
         if coupling_path is None:
-            click.echo("error: --coupling required for a bare schedule",
-                       err=True)
-            sys.exit(1)
+            raise ValueError("--coupling required for a bare schedule")
         params = _resolve_params(_load_json(coupling_path))
-    try:
-        schedule = pulses.PulseSchedule.from_json(schedule_json)
-        report = pulses.verify_schedule(
-            schedule, params, compiler.named_gate(target),
-            mode=mode, tol=ctx.obj["tol"], target_name=target)
-    except (UnsupportedOp, UnknownGate, NotUnitary) as exc:
-        _fail(exc)
+    schedule = pulses.PulseSchedule.from_json(schedule_json)
+    report = pulses.verify_schedule(
+        schedule, params, compiler.named_gate(target),
+        mode=mode, tol=ctx.obj["tol"], target_name=target)
     click.echo(json.dumps(report.to_dict()))
 
 
@@ -189,12 +167,9 @@ def simulate(ctx, input_path, coupling_path, target, mode):
 def trajectory(coupling_path, schedule_path, samples):
     """Emit the entangler-space trajectory of a schedule as CSV."""
     params = _resolve_params(_load_json(coupling_path))
-    try:
-        schedule = pulses.PulseSchedule.from_json(_load_json(schedule_path))
-        traj = entangler.trajectory(params, schedule,
-                                    samples_per_interval=samples)
-    except (NonzeroJPrime, UnsupportedOp) as exc:
-        _fail(exc)
+    schedule = pulses.PulseSchedule.from_json(_load_json(schedule_path))
+    traj = entangler.trajectory(params, schedule,
+                                samples_per_interval=samples)
     click.echo(traj.to_csv(), nl=False)
 
 
@@ -206,8 +181,7 @@ def trajectory(coupling_path, schedule_path, samples):
 @click.option("--coupling", "coupling_path", default=None,
               help="Unit-scale coupling tensor JSON; scaled by g per point. "
                    "Default is a generic tensor with all 9 entries set.")
-@click.pass_context
-def rwa_scan(ctx, ratios, gt_product, coupling_path):
+def rwa_scan(ratios, gt_product, coupling_path):
     """CSV of rotating-wave infidelity vs coupling/splitting ratio."""
     if coupling_path is not None:
         base = hamiltonian.CouplingTensor.from_dict(
@@ -217,18 +191,18 @@ def rwa_scan(ctx, ratios, gt_product, coupling_path):
                          [0.2, 0.8, -0.5],
                          [0.6, -0.3, 0.9]])
     scale = np.max(np.abs(base))
+    if scale == 0:
+        raise ValueError("coupling tensor is zero")
+    values = [float(r) for r in ratios.split(",")]
+    if not all(r > 0 and math.isfinite(r) for r in values):
+        raise ValueError(f"ratios {ratios!r} must be positive and finite")
     eps = 1.0
     click.echo("ratio,infidelity")
-    for ratio_str in ratios.split(","):
-        ratio = float(ratio_str)
+    for ratio in values:
         g = ratio * eps
         ct = hamiltonian.CouplingTensor(base * (g / scale))
         t_final = gt_product / g
-        try:
-            inf = hamiltonian.rwa_infidelity(ct, eps, t_final,
-                                             step=ctx.obj["step"])
-        except StepTooCoarse as exc:
-            _fail(exc)
+        inf = hamiltonian.rwa_infidelity(ct, eps, t_final)
         click.echo(f"{ratio:.6g},{inf:.12g}")
 
 

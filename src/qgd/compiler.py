@@ -1,22 +1,22 @@
 """CNOT pulse compilation for weakly coupled qubits.
 
-Given effective couplings (J, J_zz, J'), selects one of three verified
-constructions:
+Given effective couplings (J, J_zz, J'), emits one of three verified
+constructions, reported under four branch labels:
 
-  * ising_single_shot    -- pure sigma_z sigma_z coupling; one entangling
-                            interval of duration pi/(4|J_zz|).
-  * two_shot_refocus     -- J' = 0, J != 0; two intervals of pi/(8|J|)
-                            split by a refocusing pi pulse (any J_zz).
+  * ising_single_shot    -- J = J' = 0; one entangling interval of
+                            duration pi/(4|J_zz|).
   * xy_single_shot_swapcnot -- J' = J_zz = 0; one interval of pi/(4|J|)
                             producing SWAP*CNOT (circuit-equivalent to
                             CNOT with no overhead).
-  * general_jprime       -- J' != 0 (or forced); z-rotation by
-                            phi = arg(J + iJ') folds the antisymmetric
-                            term away; two intervals of
-                            dt = pi / (8 sqrt(J^2 + J'^2)).
+  * two_shot_refocus / general_jprime -- the refocused construction, for
+    J' = 0 and J' != 0 respectively: two intervals of
+    dt = pi / (8 sqrt(J^2 + J'^2)) split by a refocusing pi pulse (any
+    J_zz), each conjugated by Rz(phi)_2 with J + iJ' = s r e^{i phi},
+    phi in (-pi/2, pi/2]; for J' = 0, phi = 0 and the conjugation is
+    left out.
 
 Every emitted schedule is re-simulated and verified before it is
-returned.
+returned; a miss raises VerificationFailed.
 """
 from __future__ import annotations
 
@@ -26,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pulses, qmat
-from .entangler import EntanglerCoords, canonical_entangler
-from .errors import UnknownGate, ZeroCoupling
-from .hamiltonian import RotFrameParams, rot_frame_matrix
+from .errors import UnknownGate, VerificationFailed, ZeroCoupling
+from .hamiltonian import RotFrameParams
 from .pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                      VerificationReport, hadamard_ops, verify_schedule)
 
@@ -116,24 +114,37 @@ def _ising_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     return PulseSchedule(ops=ops), dt
 
 
-def _two_shot_schedule(p: RotFrameParams,
-                       refocus_qubit: int) -> tuple[PulseSchedule, float]:
-    # Two intervals of pi/(8|J|) split by Rx(pi); the refocusing pulse
-    # makes the accumulated J_zz area cancel, landing on A(+-pi/4, 0, 0),
-    # then the standard wrap turns that into an exact CNOT.
-    sign = 1.0 if p.j > 0 else -1.0
-    dt = _PI / (8 * abs(p.j))
+def _refocused_schedule(p: RotFrameParams,
+                        refocus_qubit: int) -> tuple[PulseSchedule, float]:
+    # Write J + iJ' = s r e^{i phi} with phi in (-pi/2, pi/2]. Conjugating
+    # an interval by Rz(phi)_2 turns the couplings into (s r, J_zz, 0).
+    # Two such intervals of pi/(8r) split by Rx(pi) cancel the J_zz area
+    # and land on A(s pi/4, 0, 0), which the wrap turns into an exact CNOT.
+    phi, s = p.phi, 1.0
+    if phi > _PI / 2:
+        phi, s = phi - _PI, -1.0
+    elif phi <= -_PI / 2:
+        phi, s = phi + _PI, -1.0
+    dt = _PI / (8 * math.hypot(p.j, p.j_prime))
     q = refocus_qubit
+    into = (Rotate("z", phi, 2),) if phi else ()
+    out = (Rotate("z", -phi, 2),) if phi else ()
+    if q == 1:
+        # Rx(pi)_1 commutes with Rz(phi)_2: the inner Rz pair cancels.
+        body = (*into, Entangle(dt), Rotate("x", _PI, 1), Entangle(dt), *out)
+    else:
+        body = (*into, Entangle(dt), *out, Rotate("x", _PI, 2),
+                *into, Entangle(dt), *out)
     ops = (
         Rotate("y", _PI / 2, 1),
-        Entangle(dt),
-        Rotate("x", _PI, q),
-        Entangle(dt),
-        Rotate("x", -_PI, q),
-        Rotate("x", -sign * _PI / 2, 2),
-        Rotate("x", -sign * _PI / 2, 1, simultaneous=True),
+        *body,
+        # The closing Rx(-pi)_q times the wrap's Rx(-s pi/2)_q is
+        # Rx(-pi - s pi/2), i.e. -Rx(pi/2) for s = 1 and Rx(-pi/2) for
+        # s = -1; the sign goes into the global phase.
+        Rotate("x", s * _PI / 2, q),
+        Rotate("x", -s * _PI / 2, 3 - q, simultaneous=True),
         Rotate("y", -_PI / 2, 1),
-        GlobalPhase(-sign * _PI / 4),
+        GlobalPhase(_PI / 2 + s * _PI / 4),
     )
     return PulseSchedule(ops=ops), dt
 
@@ -142,12 +153,6 @@ def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT.
     sign = 1.0 if p.j > 0 else -1.0
     dt = _PI / (4 * abs(p.j))
-    # The interval must land exactly on the canonical entangler.
-    interval = qmat.expm_hermitian(rot_frame_matrix(p), dt)
-    target_a = canonical_entangler(
-        EntanglerCoords(sign * _PI / 4, sign * _PI / 4, 0.0))
-    assert qmat.distance(interval, target_a) < 1e-10, \
-        "single-shot interval missed the target entangler"
     ops = (
         Rotate("y", -_PI / 2, 2),
         Entangle(dt),
@@ -158,52 +163,6 @@ def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
         Rotate("x", _PI / 2, 2, simultaneous=True),
         GlobalPhase(sign * _PI / 2),
     )
-    return PulseSchedule(ops=ops), dt
-
-
-def _general_schedule(p: RotFrameParams,
-                      refocus_qubit: int) -> tuple[PulseSchedule, float]:
-    # Conjugation by Rz(phi)_2 with phi = arg(J + iJ') removes the
-    # antisymmetric term; two intervals of dt = pi/(8 sqrt(J^2 + J'^2)).
-    if p.j == 0 and p.j_prime == 0:
-        raise ZeroCoupling(
-            "general branch excludes the pure Ising case: (J, J') = (0, 0)")
-    phi = p.phi
-    dt = _PI / (8 * math.hypot(p.j, p.j_prime))
-    if refocus_qubit == 1:
-        # The refocusing pulse commutes with the Rz conjugation, so the
-        # inner Rz pair cancels and the closing Rx(-pi)_1 merges with the
-        # wrap's Rx(-pi/2)_1 into Rx(pi/2)_1 (phase absorbed).
-        ops = (
-            Rotate("y", _PI / 2, 1),
-            Rotate("z", phi, 2),
-            Entangle(dt),
-            Rotate("x", _PI, 1),
-            Entangle(dt),
-            Rotate("x", _PI / 2, 1),
-            Rotate("z", -phi, 2),
-            Rotate("y", -_PI / 2, 1),
-            Rotate("x", -_PI / 2, 2, simultaneous=True),
-            GlobalPhase(3 * _PI / 4),
-        )
-    else:
-        # Refocusing on qubit 2 does not commute with Rz(phi)_2; keep the
-        # full conjugation around each entangling interval.
-        ops = (
-            Rotate("y", _PI / 2, 1),
-            Rotate("z", phi, 2),
-            Entangle(dt),
-            Rotate("z", -phi, 2),
-            Rotate("x", _PI, 2),
-            Rotate("z", phi, 2),
-            Entangle(dt),
-            Rotate("z", -phi, 2),
-            Rotate("x", -_PI, 2),
-            Rotate("x", -_PI / 2, 1),
-            Rotate("x", -_PI / 2, 2, simultaneous=True),
-            Rotate("y", -_PI / 2, 1),
-            GlobalPhase(-_PI / 4),
-        )
     return PulseSchedule(ops=ops), dt
 
 
@@ -232,17 +191,18 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     elif p.j_prime == 0 and p.j == 0:
         schedule, dt = _ising_schedule(p)
         branch, target_name = "ising_single_shot", "CNOT"
-    elif p.j_prime == 0:
-        schedule, dt = _two_shot_schedule(p, refocus_qubit)
-        branch, target_name = "two_shot_refocus", "CNOT"
     else:
-        schedule, dt = _general_schedule(p, refocus_qubit)
-        branch, target_name = "general_jprime", "CNOT"
+        schedule, dt = _refocused_schedule(p, refocus_qubit)
+        branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
+        target_name = "CNOT"
+    if not math.isfinite(dt):
+        raise ZeroCoupling(
+            f"coupling too weak: entangling time {dt} is not finite")
 
     report = verify_schedule(schedule, p, named_gate(target_name),
                              mode="exact", tol=tol, target_name=target_name)
     if not report.passed:
-        raise AssertionError(
+        raise VerificationFailed(
             f"compiled {branch} schedule failed verification "
             f"(exact distance {report.exact_distance:.3e})")
     return CompileResult(schedule=schedule, branch=branch,

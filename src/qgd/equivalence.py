@@ -202,7 +202,7 @@ def weyl_canonicalize(c: EntanglerCoords, atol: float = 1e-12) -> EntanglerCoord
     v = c.as_array()
     # Reduce each coordinate to [-pi/4, pi/4], preferring +pi/4 on the edge.
     v = v - _HALF * np.floor((v + _QUARTER) / _HALF)
-    v[np.isclose(v, -_QUARTER, atol=atol)] = _QUARTER
+    v[np.isclose(v, -_QUARTER, rtol=0, atol=atol)] = _QUARTER
     neg = int(np.sum(v < -atol)) % 2
     order = np.argsort(-np.abs(v), kind="stable")
     mag = np.abs(v)[order]
@@ -210,7 +210,8 @@ def weyl_canonicalize(c: EntanglerCoords, atol: float = 1e-12) -> EntanglerCoord
     if neg:
         # A lone sign can be dropped on a 0 or pi/4 coordinate (a pi/2
         # shift there is itself a local move); otherwise z carries it.
-        on_edge = any(math.isclose(m, _QUARTER, abs_tol=atol) or m < atol
+        on_edge = any(math.isclose(m, _QUARTER, rel_tol=0, abs_tol=atol)
+                      or m < atol
                       for m in mag)
         if not on_edge:
             z = -z

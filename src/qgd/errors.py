@@ -13,10 +13,6 @@ class NotUnitary(QgdError):
     """A matrix failed the unitarity check."""
 
 
-class StepTooCoarse(QgdError):
-    """Integrator step-halving convergence check failed."""
-
-
 class NonzeroJPrime(QgdError):
     """Operation requires the antisymmetric coupling J' to vanish."""
 
@@ -31,3 +27,7 @@ class ZeroCoupling(QgdError):
 
 class UnknownGate(QgdError):
     """Gate name not in the named-gate table."""
+
+
+class VerificationFailed(QgdError):
+    """A compiled schedule missed its target gate on re-simulation."""

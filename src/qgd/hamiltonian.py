@@ -9,23 +9,31 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .errors import StepTooCoarse
 from .qmat import I2, SX, SY, SZ, kron
 
 __all__ = [
-    "CouplingTensor", "QubitParams", "RotFrameParams",
-    "reduce_coupling", "rot_frame_matrix", "lab_frame_generator",
+    "CouplingTensor", "RotFrameParams",
+    "reduce_coupling", "rot_frame_matrix", "lab_frame_hamiltonian",
     "rwa_infidelity",
 ]
 
 _AXES = ("x", "y", "z")
 _TENSOR_KEYS = [f"J{a}{b}" for a in _AXES for b in _AXES]
+
+
+def _number(d: dict, key: str, default: float | None = None) -> float:
+    """d[key] as a float; ValueError if it is missing or not a number."""
+    if key not in d and default is None:
+        raise ValueError(f"coupling JSON missing key {key!r}")
+    try:
+        return float(d.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"coupling JSON {key!r} is not a number") from exc
 
 
 @dataclass(frozen=True)
@@ -44,35 +52,19 @@ class CouplingTensor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CouplingTensor":
+        if not isinstance(d, dict):
+            raise ValueError("coupling JSON must be an object")
         missing = [k for k in _TENSOR_KEYS if k not in d]
         if missing:
             raise ValueError(f"coupling JSON missing keys: {missing}")
-        j = np.array([[float(d[f"J{a}{b}"]) for b in _AXES] for a in _AXES])
-        return cls(j=j)
+        return cls(j=np.array([[_number(d, f"J{a}{b}") for b in _AXES]
+                               for a in _AXES]))
 
     def to_dict(self, unit: str = "angular frequency") -> dict:
         out = {f"J{a}{b}": float(self.j[i, k])
                for i, a in enumerate(_AXES) for k, b in enumerate(_AXES)}
         out["unit"] = unit
         return out
-
-
-@dataclass(frozen=True)
-class QubitParams:
-    """Level splittings, drive amplitudes and drive phases for both qubits."""
-
-    eps1: float
-    eps2: float
-    omega1: float = 0.0
-    omega2: float = 0.0
-    phi1: float = 0.0
-    phi2: float = 0.0
-
-    def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("level splittings must be positive")
-        if self.omega1 < 0 or self.omega2 < 0:
-            raise ValueError("drive amplitudes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,10 @@ class RotFrameParams:
     j_zz: float
     j_prime: float
     discarded_weight: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.j, self.j_zz, self.j_prime))):
+            raise ValueError("couplings J, J_zz, J' must be finite")
 
     @property
     def gamma(self) -> complex:
@@ -103,8 +99,10 @@ class RotFrameParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RotFrameParams":
-        return cls(j=float(d["J"]), j_zz=float(d["Jzz"]),
-                   j_prime=float(d.get("Jprime", d.get("J'", 0.0))))
+        if not isinstance(d, dict):
+            raise ValueError("coupling JSON must be an object")
+        return cls(j=_number(d, "J"), j_zz=_number(d, "Jzz"),
+                   j_prime=_number(d, "Jprime", _number(d, "J'", 0.0)))
 
     def to_dict(self) -> dict:
         return {"J": self.j, "Jzz": self.j_zz, "Jprime": self.j_prime}
@@ -139,69 +137,38 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def rot_frame_operator(p: RotFrameParams) -> np.ndarray:
-    """Same Hamiltonian built from the operator form
-    J (XX + YY) + J_zz ZZ + J' (XY - YX); used as a cross-check."""
-    return (p.j * (kron(SX, SX) + kron(SY, SY))
-            + p.j_zz * kron(SZ, SZ)
-            + p.j_prime * (kron(SX, SY) - kron(SY, SX)))
+def _drift(eps: float) -> np.ndarray:
+    """H0 = -(eps/2)(Z1 + Z2): both qubits tuned to the splitting eps."""
+    return -(eps / 2) * (kron(SZ, I2) + kron(I2, SZ))
 
 
-def lab_frame_generator(ct: CouplingTensor, qp: QubitParams,
-                        drive_on: bool = True) -> Callable[[float], np.ndarray]:
-    """Time-dependent lab-frame generator H(t).
+def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
+    """Lab-frame Hamiltonian of two undriven qubits tuned to the same
+    splitting eps:
 
-    H(t) = sum_i [-(eps_i/2) Z_i + Omega_i cos(eps_i t + phi_i) X_i]
-           + sum_{mu nu} J_{mu nu} sigma_1^mu sigma_2^nu.
-    With drive_on false the Omega terms are dropped.
+    H = -(eps/2)(Z1 + Z2) + sum_{mu nu} J_{mu nu} sigma_1^mu sigma_2^nu.
     """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     paulis = (SX, SY, SZ)
     coupling = sum(ct.j[m, n] * kron(paulis[m], paulis[n])
                    for m in range(3) for n in range(3))
-    drift = (-(qp.eps1 / 2) * kron(SZ, I2) - (qp.eps2 / 2) * kron(I2, SZ))
-    x1 = kron(SX, I2)
-    x2 = kron(I2, SX)
-
-    def h(t: float) -> np.ndarray:
-        out = drift + coupling
-        if drive_on:
-            out = (out
-                   + qp.omega1 * math.cos(qp.eps1 * t + qp.phi1) * x1
-                   + qp.omega2 * math.cos(qp.eps2 * t + qp.phi2) * x2)
-        return out
-
-    return h
+    return _drift(eps) + coupling
 
 
-def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float,
-                   step: float | None = None,
-                   conv_tol: float = 1e-8) -> float:
+def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     """Phase-insensitive distance between the exact rotating-frame
     propagator and the rotating-wave-approximated one.
 
-    Integrates the lab frame with tuned, undriven qubits over [0, T],
-    transforms via U_rot = e^{+i H0 T} U_lab with
-    H0 = -(eps/2)(Z1 + Z2), and compares against e^{-i Heff T} where Heff
-    is the reduced rotating-frame Hamiltonian.
-
-    Raises StepTooCoarse if halving the integration step moves the result
-    by more than conv_tol.
+    The lab-frame Hamiltonian is constant, so U_lab = e^{-i H_lab T}
+    exactly; U_rot = e^{+i H0 T} U_lab with H0 = -(eps/2)(Z1 + Z2) is
+    compared against e^{-i Heff T}, Heff the reduced rotating-frame
+    Hamiltonian.
     """
-    if eps <= 0 or t_final <= 0:
-        raise ValueError("eps and T must be positive")
-    qp = QubitParams(eps1=eps, eps2=eps)
-    gen = lab_frame_generator(ct, qp, drive_on=False)
-    ph = qmat.sample_generator(gen, t_final, step=step)
-    u_lab = qmat.propagate(ph)
-    fine = qmat.sample_generator(gen, t_final,
-                                 step=ph.total_duration / (2 * len(ph.segments)))
-    u_lab_fine = qmat.propagate(fine)
-    if qmat.distance(u_lab, u_lab_fine) > conv_tol:
-        raise StepTooCoarse(
-            "lab-frame integration did not converge; decrease the step")
-
-    h0 = -(eps / 2) * (kron(SZ, I2) + kron(I2, SZ))
-    u_rot = qmat.expm_hermitian(h0, -t_final) @ u_lab_fine
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ValueError("T must be positive and finite")
+    u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
+    u_rot = qmat.expm_hermitian(_drift(eps), -t_final) @ u_lab
     heff = rot_frame_matrix(reduce_coupling(ct))
     u_rwa = qmat.expm_hermitian(heff, t_final)
     return qmat.distance(u_rot, u_rwa, up_to_global_phase=True)

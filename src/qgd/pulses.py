@@ -115,19 +115,29 @@ class PulseSchedule:
 
     @classmethod
     def from_json(cls, items: list) -> "PulseSchedule":
+        """Parse a list of op objects; raises ValueError on any other
+        shape and UnsupportedOp on an unknown op name."""
+        if not isinstance(items, list):
+            raise ValueError("schedule JSON must be a list of op objects")
         ops = []
         for item in items:
+            if not isinstance(item, dict):
+                raise ValueError(f"schedule op {item!r} is not an object")
             kind = item.get("op")
-            if kind == "rotate":
-                ops.append(Rotate(axis=item["axis"],
-                                  angle=float(item["angle"]),
-                                  qubit=int(item["qubit"])))
-            elif kind == "entangle":
-                ops.append(Entangle(duration=float(item["duration"])))
-            elif kind == "phase":
-                ops.append(GlobalPhase(angle=float(item["angle"])))
-            else:
-                raise UnsupportedOp(f"unknown schedule op {kind!r}")
+            try:
+                if kind == "rotate":
+                    ops.append(Rotate(axis=item["axis"],
+                                      angle=float(item["angle"]),
+                                      qubit=int(item["qubit"])))
+                elif kind == "entangle":
+                    ops.append(Entangle(duration=float(item["duration"])))
+                elif kind == "phase":
+                    ops.append(GlobalPhase(angle=float(item["angle"])))
+                else:
+                    raise UnsupportedOp(f"unknown schedule op {kind!r}")
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"schedule op {kind!r} is malformed: {exc!r}") from exc
         return cls(ops=tuple(ops))
 
 

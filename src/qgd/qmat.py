@@ -1,14 +1,12 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
-Pauli operators, Kronecker products, Hermitian matrix exponentials,
-time-ordered propagation of piecewise-constant generators, and unitary
-distance metrics. Everything here is a pure function of its arguments.
+Pauli operators, Kronecker products, Hermitian matrix exponentials and
+unitary distance metrics. Every generator the package evolves under is
+constant over its interval, so a propagator is one exponential; there is
+no time-ordered product. Everything here is a pure function of its
+arguments.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,15 +15,11 @@ from .errors import NonHermitianInput, NotUnitary
 __all__ = [
     "I2", "I4", "SX", "SY", "SZ", "PAULI",
     "kron", "is_hermitian", "is_unitary", "require_hermitian",
-    "require_unitary", "expm_hermitian", "PiecewiseHamiltonian",
-    "sample_generator", "propagate", "distance",
+    "require_unitary", "expm_hermitian", "distance",
 ]
 
 # Algebraic-identity tolerance (Hermiticity / unitarity checks).
 ALGEBRA_TOL = 1e-12
-# Default norm*step budget for piecewise-constant sampling of a
-# time-dependent generator.
-DEFAULT_NORM_STEP = 0.01
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -80,78 +74,19 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class PiecewiseHamiltonian:
-    """Ordered (generator, duration) segments; hbar = 1 units.
-
-    Later segments act later in time (and therefore on the left of the
-    time-ordered product).
-    """
-
-    segments: tuple  # of (ndarray, float)
-
-    def __post_init__(self):
-        for h, dt in self.segments:
-            if dt < 0:
-                raise ValueError(f"segment duration {dt} < 0")
-            require_hermitian(h)
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(dt for _, dt in self.segments))
-
-
-def sample_generator(generator: Callable[[float], np.ndarray],
-                     duration: float,
-                     step: float | None = None,
-                     t0: float = 0.0) -> PiecewiseHamiltonian:
-    """Midpoint-sample a time-dependent generator into constant segments.
-
-    The default step keeps ||H||*step <= DEFAULT_NORM_STEP, estimated from
-    the generator at the interval midpoint.
-    """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    if duration == 0:
-        return PiecewiseHamiltonian(segments=())
-    if step is None:
-        norm = np.linalg.norm(generator(t0 + duration / 2), 2)
-        step = DEFAULT_NORM_STEP / norm if norm > 0 else duration
-    n = max(1, math.ceil(duration / step))
-    dt = duration / n
-    segs = tuple((np.asarray(generator(t0 + (k + 0.5) * dt), dtype=complex), dt)
-                 for k in range(n))
-    return PiecewiseHamiltonian(segments=segs)
-
-
-def propagate(ph: PiecewiseHamiltonian) -> np.ndarray:
-    """Time-ordered product of segment exponentials (later on the left)."""
-    u = I4.copy() if not ph.segments else np.eye(ph.segments[0][0].shape[0],
-                                                 dtype=complex)
-    prev: tuple | None = None  # reuse exponential across identical segments
-    step_u = None
-    for h, dt in ph.segments:
-        if prev is None or dt != prev[1] or not np.array_equal(h, prev[0]):
-            step_u = expm_hermitian(h, dt)
-            prev = (h, dt)
-        u = step_u @ u
-    return u
-
-
 def distance(u: np.ndarray, v: np.ndarray,
              up_to_global_phase: bool = False) -> float:
     """Frobenius distance between two unitaries.
 
-    With the flag set, minimizes over a global phase:
-    min_theta ||u - e^{i theta} v||_F = sqrt(2n - 2|tr(u^dag v)|).
+    With the flag set, minimizes over a global phase: the minimum of
+    ||u - e^{i theta} v||_F sits at e^{i theta} = t^* / |t| with
+    t = tr(u^dag v), and is evaluated there directly (the equivalent
+    sqrt(2n - 2|t|) loses half the digits to cancellation near zero).
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    plain = float(np.linalg.norm(u - v))
     if up_to_global_phase:
-        n = u.shape[0]
-        overlap = abs(np.trace(u.conj().T @ v))
-        # The minimum over the phase never exceeds the plain distance;
-        # clamping removes the sqrt noise floor near zero.
-        return min(plain, math.sqrt(max(0.0, 2 * n - 2 * overlap)))
-    return plain
+        overlap = np.vdot(u, v)  # tr(u^dag v)
+        if overlap != 0:
+            v = v * (np.conj(overlap) / abs(overlap))
+    return float(np.linalg.norm(u - v))

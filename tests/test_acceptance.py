@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qgd.compiler import (CNOT, SWAP, _general_schedule, _ising_schedule,
+from qgd.compiler import (CNOT, SWAP, _ising_schedule, _refocused_schedule,
                           _xy_swapcnot_schedule, compile_cnot, controlled_phase)
 from qgd.entangler import EntanglerCoords, canonical_entangler, coords_from_area
 from qgd.equivalence import (kak_decompose, locally_equivalent,
@@ -14,7 +14,7 @@ from qgd.equivalence import (kak_decompose, locally_equivalent,
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams, rot_frame_matrix,
                              rwa_infidelity)
 from qgd.pulses import PulseSchedule, rotation_matrix, simulate_schedule
-from qgd.qmat import PiecewiseHamiltonian, distance, propagate, sample_generator
+from qgd.qmat import distance, expm_hermitian
 
 from conftest import haar_unitary
 
@@ -24,6 +24,14 @@ PI = math.pi
 def report(name, ok):
     print(f"{'PASS' if ok else 'FAIL'}: {name}")
     assert ok, name
+
+
+def time_ordered(segments):
+    """Product of e^{-i h dt} over (h, dt) segments, later on the left."""
+    u = np.eye(4, dtype=complex)
+    for h, dt in segments:
+        u = expm_hermitian(h, dt) @ u
+    return u
 
 
 def test_makhlin_golden_values():
@@ -72,11 +80,13 @@ def test_general_jprime_sequence():
             continue
         n += 1
         p = RotFrameParams(j, jzz, jp)
-        sched, dt = _general_schedule(p, refocus_qubit=1)
-        assert math.isclose(dt, PI / (8 * math.hypot(j, jp)))
-        worst = max(worst, distance(simulate_schedule(sched, p), CNOT))
-    report(f"General-J' sequence exact CNOT incl. e^(i 3pi/4) phase, "
-           f"200 random triples (max {worst:.2e})", worst < 1e-9)
+        for q in (1, 2):
+            sched, dt = _refocused_schedule(p, refocus_qubit=q)
+            assert math.isclose(dt, PI / (8 * math.hypot(j, jp)))
+            worst = max(worst, distance(simulate_schedule(sched, p), CNOT))
+    report(f"General-J' sequence exact CNOT incl. its global phase, "
+           f"200 random triples, both refocus qubits (max {worst:.2e})",
+           worst < 1e-9)
 
 
 def test_two_shot_identity_suite():
@@ -122,22 +132,21 @@ def test_area_theorem_profiles():
         return rot_frame_matrix(RotFrameParams(j, jzz, 0.0))
 
     # constant
-    u_const = propagate(PiecewiseHamiltonian(
-        ((h_of(area_j / t_final, area_zz / t_final), t_final),)))
-    # triangular (sampled; midpoint rule is exact for piecewise-linear)
+    u_const = expm_hermitian(h_of(area_j / t_final, area_zz / t_final),
+                             t_final)
+    # triangular (midpoint samples; J' = 0 generators commute, so the
+    # midpoint rule is exact for piecewise-linear profiles)
     peak_j = 2 * area_j / t_final
     peak_zz = 2 * area_zz / t_final
-
-    def tri(t):
-        w = 1 - abs(2 * t / t_final - 1)
-        return h_of(peak_j * w, peak_zz * w)
-
-    u_tri = propagate(sample_generator(tri, t_final, step=t_final / 1000))
+    n = 1000
+    ws = 1 - np.abs(2 * (np.arange(n) + 0.5) / n - 1)
+    u_tri = time_ordered((h_of(peak_j * w, peak_zz * w), t_final / n)
+                         for w in ws)
     # two-segment
-    u_two = propagate(PiecewiseHamiltonian((
+    u_two = time_ordered((
         (h_of(1.5 * area_j / t_final, 0.5 * area_zz / t_final), t_final / 2),
         (h_of(0.5 * area_j / t_final, 1.5 * area_zz / t_final), t_final / 2),
-    )))
+    ))
     a = canonical_entangler(coords_from_area(
         np.linspace(0, t_final, 3),
         np.full(3, area_j / t_final), np.full(3, area_zz / t_final)))

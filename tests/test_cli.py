@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qgd import cli
 from qgd.cli import main
 
 PI = math.pi
@@ -81,7 +82,7 @@ class TestKakCmd:
         assert locally_equivalent(a, target)
 
     def test_deterministic(self, runner):
-        outs = [runner.invoke(main, ["--seed", "3", "kak", "--gate", "SWAP"])
+        outs = [runner.invoke(main, ["kak", "--gate", "SWAP"])
                 for _ in range(2)]
         assert outs[0].output == outs[1].output
 
@@ -198,3 +199,50 @@ class TestRwaScanCmd:
         assert lines[0] == "ratio,infidelity"
         vals = [float(line.split(",")[1]) for line in lines[1:]]
         assert vals[1] < vals[0]
+
+
+def refused(result, code):
+    """Exit code as documented, through sys.exit rather than a traceback."""
+    return (result.exit_code == code
+            and isinstance(result.exception, SystemExit))
+
+
+class TestErrorBoundary:
+    def test_zero_ratio_exit_1(self, runner):
+        result = runner.invoke(main, ["rwa-scan", "--ratios", "1e-1,0"])
+        assert refused(result, 1)
+
+    def test_schedule_object_exit_1(self, runner, tmp_path):
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json",
+                           {"op": "entangle", "duration": 0.5})
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched])
+        assert refused(result, 1)
+
+    def test_verification_failed_exit_8(self, runner, tmp_path):
+        cpl = write_json(tmp_path, "c.json", COUPLING_XY_JPRIME)
+        result = runner.invoke(main, ["--tol", "1e-30", "compile",
+                                      "--input", cpl])
+        assert refused(result, 8)
+        documented = cli.__doc__.split("Exit codes:")[1].split("\n\n")[0]
+        for _, code in cli._ERROR_CODES:
+            assert f"{code} " in documented
+
+    @pytest.mark.parametrize("coupling,code", [
+        ({"J": float("nan"), "Jzz": 1.0, "Jprime": 0.0}, 1),
+        ({"J": 1e-320, "Jzz": 0.0, "Jprime": 0.0}, 3),
+        ({"J": 0.0, "Jzz": 1e-320, "Jprime": 0.0}, 3),
+        ([1.0, 2.0], 1),
+    ])
+    def test_in_process_call_exits_with_code(self, tmp_path, capsys,
+                                             coupling, code):
+        # The boundary sits inside the group, so it also holds when the
+        # group is called without click's standalone handling.
+        path = write_json(tmp_path, "c.json", coupling)
+        with pytest.raises(SystemExit) as info:
+            main(["compile", "--input", path], standalone_mode=False)
+        assert info.value.code == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -5,9 +5,9 @@ import pytest
 
 from qgd.compiler import (CNOT, CZ, SWAP, compile_cnot, controlled_phase,
                           named_gate)
-from qgd.errors import UnknownGate, ZeroCoupling
+from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
 from qgd.hamiltonian import RotFrameParams
-from qgd.pulses import Entangle, simulate_schedule
+from qgd.pulses import Entangle, Rotate, simulate_schedule
 from qgd.qmat import distance
 
 PI = math.pi
@@ -103,6 +103,19 @@ class TestCompileBranches:
         with pytest.raises(ZeroCoupling):
             compile_cnot(RotFrameParams(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("params", [
+        (1e-320, 0.0, 0.0), (-1e-320, 0.0, 0.0), (0.0, 1e-320, 0.0),
+        (1e-320, 1.0, 0.0), (0.0, 1.0, 1e-320),
+    ])
+    def test_infinite_entangling_time_is_zero_coupling(self, params):
+        for prefer in ("auto", "cnot"):
+            with pytest.raises(ZeroCoupling):
+                compile_cnot(RotFrameParams(*params), prefer=prefer)
+
+    def test_failed_verification_is_typed(self):
+        with pytest.raises(VerificationFailed):
+            compile_cnot(RotFrameParams(1.0, 0.3, 0.2), tol=1e-30)
+
     def test_random_triples_all_branches(self, rng):
         for _ in range(300):
             j, jzz, jp = rng.normal(size=3)
@@ -112,10 +125,11 @@ class TestCompileBranches:
             if rng.uniform() < 0.1:
                 j, jp = 0.0, 0.0
                 jzz = jzz if jzz != 0 else 1.0
-            res = compile_cnot(RotFrameParams(j, jzz, jp))
-            p = res.params
-            u = simulate_schedule(res.schedule, p)
-            assert distance(u, named_gate(res.target_name)) < 1e-9
+            for q in (1, 2):
+                res = compile_cnot(RotFrameParams(j, jzz, jp),
+                                   refocus_qubit=q)
+                u = simulate_schedule(res.schedule, res.params)
+                assert distance(u, named_gate(res.target_name)) < 1e-9
 
     def test_scaling_covariance(self, rng):
         j, jzz, jp = 0.7, -0.4, 0.2
@@ -136,3 +150,35 @@ class TestCompileBranches:
         json.dumps(d)
         assert d["verification"]["passed"]
         assert d["branch"] == "general_jprime"
+
+
+class TestRefocusedBuilder:
+    """One construction for J != 0 or J' != 0: the J' = 0 two-shot
+    sequence, conjugated by Rz(phi)_2 when phi = arg(+-(J + iJ')) != 0."""
+
+    # Ops emitted by the separate two-shot and general builders this one
+    # replaced; it may emit fewer, never more.
+    MAX_OPS = {("two_shot_refocus", 1): 9, ("two_shot_refocus", 2): 9,
+               ("general_jprime", 1): 10, ("general_jprime", 2): 13}
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("j,jp,branch", [
+        (1.3, 0.0, "two_shot_refocus"), (-1.3, 0.0, "two_shot_refocus"),
+        (1.3, -0.0, "two_shot_refocus"), (-1.3, -0.0, "two_shot_refocus"),
+        (0.0, 0.8, "general_jprime"), (0.0, -0.8, "general_jprime"),
+        (-0.0, 0.8, "general_jprime"), (0.7, -0.8, "general_jprime"),
+        (-0.7, 0.8, "general_jprime"), (-0.7, -0.8, "general_jprime"),
+    ])
+    def test_exact_cnot_and_op_count(self, j, jp, branch, q):
+        for jzz in (0.0, 0.45, -2.0):
+            res = compile_cnot(RotFrameParams(j, jzz, jp), prefer="cnot",
+                               refocus_qubit=q)
+            assert res.branch == branch
+            assert res.verification.exact_distance < 1e-9
+            assert math.isclose(res.delta_t, PI / (8 * math.hypot(j, jp)))
+            assert len(res.schedule.ops) <= self.MAX_OPS[branch, q]
+
+    def test_no_z_conjugation_without_jprime(self):
+        res = compile_cnot(RotFrameParams(-1.0, 0.2, 0.0), refocus_qubit=2)
+        assert not any(isinstance(op, Rotate) and op.axis == "z"
+                       for op in res.schedule.ops)

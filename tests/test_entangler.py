@@ -9,7 +9,7 @@ from qgd.equivalence import locally_equivalent, makhlin_invariants
 from qgd.errors import NonzeroJPrime, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.pulses import Entangle, GlobalPhase, PulseSchedule, Rotate
-from qgd.qmat import PiecewiseHamiltonian, distance, propagate
+from qgd.qmat import distance, expm_hermitian
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -59,7 +59,7 @@ class TestCanonicalEntangler:
         j, jzz = rng.uniform(-1, 1, size=2)
         t = 0.9
         h = rot_frame_matrix(RotFrameParams(j, jzz, 0.0))
-        u = propagate(PiecewiseHamiltonian(((h, t),)))
+        u = expm_hermitian(h, t)
         a = canonical_entangler(EntanglerCoords(j * t, j * t, jzz * t))
         assert distance(u, a) < 1e-10
 

@@ -149,6 +149,19 @@ class TestWeylCanonicalize:
             gw = makhlin_invariants(canonical_entangler(w))
             assert abs(gi.g1 - gw.g1) + abs(gi.g2 - gw.g2) < 1e-10
 
+    def test_no_snap_near_the_pi_over_4_face(self):
+        # A class within a few 1e-6 of the face x = pi/4 must keep its
+        # distance from it: snapping -pi/4 + d to +pi/4 would move it out
+        # of its class by ~d.
+        for d in np.linspace(1e-6, 7e-6, 7):
+            c = EntanglerCoords(PI / 4 + d, 0.3, 0.1)
+            w = weyl_canonicalize(c)
+            gi = makhlin_invariants(canonical_entangler(c))
+            gw = makhlin_invariants(canonical_entangler(w))
+            assert abs(gi.g1 - gw.g1) + abs(gi.g2 - gw.g2) < 1e-13
+            assert np.allclose(w.as_array(), [PI / 4 - d, 0.3, -0.1],
+                               rtol=0, atol=1e-15)
+
     def test_chamber_bounds(self, rng):
         for _ in range(200):
             w = weyl_canonicalize(

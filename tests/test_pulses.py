@@ -74,6 +74,16 @@ class TestSchedule:
         with pytest.raises(UnsupportedOp):
             PulseSchedule.from_json([{"op": "measure"}])
 
+    @pytest.mark.parametrize("bad", [
+        {"op": "entangle", "duration": 0.5},   # an object, not a list
+        [["entangle", 0.5]],                   # an op that is not an object
+        [{"op": "rotate", "axis": "x"}],       # missing keys
+        [{"op": "entangle", "duration": None}],
+    ])
+    def test_json_rejects_bad_shapes(self, bad):
+        with pytest.raises(ValueError):
+            PulseSchedule.from_json(bad)
+
     def test_pretty_is_right_to_left(self):
         s = PulseSchedule((Rotate("y", PI / 2, 1), Entangle(0.5)))
         text = s.pretty()
@@ -150,6 +160,19 @@ class TestVerifySchedule:
         target = simulate_schedule(sched, p)
         rep = verify_schedule(sched, p, target, mode="exact")
         assert rep.pass_exact and rep.pass_exact_up_to_phase and rep.pass_class
+
+    @pytest.mark.parametrize("j_zz", [1.0, -1.0, -0.7])
+    def test_phase_offset_passes_exact_up_to_phase(self, j_zz):
+        # The Ising CNOT schedule with an extra GlobalPhase(0.3): the
+        # phase-insensitive distance must sit at roundoff, far below the
+        # default tolerance of 1e-9 (sqrt(2n - 2|tr|) read ~3e-8 here).
+        from qgd.compiler import _ising_schedule
+        p = RotFrameParams(0.0, j_zz, 0.0)
+        sched, _ = _ising_schedule(p)
+        rep = verify_schedule(sched + PulseSchedule((GlobalPhase(0.3),)), p,
+                              CNOT, mode="exact_up_to_phase")
+        assert rep.passed and not rep.pass_exact
+        assert rep.phase_distance < 1e-12
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

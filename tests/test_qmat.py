@@ -5,8 +5,7 @@ import pytest
 
 from qgd import qmat
 from qgd.errors import NonHermitianInput
-from qgd.qmat import (I2, I4, SX, SY, SZ, PiecewiseHamiltonian, distance,
-                      expm_hermitian, kron, propagate, sample_generator)
+from qgd.qmat import I2, I4, SX, SY, SZ, distance, expm_hermitian, kron
 
 from conftest import haar_unitary
 
@@ -52,62 +51,6 @@ class TestExpmHermitian:
             expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
-class TestPropagate:
-    def test_empty_is_identity(self):
-        assert np.array_equal(propagate(PiecewiseHamiltonian(())), I4)
-
-    def test_single_segment(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (a + a.conj().T) / 2
-        ph = PiecewiseHamiltonian(((h, 0.9),))
-        assert distance(propagate(ph), expm_hermitian(h, 0.9)) < 1e-13
-
-    def test_commuting_segments_order_independent(self):
-        h1 = kron(SZ, SZ)
-        h2 = kron(SX, SX)  # commutes with ZZ
-        u12 = propagate(PiecewiseHamiltonian(((h1, 0.4), (h2, 0.7))))
-        u21 = propagate(PiecewiseHamiltonian(((h2, 0.7), (h1, 0.4))))
-        assert distance(u12, u21) < 1e-12
-
-    def test_commuting_segments_sum_rule(self):
-        h = kron(SZ, SZ)
-        segs = tuple((h, 0.1 * k) for k in range(1, 6))
-        u = propagate(PiecewiseHamiltonian(segs))
-        assert distance(u, expm_hermitian(h, sum(0.1 * k for k in range(1, 6)))) < 1e-10
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            PiecewiseHamiltonian(((kron(SZ, SZ), -0.1),))
-
-    def test_area_theorem_time_dependence(self):
-        # Time-dependent J(t) with J' = 0 and fixed integrals matches the
-        # constant-J evolution.
-        xx_yy = kron(SX, SX) + kron(SY, SY)
-        zz = kron(SZ, SZ)
-        t_final = 1.3
-
-        def gen(t):
-            j = 0.5 * (1 + math.sin(2 * math.pi * t / t_final))
-            jzz = 0.25 * (1 + math.cos(2 * math.pi * t / t_final))
-            return j * xx_yy + jzz * zz
-
-        # The sine/cosine parts integrate to zero over the full period.
-        u_var = propagate(sample_generator(gen, t_final, step=1e-3))
-        u_const = expm_hermitian(0.5 * xx_yy + 0.25 * zz, t_final)
-        assert distance(u_var, u_const) < 1e-10
-
-    def test_richardson_convergence(self):
-        # Non-commuting time dependence: halving the step must reduce the
-        # error against a fine reference.
-        def gen(t):
-            return math.cos(t) * kron(SX, SX) + math.sin(t) * kron(SZ, I2)
-
-        ref = propagate(sample_generator(gen, 2.0, step=1e-4))
-        err = [distance(propagate(sample_generator(gen, 2.0, step=s)), ref)
-               for s in (0.05, 0.025)]
-        assert err[1] < err[0]
-
-
 class TestDistance:
     def test_identical(self, rng):
         u = haar_unitary(rng)
@@ -118,6 +61,14 @@ class TestDistance:
         u = haar_unitary(rng)
         assert distance(u, np.exp(1j * math.pi / 7) * u,
                         up_to_global_phase=True) < 1e-12
+
+    def test_phase_distance_has_no_sqrt_floor(self, rng):
+        # A tiny deviation must read as itself, not as the sqrt of the
+        # trace roundoff (~1e-8).
+        u = haar_unitary(rng)
+        v = np.exp(0.3j) * u @ expm_hermitian(kron(SZ, SX), 1e-12)
+        d = distance(u, v, up_to_global_phase=True)
+        assert 1e-12 < d < 3e-12
 
     def test_identity_to_cnot(self):
         assert abs(distance(I4, CNOT) - 2.0) < 1e-14
