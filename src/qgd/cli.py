@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: invariants, kak, compile, simulate, trajectory, rwa-scan.
-Matrices travel as JSON 4x4 arrays of [re, im] pairs; coupling tensors as
-{"Jxx": ..., ..., "Jzz": ..., "unit": "..."}; schedules as lists of op
-objects in application order. QGD_TOL overrides the default tolerance.
+Matrices travel as JSON 4x4 arrays of [re, im] pairs; couplings as a full
+tensor {"Jxx": ..., "Jzz": ...} or as {"J": ..., "Jzz": ..., "Jprime": ...},
+every key required; schedules as lists of op objects in application order.
+--tol (or QGD_TOL) sets the verification tolerance, and nothing else.
 
-Exit codes: 1 invalid input (unparsable file or bad value), 2 non-unitary
-input, 3 zero coupling, 4 nonzero J', 5 unsupported schedule op,
-7 unknown gate name, 8 verification failed.
+Exit codes: 1 invalid input (unparsable file, bad value or usage error),
+2 non-unitary input, 3 zero coupling, 4 nonzero J', 5 unsupported schedule
+op, 7 unknown gate name, 8 verification failed.
 
 Code 6 (integrator non-convergence) went with the lab-frame integrator
 and is not reused.
@@ -36,13 +37,23 @@ _ERROR_CODES = [
 
 
 class _Group(click.Group):
-    """The one error boundary: every QgdError and ValueError raised by the
-    group or a subcommand becomes a message on stderr and its exit code,
-    also under main(args, standalone_mode=False)."""
+    """The one error boundary: every usage error, QgdError and ValueError
+    raised by the group or a subcommand becomes a message on stderr and
+    its exit code, also under main(args, standalone_mode=False)."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.show()  # click's usage message; a usage error is invalid input
+            sys.exit(1)
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.show()
+            sys.exit(1)
         except (QgdError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(next((code for etype, code in _ERROR_CODES
@@ -60,7 +71,7 @@ def _load_json(path: str):
 def _matrix_from_json(data) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from exc
     if m.shape != (4, 4):
         raise ValueError(f"bad matrix JSON: expected 4x4, got {m.shape}")
@@ -117,7 +128,7 @@ def kak(gate, input_path):
 @main.command("compile")
 @click.option("--input", "input_path", required=True,
               help="Coupling JSON (tensor or reduced parameters).")
-@click.option("--prefer", type=click.Choice(["auto", "cnot", "swap_cnot"]),
+@click.option("--prefer", type=click.Choice(["auto", "cnot"]),
               default="auto", show_default=True)
 @click.pass_context
 def compile_cmd(ctx, input_path, prefer):
@@ -162,8 +173,8 @@ def simulate(ctx, input_path, coupling_path, target, mode):
               help="Coupling JSON; J' must vanish.")
 @click.option("--schedule", "schedule_path", required=True,
               help="Schedule JSON (entangling intervals and pi pulses).")
-@click.option("--samples", type=int, default=32, show_default=True,
-              help="Samples per entangling interval.")
+@click.option("--samples", type=click.IntRange(min=1), default=32,
+              show_default=True, help="Samples per entangling interval.")
 def trajectory(coupling_path, schedule_path, samples):
     """Emit the entangler-space trajectory of a schedule as CSV."""
     params = _resolve_params(_load_json(coupling_path))

@@ -51,26 +51,27 @@ def controlled_phase(theta: float) -> np.ndarray:
     return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
 
 
-_CTHETA_RE = re.compile(r"^C(?:theta)?\(([-+0-9.eE]+)\)$")
+_CPHASE_RE = re.compile(r"^C(?:theta)?\(([-+0-9.eE]+)\)$")
+
+_NAMED_GATES = {
+    "I": np.eye(4, dtype=complex),
+    "CNOT": CNOT,
+    "CZ": CZ,
+    "SWAP": SWAP,
+    "SWAP_CNOT": SWAP @ CNOT,
+    "CNOT_SWAP": CNOT @ SWAP,
+}
 
 
-def named_gate(name: str, theta: float | None = None) -> np.ndarray:
+def named_gate(name: str) -> np.ndarray:
     """Look up a gate by name: I, CNOT, CZ, SWAP, SWAP_CNOT, CNOT_SWAP,
-    or a controlled phase as 'Ctheta(angle)' / explicit theta argument."""
+    or a controlled phase as 'Ctheta(angle)' or 'C(angle)'."""
+    if not isinstance(name, str):
+        raise UnknownGate(f"gate name {name!r} is not a string")
     key = name.strip()
-    table = {
-        "I": np.eye(4, dtype=complex),
-        "CNOT": CNOT,
-        "CZ": CZ,
-        "SWAP": SWAP,
-        "SWAP_CNOT": SWAP @ CNOT,
-        "CNOT_SWAP": CNOT @ SWAP,
-    }
-    if key.upper() in table:
-        return table[key.upper()].copy()
-    if key.upper() == "CTHETA" and theta is not None:
-        return controlled_phase(theta)
-    m = _CTHETA_RE.match(key)
+    if key.upper() in _NAMED_GATES:
+        return _NAMED_GATES[key.upper()].copy()
+    m = _CPHASE_RE.match(key)
     if m:
         return controlled_phase(float(m.group(1)))
     raise UnknownGate(f"unknown gate {name!r}")
@@ -98,16 +99,25 @@ class CompileResult:
         }
 
 
+def _interval(rate: float) -> float:
+    """pi / rate; ZeroCoupling if the coupling is too weak for a finite one."""
+    dt = _PI / rate
+    if not math.isfinite(dt):
+        raise ZeroCoupling(
+            f"coupling too weak: entangling time {dt} is not finite")
+    return dt
+
+
 def _ising_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     # CNOT = e^{-+ i pi/4} H_2 Rz(-+pi/2)_1 Rz(-+pi/2)_2 A(0,0,+-pi/4) H_2,
     # upper signs for J_zz > 0 so the entangling duration stays positive.
     sign = 1.0 if p.j_zz > 0 else -1.0
-    dt = _PI / (4 * abs(p.j_zz))
+    dt = _interval(4 * abs(p.j_zz))
     ops = (
         *hadamard_ops(2),
         Entangle(dt),
         Rotate("z", -sign * _PI / 2, 2),
-        Rotate("z", -sign * _PI / 2, 1, simultaneous=True),
+        Rotate("z", -sign * _PI / 2, 1),
         *hadamard_ops(2),
         GlobalPhase(-sign * _PI / 4),
     )
@@ -125,7 +135,7 @@ def _refocused_schedule(p: RotFrameParams,
         phi, s = phi - _PI, -1.0
     elif phi <= -_PI / 2:
         phi, s = phi + _PI, -1.0
-    dt = _PI / (8 * math.hypot(p.j, p.j_prime))
+    dt = _interval(8 * math.hypot(p.j, p.j_prime))
     q = refocus_qubit
     into = (Rotate("z", phi, 2),) if phi else ()
     out = (Rotate("z", -phi, 2),) if phi else ()
@@ -142,7 +152,7 @@ def _refocused_schedule(p: RotFrameParams,
         # Rx(-pi - s pi/2), i.e. -Rx(pi/2) for s = 1 and Rx(-pi/2) for
         # s = -1; the sign goes into the global phase.
         Rotate("x", s * _PI / 2, q),
-        Rotate("x", -s * _PI / 2, 3 - q, simultaneous=True),
+        Rotate("x", -s * _PI / 2, 3 - q),
         Rotate("y", -_PI / 2, 1),
         GlobalPhase(_PI / 2 + s * _PI / 4),
     )
@@ -152,15 +162,15 @@ def _refocused_schedule(p: RotFrameParams,
 def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT.
     sign = 1.0 if p.j > 0 else -1.0
-    dt = _PI / (4 * abs(p.j))
+    dt = _interval(4 * abs(p.j))
     ops = (
         Rotate("y", -_PI / 2, 2),
         Entangle(dt),
         Rotate("x", -_PI / 2, 2),
         Rotate("y", _PI / 2, 1),
-        Rotate("y", sign * _PI / 2, 2, simultaneous=True),
+        Rotate("y", sign * _PI / 2, 2),
         Rotate("x", sign * _PI / 2, 1),
-        Rotate("x", _PI / 2, 2, simultaneous=True),
+        Rotate("x", _PI / 2, 2),
         GlobalPhase(sign * _PI / 2),
     )
     return PulseSchedule(ops=ops), dt
@@ -170,22 +180,19 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
                  refocus_qubit: int = 1, tol: float = 1e-9) -> CompileResult:
     """Emit a verified CNOT (or SWAP*CNOT) schedule for the couplings p.
 
-    prefer selects between the canonical CNOT and the single-shot
-    SWAP*CNOT (available only when J_zz = J' = 0 and J != 0); auto picks
-    SWAP*CNOT exactly in that regime.
+    prefer="auto" emits the single-shot SWAP*CNOT when J_zz = J' = 0 and
+    J != 0, and a CNOT otherwise; prefer="cnot" always emits a CNOT.
+    refocus_qubit picks the qubit of the refocusing pi pulse. The
+    schedule is re-simulated and must match its target within tol.
     """
-    if prefer not in ("auto", "cnot", "swap_cnot"):
+    if prefer not in ("auto", "cnot"):
         raise ValueError(f"bad prefer {prefer!r}")
     if p.j == 0 and p.j_zz == 0 and p.j_prime == 0:
         raise ZeroCoupling("all of J, J_zz, J' are zero")
     if refocus_qubit not in (1, 2):
         raise ValueError("refocus_qubit must be 1 or 2")
 
-    xy_single_shot_ok = (p.j_prime == 0 and p.j_zz == 0 and p.j != 0)
-    want_swapcnot = (prefer == "swap_cnot" or
-                     (prefer == "auto" and xy_single_shot_ok))
-
-    if want_swapcnot and xy_single_shot_ok:
+    if prefer == "auto" and p.j_prime == 0 and p.j_zz == 0 and p.j != 0:
         schedule, dt = _xy_swapcnot_schedule(p)
         branch, target_name = "xy_single_shot_swapcnot", "SWAP_CNOT"
     elif p.j_prime == 0 and p.j == 0:
@@ -195,9 +202,6 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
         schedule, dt = _refocused_schedule(p, refocus_qubit)
         branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
         target_name = "CNOT"
-    if not math.isfinite(dt):
-        raise ZeroCoupling(
-            f"coupling too weak: entangling time {dt} is not finite")
 
     report = verify_schedule(schedule, p, named_gate(target_name),
                              mode="exact", tol=tol, target_name=target_name)

@@ -126,6 +126,8 @@ def trajectory(p, schedule, samples_per_interval: int = 32) -> Trajectory:
 
     if p.j_prime != 0.0:
         raise NonzeroJPrime("closed-form trajectories require J' = 0")
+    if samples_per_interval < 1:
+        raise ValueError("samples_per_interval must be at least 1")
     if isinstance(schedule, PulseSchedule):
         ops = schedule.ops
     else:

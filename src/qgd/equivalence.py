@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
 from .entangler import XX, YY, ZZ, EntanglerCoords, canonical_entangler, wrap_angle
 from .errors import NotUnitary
 from .qmat import kron, require_unitary
@@ -36,6 +35,9 @@ _GEN_DIAGS = np.stack([
 ], axis=1)
 _PHASE_SYSTEM = np.hstack([-_GEN_DIAGS, np.ones((4, 1))])
 
+# Largest invariant distance at which two gates count as one local class.
+CLASS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MakhlinInvariants:
@@ -49,18 +51,18 @@ class MakhlinInvariants:
     g2: float
     g2_imag_residual: float = 0.0
 
-    def close_to(self, other: "MakhlinInvariants", tol: float = 1e-9) -> bool:
-        return (abs(self.g1 - other.g1) < tol
-                and abs(self.g2 - other.g2) < tol)
+    def distance(self, other: "MakhlinInvariants") -> float:
+        """|G1 - G1'| + |G2 - G2'|; zero iff the two local classes agree."""
+        return abs(self.g1 - other.g1) + abs(self.g2 - other.g2)
 
     def to_dict(self) -> dict:
         return {"G1": [self.g1.real, self.g1.imag], "G2": self.g2}
 
 
-def makhlin_invariants(u: np.ndarray, tol: float = 1e-9) -> MakhlinInvariants:
+def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
     """G1 = tr(m)^2 / (16 det u), G2 = (tr(m)^2 - tr(m^2)) / (4 det u),
     with m = (Q^dag u Q)^T (Q^dag u Q) in the magic basis."""
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     um = MAGIC.conj().T @ u @ MAGIC
     m = um.T @ um
     det = np.linalg.det(um)
@@ -76,12 +78,11 @@ def makhlin_invariants(u: np.ndarray, tol: float = 1e-9) -> MakhlinInvariants:
                              g2_imag_residual=residual)
 
 
-def locally_equivalent(u: np.ndarray, v: np.ndarray,
-                       tol: float = 1e-9) -> bool:
+def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
     """True iff u and v differ only by local rotations and a phase,
-    i.e. their Makhlin invariants agree within tol."""
-    return makhlin_invariants(u, tol=1e-8).close_to(
-        makhlin_invariants(v, tol=1e-8), tol)
+    i.e. their Makhlin invariants lie within CLASS_TOL of each other."""
+    return (makhlin_invariants(u).distance(makhlin_invariants(v))
+            < CLASS_TOL)
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class KakFactors:
         }
 
 
-def _simultaneous_orthogonal_eigenbasis(m: np.ndarray) -> np.ndarray:
+def _joint_orthogonal_eigenbasis(m: np.ndarray) -> np.ndarray:
     """Real orthogonal eigenbasis of a unitary complex-symmetric matrix.
 
     Re(m) and Im(m) are commuting real symmetric matrices; diagonalize a
@@ -127,7 +128,7 @@ def _simultaneous_orthogonal_eigenbasis(m: np.ndarray) -> np.ndarray:
         check = basis.T @ m @ basis
         if np.max(np.abs(check - np.diag(np.diag(check)))) < 1e-11:
             return basis
-    raise NotUnitary("could not simultaneously diagonalize; input is "
+    raise NotUnitary("could not jointly diagonalize; input is "
                      "likely far from unitary")
 
 
@@ -149,17 +150,17 @@ def _kron_factor_local(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f1, f2
 
 
-def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> KakFactors:
+def kak_decompose(u: np.ndarray) -> KakFactors:
     """Numeric Cartan (KAK) factorization of a U(4) element.
 
     Works in the magic basis: m = U_B^T U_B is diagonalized over a real
     orthogonal frame; the eigenphases fix the entangler coordinates and
     global phase, the frames fix the local rotations.
     """
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     ub = MAGIC.conj().T @ u @ MAGIC
     m = ub.T @ ub
-    basis = _simultaneous_orthogonal_eigenbasis(m)
+    basis = _joint_orthogonal_eigenbasis(m)
     if np.linalg.det(basis) < 0:
         basis = basis.copy()
         basis[:, 0] = -basis[:, 0]
@@ -189,9 +190,11 @@ def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> KakFactors:
 
 _QUARTER = math.pi / 4
 _HALF = math.pi / 2
+# Roundoff band within which a Weyl coordinate counts as on a chamber edge.
+_EDGE_TOL = 1e-12
 
 
-def weyl_canonicalize(c: EntanglerCoords, atol: float = 1e-12) -> EntanglerCoords:
+def weyl_canonicalize(c: EntanglerCoords) -> EntanglerCoords:
     """Canonical Weyl-chamber representative of the local class of A(c).
 
     Convention: pi/4 >= x >= y >= |z| with z >= 0 unless the class parity
@@ -202,16 +205,16 @@ def weyl_canonicalize(c: EntanglerCoords, atol: float = 1e-12) -> EntanglerCoord
     v = c.as_array()
     # Reduce each coordinate to [-pi/4, pi/4], preferring +pi/4 on the edge.
     v = v - _HALF * np.floor((v + _QUARTER) / _HALF)
-    v[np.isclose(v, -_QUARTER, rtol=0, atol=atol)] = _QUARTER
-    neg = int(np.sum(v < -atol)) % 2
+    v[np.isclose(v, -_QUARTER, rtol=0, atol=_EDGE_TOL)] = _QUARTER
+    neg = int(np.sum(v < -_EDGE_TOL)) % 2
     order = np.argsort(-np.abs(v), kind="stable")
     mag = np.abs(v)[order]
     x, y, z = mag
     if neg:
         # A lone sign can be dropped on a 0 or pi/4 coordinate (a pi/2
         # shift there is itself a local move); otherwise z carries it.
-        on_edge = any(math.isclose(m, _QUARTER, rel_tol=0, abs_tol=atol)
-                      or m < atol
+        on_edge = any(math.isclose(m, _QUARTER, rel_tol=0, abs_tol=_EDGE_TOL)
+                      or m < _EDGE_TOL
                       for m in mag)
         if not on_edge:
             z = -z

@@ -23,16 +23,15 @@ __all__ = [
 ]
 
 _AXES = ("x", "y", "z")
-_TENSOR_KEYS = [f"J{a}{b}" for a in _AXES for b in _AXES]
 
 
-def _number(d: dict, key: str, default: float | None = None) -> float:
+def _number(d: dict, key: str) -> float:
     """d[key] as a float; ValueError if it is missing or not a number."""
-    if key not in d and default is None:
+    if key not in d:
         raise ValueError(f"coupling JSON missing key {key!r}")
     try:
-        return float(d.get(key, default))
-    except (TypeError, ValueError) as exc:
+        return float(d[key])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"coupling JSON {key!r} is not a number") from exc
 
 
@@ -54,16 +53,13 @@ class CouplingTensor:
     def from_dict(cls, d: dict) -> "CouplingTensor":
         if not isinstance(d, dict):
             raise ValueError("coupling JSON must be an object")
-        missing = [k for k in _TENSOR_KEYS if k not in d]
-        if missing:
-            raise ValueError(f"coupling JSON missing keys: {missing}")
         return cls(j=np.array([[_number(d, f"J{a}{b}") for b in _AXES]
                                for a in _AXES]))
 
-    def to_dict(self, unit: str = "angular frequency") -> dict:
+    def to_dict(self) -> dict:
         out = {f"J{a}{b}": float(self.j[i, k])
                for i, a in enumerate(_AXES) for k, b in enumerate(_AXES)}
-        out["unit"] = unit
+        out["unit"] = "angular frequency"
         return out
 
 
@@ -83,6 +79,9 @@ class RotFrameParams:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.j, self.j_zz, self.j_prime))):
             raise ValueError("couplings J, J_zz, J' must be finite")
+        if not math.isfinite(2 * math.hypot(self.j, self.j_prime)):
+            raise ValueError("gamma = 2(J + iJ') overflows: "
+                             "couplings J and J' are too large")
 
     @property
     def gamma(self) -> complex:
@@ -102,7 +101,7 @@ class RotFrameParams:
         if not isinstance(d, dict):
             raise ValueError("coupling JSON must be an object")
         return cls(j=_number(d, "J"), j_zz=_number(d, "Jzz"),
-                   j_prime=_number(d, "Jprime", _number(d, "J'", 0.0)))
+                   j_prime=_number(d, "Jprime"))
 
     def to_dict(self) -> dict:
         return {"J": self.j, "Jzz": self.j_zz, "Jprime": self.j_prime}
@@ -116,10 +115,13 @@ def reduce_coupling(ct: CouplingTensor) -> RotFrameParams:
     reported via discarded_weight.
     """
     j = ct.j
-    jj = (j[0, 0] + j[1, 1]) / 2
-    jp = (j[0, 1] - j[1, 0]) / 2
-    dropped = ((j[0, 0] - j[1, 1]) / 2) ** 2 + ((j[0, 1] + j[1, 0]) / 2) ** 2
-    dropped += j[0, 2] ** 2 + j[1, 2] ** 2 + j[2, 0] ** 2 + j[2, 1] ** 2
+    # Halves first: J and J' stay finite whenever the entries are.
+    jj = j[0, 0] / 2 + j[1, 1] / 2
+    jp = j[0, 1] / 2 - j[1, 0] / 2
+    with np.errstate(over="ignore"):  # an overflowing weight reads inf
+        dropped = (((j[0, 0] - j[1, 1]) / 2) ** 2
+                   + ((j[0, 1] + j[1, 0]) / 2) ** 2)
+        dropped += j[0, 2] ** 2 + j[1, 2] ** 2 + j[2, 0] ** 2 + j[2, 1] ** 2
     return RotFrameParams(j=jj, j_zz=j[2, 2], j_prime=jp,
                           discarded_weight=float(dropped))
 

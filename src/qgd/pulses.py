@@ -5,15 +5,13 @@ conventional right-to-left notation is used only for pretty-printing.
 Rotations are instantaneous; only entangling intervals consume time.
 
 Rotation convention: R_a(theta) = e^{-i theta sigma^a / 2}, the unique
-choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard. A
-self-test of that identity (and of the refocusing conjugation identity)
-runs at import time.
+choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -32,23 +30,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Rotate:
-    """Instantaneous single-qubit rotation R_axis(angle) on one qubit.
-
-    simultaneous marks ops that may be co-scheduled with their neighbor
-    (commuting rotations on distinct qubits); it does not affect the
-    resulting unitary.
-    """
+    """Instantaneous single-qubit rotation R_axis(angle) on one qubit."""
 
     axis: str
     angle: float
     qubit: int
-    simultaneous: bool = False
 
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"bad axis {self.axis!r}")
-        if self.qubit not in (1, 2):
-            raise ValueError(f"bad qubit index {self.qubit}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"rotation angle {self.angle} is not finite")
+        if self.qubit not in (1, 2) or isinstance(self.qubit, (bool, float)):
+            raise ValueError(f"bad qubit index {self.qubit!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +52,8 @@ class Entangle:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"duration {self.duration} is not finite, >= 0")
 
 
 @dataclass(frozen=True)
@@ -67,6 +61,10 @@ class GlobalPhase:
     """Multiply by e^{i angle}."""
 
     angle: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError(f"phase angle {self.angle} is not finite")
 
 
 PulseOp = Union[Rotate, Entangle, GlobalPhase]
@@ -128,14 +126,14 @@ class PulseSchedule:
                 if kind == "rotate":
                     ops.append(Rotate(axis=item["axis"],
                                       angle=float(item["angle"]),
-                                      qubit=int(item["qubit"])))
+                                      qubit=item["qubit"]))
                 elif kind == "entangle":
                     ops.append(Entangle(duration=float(item["duration"])))
                 elif kind == "phase":
                     ops.append(GlobalPhase(angle=float(item["angle"])))
                 else:
                     raise UnsupportedOp(f"unknown schedule op {kind!r}")
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(
                     f"schedule op {kind!r} is malformed: {exc!r}") from exc
         return cls(ops=tuple(ops))
@@ -222,9 +220,8 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     u = simulate_schedule(s, p)
     d_exact = qmat.distance(u, target)
     d_phase = qmat.distance(u, target, up_to_global_phase=True)
-    gu = equivalence.makhlin_invariants(u, tol=1e-8)
-    gt = equivalence.makhlin_invariants(target, tol=1e-8)
-    d_inv = abs(gu.g1 - gt.g1) + abs(gu.g2 - gt.g2)
+    d_inv = equivalence.makhlin_invariants(u).distance(
+        equivalence.makhlin_invariants(target))
     return VerificationReport(
         target_name=target_name,
         mode=mode,
@@ -236,23 +233,3 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
         pass_class=bool(d_inv < tol),
         total_entangling_time=s.total_entangling_time,
     )
-
-
-def _convention_selftest() -> None:
-    # Hadamard identity: i Rx(pi) Ry(pi/2) must be the standard Hadamard.
-    had = 1j * rotation_2x2("x", math.pi) @ rotation_2x2("y", math.pi / 2)
-    expected = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if np.max(np.abs(had - expected)) > 1e-12:
-        raise AssertionError("rotation sign convention broken: "
-                             "i Rx(pi) Ry(pi/2) is not Hadamard")
-    # Refocusing conjugation: Rx(pi)_1^dag H Rx(pi)_1 flips YY and ZZ.
-    p = RotFrameParams(j=0.37, j_zz=-0.81, j_prime=0.0)
-    rx = rotation_matrix("x", math.pi, 1)
-    conj = rx.conj().T @ rot_frame_matrix(p) @ rx
-    from .entangler import XX, YY, ZZ
-    expected_h = p.j * (XX - YY) - p.j_zz * ZZ
-    if np.max(np.abs(conj - expected_h)) > 1e-12:
-        raise AssertionError("refocusing conjugation identity broken")
-
-
-_convention_selftest()

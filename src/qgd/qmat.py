@@ -14,12 +14,14 @@ from .errors import NonHermitianInput, NotUnitary
 
 __all__ = [
     "I2", "I4", "SX", "SY", "SZ", "PAULI",
-    "kron", "is_hermitian", "is_unitary", "require_hermitian",
-    "require_unitary", "expm_hermitian", "distance",
+    "kron", "require_hermitian", "require_unitary", "expm_hermitian",
+    "distance",
 ]
 
-# Algebraic-identity tolerance (Hermiticity / unitarity checks).
+# Tolerances of the algebraic-identity checks: a generator must be
+# Hermitian to roundoff, an input gate unitary to the verification scale.
 ALGEBRA_TOL = 1e-12
+UNITARY_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -34,32 +36,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def is_hermitian(h: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
-    h = np.asarray(h)
-    return bool(np.all(np.isfinite(h.view(float))) and
-                np.max(np.abs(h - h.conj().T)) < tol)
-
-
-def is_unitary(u: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
-    u = np.asarray(u)
-    if not np.all(np.isfinite(u.view(float))):
-        return False
-    eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) < tol)
-
-
-def require_hermitian(h: np.ndarray, tol: float = ALGEBRA_TOL) -> np.ndarray:
+def require_hermitian(h: np.ndarray) -> np.ndarray:
+    """h as a complex array, if finite and Hermitian within ALGEBRA_TOL."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
+    if not (np.all(np.isfinite(h))
+            and np.max(np.abs(h - h.conj().T)) < ALGEBRA_TOL):
         raise NonHermitianInput(
-            f"matrix deviates from Hermiticity by more than {tol}")
+            f"matrix deviates from Hermiticity by more than {ALGEBRA_TOL}")
     return h
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    """u as a complex array, if finite and unitary within UNITARY_TOL."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
-        raise NotUnitary(f"matrix deviates from unitarity by more than {tol}")
+    if not (np.all(np.isfinite(u))
+            and np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+            < UNITARY_TOL):
+        raise NotUnitary(
+            f"matrix deviates from unitarity by more than {UNITARY_TOL}")
     return u
 
 

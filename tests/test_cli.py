@@ -103,17 +103,6 @@ class TestCompileSimulateRoundTrip:
         assert report["passed"]
         assert report["exact_distance"] < 1e-9
 
-    def test_prefer_swapcnot(self, runner, tmp_path):
-        cpl = write_json(tmp_path, "xy.json",
-                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
-        result = runner.invoke(main, ["compile", "--input", cpl,
-                                      "--prefer", "swap_cnot"])
-        assert result.exit_code == 0
-        out = json.loads(result.output)
-        assert out["branch"] == "xy_single_shot_swapcnot"
-        assert len([op for op in out["schedule"]
-                    if op["op"] == "entangle"]) == 1
-
     def test_ising_single_entangle(self, runner, tmp_path):
         cpl = write_json(tmp_path, "ising.json",
                          {"J": 0.0, "Jzz": 1.0, "Jprime": 0.0})
@@ -235,6 +224,8 @@ class TestErrorBoundary:
         ({"J": 1e-320, "Jzz": 0.0, "Jprime": 0.0}, 3),
         ({"J": 0.0, "Jzz": 1e-320, "Jprime": 0.0}, 3),
         ([1.0, 2.0], 1),
+        ({"J": 1.0, "Jzz": 1e308, "Jprime": 0.0}, 8),
+        ({"J": 1.0, "Jzz": 0.0, "J'": 0.5}, 1),
     ])
     def test_in_process_call_exits_with_code(self, tmp_path, capsys,
                                              coupling, code):
@@ -246,3 +237,90 @@ class TestErrorBoundary:
         assert info.value.code == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_overflowing_coupling_names_j_and_jprime(self, runner, tmp_path):
+        tensor = {f"J{a}{b}": 1e308 for a in "xyz" for b in "xyz"}
+        for data in ({"J": 1e308, "Jzz": 0.0, "Jprime": 0.0}, tensor):
+            cpl = write_json(tmp_path, "c.json", data)
+            result = runner.invoke(main, ["compile", "--input", cpl])
+            assert refused(result, 1)
+            assert "J and J'" in result.output
+
+
+# Each click usage error, with the arguments that trigger it.
+USAGE_ERRORS = {
+    "missing_input": ["compile"],
+    "removed_prefer_value": ["compile", "--input", "c.json",
+                             "--prefer", "swap_cnot"],
+    "bad_tol": ["--tol", "abc", "compile", "--input", "c.json"],
+    "unknown_subcommand": ["frobnicate"],
+}
+
+
+class TestUsageErrors:
+    """click's usage errors exit 1 (invalid input) with click's usage
+    message, never 2, which means a non-unitary input."""
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_exit_1(self, runner, case):
+        result = runner.invoke(main, USAGE_ERRORS[case])
+        assert refused(result, 1)
+        assert "Usage:" in result.output and "Error:" in result.output
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_exit_1_in_process(self, capsys, case):
+        with pytest.raises(SystemExit) as info:
+            main(USAGE_ERRORS[case], standalone_mode=False)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert "Usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["compile", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert "Usage:" in result.output
+
+
+class TestScheduleBoundary:
+    """Malformed schedules and compile results exit with a documented
+    code and no traceback."""
+
+    @pytest.mark.parametrize("target", [5, ["CNOT"], None])
+    def test_compile_result_target_not_a_string(self, runner, tmp_path,
+                                                target):
+        cpl = write_json(tmp_path, "c.json", COUPLING_XY_JPRIME)
+        compiled = json.loads(
+            runner.invoke(main, ["compile", "--input", cpl]).output)
+        compiled["target"] = target
+        path = write_json(tmp_path, "r.json", compiled)
+        result = runner.invoke(main, ["simulate", "--input", path])
+        assert refused(result, 7)
+
+    @pytest.mark.parametrize("op", [
+        {"op": "rotate", "axis": "x", "angle": 1.0, "qubit": 1.7},
+        {"op": "rotate", "axis": "x", "angle": 1.0, "qubit": True},
+        {"op": "rotate", "axis": "x", "angle": float("nan"), "qubit": 1},
+        {"op": "rotate", "axis": "x", "angle": float("inf"), "qubit": 2},
+        {"op": "entangle", "duration": float("nan")},
+        {"op": "entangle", "duration": float("inf")},
+        {"op": "phase", "angle": float("-inf")},
+    ])
+    def test_bad_op_value_exit_1(self, runner, tmp_path, op):
+        sched = write_json(tmp_path, "s.json", [op])
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        result = runner.invoke(main, ["simulate", "--input", sched,
+                                      "--coupling", cpl])
+        assert refused(result, 1)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_trajectory_needs_a_sample(self, runner, tmp_path, samples):
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": 0.5}])
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched,
+                                      "--samples", samples])
+        assert refused(result, 1)

@@ -36,6 +36,11 @@ class TestNamedGate:
         with pytest.raises(UnknownGate):
             named_gate("TOFFOLI")
 
+    @pytest.mark.parametrize("name", [5, ["CNOT"], None])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(UnknownGate):
+            named_gate(name)
+
 
 class TestCompileBranches:
     def test_ising_single_shot(self):
@@ -84,13 +89,6 @@ class TestCompileBranches:
 
     def test_prefer_cnot_overrides_auto(self):
         res = compile_cnot(RotFrameParams(1.0, 0.0, 0.0), prefer="cnot")
-        assert res.branch == "two_shot_refocus"
-
-    def test_prefer_swapcnot_falls_back_when_unavailable(self):
-        # Single-shot SWAP*CNOT needs J_zz = J' = 0; otherwise the CNOT
-        # constructions are used.
-        res = compile_cnot(RotFrameParams(1.0, 0.5, 0.0),
-                           prefer="swap_cnot")
         assert res.branch == "two_shot_refocus"
 
     def test_refocus_qubit_choice(self):

@@ -132,6 +132,13 @@ class TestTrajectory:
         ga = makhlin_invariants(a)
         assert abs(gu.g1 - ga.g1) + abs(gu.g2 - ga.g2) < 1e-9
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        with pytest.raises(ValueError):
+            trajectory(RotFrameParams(1, 0, 0),
+                       PulseSchedule((Entangle(0.5),)),
+                       samples_per_interval=samples)
+
     def test_rejects_nonzero_jprime(self):
         with pytest.raises(NonzeroJPrime):
             trajectory(RotFrameParams(1, 0, 0.2), PulseSchedule(()))

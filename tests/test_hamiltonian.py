@@ -6,7 +6,8 @@ import pytest
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
                              lab_frame_hamiltonian, reduce_coupling,
                              rot_frame_matrix, rwa_infidelity)
-from qgd.qmat import I2, SX, SY, SZ, expm_hermitian, is_hermitian, kron
+from qgd.qmat import (I2, SX, SY, SZ, expm_hermitian, kron,
+                      require_hermitian)
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -90,9 +91,27 @@ class TestRotFrameParams:
 
     def test_from_dict_rejects_bad_shapes(self):
         for bad in ([1.0], {"J": 1.0}, {"J": None, "Jzz": 0.0},
-                    {"J": 1.0, "Jzz": "x"}):
+                    {"J": 1.0, "Jzz": "x"}, {"J": 1.0, "Jzz": 0.0}):
             with pytest.raises(ValueError):
                 RotFrameParams.from_dict(bad)
+
+    def test_from_dict_has_no_jprime_alias(self):
+        # A payload that spells the key "J'" is refused, never compiled
+        # with J' = 0.
+        with pytest.raises(ValueError, match="Jprime"):
+            RotFrameParams.from_dict({"J": 1.0, "Jzz": 0.0, "J'": 0.5})
+
+    @pytest.mark.parametrize("j,jp", [(1e308, 0.0), (0.0, -1e308),
+                                      (8e307, 8e307)])
+    def test_overflowing_gamma_rejected(self, j, jp):
+        # Finite couplings whose gamma = 2(J + iJ') overflows.
+        with pytest.raises(ValueError, match="J and J'"):
+            RotFrameParams(j, 0.0, jp)
+
+    def test_overflowing_tensor_rejected(self):
+        ct = CouplingTensor(np.full((3, 3), 1e308))
+        with pytest.raises(ValueError, match="J and J'"):
+            reduce_coupling(ct)
 
 
 class TestRotFrameMatrix:
@@ -151,7 +170,7 @@ class TestLabFrameGenerator:
     def test_hermitian(self, rng):
         for _ in range(10):
             ct = CouplingTensor(rng.normal(size=(3, 3)) * 0.01)
-            assert is_hermitian(lab_frame_hamiltonian(ct, 1.0))
+            require_hermitian(lab_frame_hamiltonian(ct, 1.0))
 
     def test_invalid_params_rejected(self):
         for eps in (-1.0, 0.0, math.nan, math.inf):

@@ -45,6 +45,18 @@ class TestRotationMatrix:
         with pytest.raises(ValueError):
             Rotate("x", 1.0, 3)
 
+    @pytest.mark.parametrize("qubit", [1.7, 1.0, True, "1"])
+    def test_non_integer_qubit_rejected(self, qubit):
+        with pytest.raises(ValueError):
+            Rotate("x", 1.0, qubit)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        for make in (lambda: Rotate("x", bad, 1), lambda: Entangle(bad),
+                     lambda: GlobalPhase(bad)):
+            with pytest.raises(ValueError):
+                make()
+
 
 class TestSchedule:
     def test_empty_is_identity(self):
