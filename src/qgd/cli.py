@@ -23,23 +23,14 @@ import click
 import numpy as np
 
 from . import compiler, entangler, equivalence, hamiltonian, pulses
-from .errors import (NonzeroJPrime, NotUnitary, QgdError, UnknownGate,
-                     UnsupportedOp, VerificationFailed, ZeroCoupling)
-
-_ERROR_CODES = [
-    (NotUnitary, 2),
-    (ZeroCoupling, 3),
-    (NonzeroJPrime, 4),
-    (UnsupportedOp, 5),
-    (UnknownGate, 7),
-    (VerificationFailed, 8),
-]
+from .errors import QgdError
 
 
 class _Group(click.Group):
     """The one error boundary: every usage error, QgdError and ValueError
     raised by the group or a subcommand becomes a message on stderr and
-    its exit code, also under main(args, standalone_mode=False)."""
+    an exit with its code (QgdError.exit_code, else 1), also under
+    main(args, standalone_mode=False)."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -56,8 +47,7 @@ class _Group(click.Group):
             sys.exit(1)
         except (QgdError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(next((code for etype, code in _ERROR_CODES
-                           if isinstance(exc, etype)), 1))
+            sys.exit(exc.exit_code if isinstance(exc, QgdError) else 1)
 
 
 def _load_json(path: str):

@@ -184,6 +184,8 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     J != 0, and a CNOT otherwise; prefer="cnot" always emits a CNOT.
     refocus_qubit picks the qubit of the refocusing pi pulse. The
     schedule is re-simulated and must match its target within tol.
+    Raises ValueError when an interval's phase dt (|J_zz| + 2|J + iJ'|)
+    is not finite.
     """
     if prefer not in ("auto", "cnot"):
         raise ValueError(f"bad prefer {prefer!r}")
@@ -202,6 +204,10 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
         schedule, dt = _refocused_schedule(p, refocus_qubit)
         branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
         target_name = "CNOT"
+    # dt times the spectral radius of rot_frame_matrix(p) bounds expm's phase.
+    if not math.isfinite(dt * (abs(p.j_zz) + 2 * math.hypot(p.j, p.j_prime))):
+        raise ValueError(f"entangling phase overflows: interval {dt:.3e} "
+                         "is too long for couplings this strong")
 
     report = verify_schedule(schedule, p, named_gate(target_name),
                              mode="exact", tol=tol, target_name=target_name)

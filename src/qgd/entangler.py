@@ -1,6 +1,7 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
-coordinate arithmetic on the 3-torus of entanglers, and trajectory
-generation from pulse schedules via the area theorems (J' = 0 only).
+whose generator is qmat.coupling_operator of diag(x, y, z), coordinate
+arithmetic on the 3-torus of entanglers, and trajectory generation from
+pulse schedules via the area theorems (J' = 0 only).
 """
 from __future__ import annotations
 
@@ -12,16 +13,12 @@ import numpy as np
 
 from . import qmat
 from .errors import NonzeroJPrime, UnsupportedOp
-from .qmat import SX, SY, SZ, kron
+from .qmat import coupling_operator
 
 __all__ = [
     "EntanglerCoords", "Trajectory", "wrap_angle",
     "canonical_entangler", "coords_from_area", "trajectory",
 ]
-
-XX = kron(SX, SX)
-YY = kron(SY, SY)
-ZZ = kron(SZ, SZ)
 
 _TWO_PI = 2 * math.pi
 
@@ -50,8 +47,7 @@ class EntanglerCoords:
 def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
     """A(x,y,z); the three generators commute, so this is a single
     Hermitian exponential and is exactly 2*pi-periodic per axis."""
-    gen = c.x * XX + c.y * YY + c.z * ZZ
-    return qmat.expm_hermitian(gen, 1.0)
+    return qmat.expm_hermitian(coupling_operator(np.diag([c.x, c.y, c.z])))
 
 
 def coords_from_area(times, j_values, jzz_values) -> EntanglerCoords:
@@ -116,28 +112,24 @@ def _reflection_for(axis: str) -> np.ndarray:
 
 
 def trajectory(p, schedule, samples_per_interval: int = 32) -> Trajectory:
-    """Entangler-space path of a schedule of entangling intervals and
+    """Entangler-space path of a PulseSchedule of entangling intervals and
     refocusing pi pulses, under constant couplings with J' = 0.
 
     Entangling intervals advance (x, y, z) at rates (J, J, J_zz), with
     the running sign state toggled by each pi pulse.
     """
-    from .pulses import Entangle, GlobalPhase, PulseSchedule, Rotate
+    from .pulses import Entangle, GlobalPhase, Rotate
 
     if p.j_prime != 0.0:
         raise NonzeroJPrime("closed-form trajectories require J' = 0")
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be at least 1")
-    if isinstance(schedule, PulseSchedule):
-        ops = schedule.ops
-    else:
-        ops = tuple(schedule)
 
     rates = np.array([p.j, p.j, p.j_zz])
     signs = np.array([1.0, 1.0, 1.0])
     times = [0.0]
     points = [np.zeros(3)]
-    for op in ops:
+    for op in schedule.ops:
         if isinstance(op, GlobalPhase):
             continue
         if isinstance(op, Rotate):

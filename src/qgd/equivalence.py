@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangler import XX, YY, ZZ, EntanglerCoords, canonical_entangler, wrap_angle
+from .entangler import EntanglerCoords, canonical_entangler, wrap_angle
 from .errors import NotUnitary
-from .qmat import kron, require_unitary
+from .qmat import PAULI_PAIRS, kron, require_unitary
 
 __all__ = [
     "MAGIC", "MakhlinInvariants", "KakFactors",
@@ -31,8 +31,8 @@ MAGIC = (1 / math.sqrt(2)) * np.array([
 # Diagonals of XX, YY, ZZ in the magic basis (they are diagonal there);
 # columns of the linear system that maps eigenphases to (x, y, z, phase).
 _GEN_DIAGS = np.stack([
-    np.real(np.diag(MAGIC.conj().T @ g @ MAGIC)) for g in (XX, YY, ZZ)
-], axis=1)
+    np.real(np.diag(MAGIC.conj().T @ PAULI_PAIRS[k, k] @ MAGIC))
+    for k in range(3)], axis=1)
 _PHASE_SYSTEM = np.hstack([-_GEN_DIAGS, np.ones((4, 1))])
 
 # Largest invariant distance at which two gates count as one local class.

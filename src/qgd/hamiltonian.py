@@ -2,19 +2,22 @@
 coupled qubits, and the reduction of the 9-component coupling tensor to
 the 3 effective rotating-frame parameters (J, J_zz, J').
 
+Both coupling Hamiltonians are qmat.coupling_operator of a 3x3 tensor:
+J_{mu nu} itself in the lab frame, and its rotating-wave part
+[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame.
+
 Basis ordering |00>, |01>, |10>, |11> with qubit 1 the left tensor
 factor; |0> is the lower eigenstate of -(eps/2) sigma^z.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .qmat import I2, SX, SY, SZ, kron
+from .qmat import coupling_operator
 
 __all__ = [
     "CouplingTensor", "RotFrameParams",
@@ -77,24 +80,20 @@ class RotFrameParams:
     discarded_weight: float = 0.0
 
     def __post_init__(self):
+        for name in ("j", "j_zz", "j_prime"):  # numpy scalars warn on overflow
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not all(map(math.isfinite, (self.j, self.j_zz, self.j_prime))):
             raise ValueError("couplings J, J_zz, J' must be finite")
-        if not math.isfinite(2 * math.hypot(self.j, self.j_prime)):
-            raise ValueError("gamma = 2(J + iJ') overflows: "
-                             "couplings J and J' are too large")
-
-    @property
-    def gamma(self) -> complex:
-        return 2 * (self.j + 1j * self.j_prime)
-
-    @property
-    def gamma_abs(self) -> float:
-        return abs(self.gamma)
+        # rot_frame_matrix has spectral radius |J_zz| + 2|J + iJ'|.
+        if not math.isfinite(abs(self.j_zz)
+                             + 2 * math.hypot(self.j, self.j_prime)):
+            raise ValueError("|J_zz| + 2|J + iJ'| overflows: "
+                             "couplings J and J' or J_zz are too large")
 
     @property
     def phi(self) -> float:
         """arg(J + i J'), in (-pi, pi]."""
-        return cmath.phase(complex(self.j, self.j_prime))
+        return math.atan2(self.j_prime, self.j)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RotFrameParams":
@@ -127,21 +126,17 @@ def reduce_coupling(ct: CouplingTensor) -> RotFrameParams:
 
 
 def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
-    """The effective two-qubit coupling Hamiltonian in the computational
-    basis: diag (J_zz, -J_zz, -J_zz, J_zz) with gamma = 2(J + iJ') on the
-    inner off-diagonal block."""
-    g = p.gamma
-    return np.array([
-        [p.j_zz, 0, 0, 0],
-        [0, -p.j_zz, g, 0],
-        [0, np.conj(g), -p.j_zz, 0],
-        [0, 0, 0, p.j_zz],
-    ], dtype=complex)
+    """The effective rotating-frame coupling
+    J (XX + YY) + J' (XY - YX) + J_zz ZZ: diag(J_zz, -J_zz, -J_zz, J_zz)
+    with 2(J + iJ') on the |01><10| entry."""
+    return coupling_operator([[p.j, p.j_prime, 0.0],
+                              [-p.j_prime, p.j, 0.0],
+                              [0.0, 0.0, p.j_zz]])
 
 
 def _drift(eps: float) -> np.ndarray:
     """H0 = -(eps/2)(Z1 + Z2): both qubits tuned to the splitting eps."""
-    return -(eps / 2) * (kron(SZ, I2) + kron(I2, SZ))
+    return np.diag([-eps, 0.0, 0.0, eps]).astype(complex)
 
 
 def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
@@ -152,10 +147,7 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
-    paulis = (SX, SY, SZ)
-    coupling = sum(ct.j[m, n] * kron(paulis[m], paulis[n])
-                   for m in range(3) for n in range(3))
-    return _drift(eps) + coupling
+    return _drift(eps) + coupling_operator(ct.j)
 
 
 def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:

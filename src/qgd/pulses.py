@@ -79,9 +79,6 @@ class PulseSchedule:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
 
-    def __add__(self, other: "PulseSchedule") -> "PulseSchedule":
-        return PulseSchedule(ops=self.ops + other.ops)
-
     @property
     def total_entangling_time(self) -> float:
         return float(sum(op.duration for op in self.ops

@@ -1,10 +1,10 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
-Pauli operators, Kronecker products, Hermitian matrix exponentials and
-unitary distance metrics. Every generator the package evolves under is
-constant over its interval, so a propagator is one exponential; there is
-no time-ordered product. Everything here is a pure function of its
-arguments.
+Pauli operators, Kronecker products, the two-qubit coupling operator of a
+3x3 tensor, Hermitian matrix exponentials and unitary distance metrics.
+Every generator the package evolves under is constant over its interval,
+so a propagator is one exponential; there is no time-ordered product.
+Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import numpy as np
 from .errors import NonHermitianInput, NotUnitary
 
 __all__ = [
-    "I2", "I4", "SX", "SY", "SZ", "PAULI",
-    "kron", "require_hermitian", "require_unitary", "expm_hermitian",
-    "distance",
+    "I2", "I4", "SX", "SY", "SZ", "PAULI", "PAULI_PAIRS",
+    "kron", "coupling_operator", "require_hermitian", "require_unitary",
+    "expm_hermitian", "distance",
 ]
 
 # Tolerances of the algebraic-identity checks: a generator must be
@@ -29,11 +29,24 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": SX, "y": SY, "z": SZ}
+# PAULI_PAIRS[m, n] = sigma^m (x) sigma^n, m, n indexing x, y, z.
+PAULI_PAIRS = np.array([[np.kron(a, b) for b in (SX, SY, SZ)]
+                        for a in (SX, SY, SZ)])
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with qubit 1 as the left factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def coupling_operator(t) -> np.ndarray:
+    """sum_{mn} t[m, n] sigma_1^m sigma_2^n for a real 3x3 tensor t.
+
+    Every two-qubit coupling Hamiltonian and entangler generator of the
+    package is this contraction of some tensor.
+    """
+    pairs = PAULI_PAIRS.reshape(9, 16)
+    return (np.asarray(t, dtype=float).reshape(9) @ pairs).reshape(4, 4)
 
 
 def require_hermitian(h: np.ndarray) -> np.ndarray:

@@ -109,7 +109,8 @@ def test_two_shot_identity_suite():
 
 def test_refocusing_conjugation():
     rng = np.random.default_rng(11)
-    from qgd.entangler import XX, YY, ZZ
+    from qgd.qmat import PAULI_PAIRS
+    XX, YY, ZZ = (PAULI_PAIRS[k, k] for k in range(3))
     rx = rotation_matrix("x", PI, 1)
     worst = 0.0
     for _ in range(100):

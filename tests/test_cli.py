@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from qgd import cli
 from qgd.cli import main
+from qgd.errors import QgdError
 
 PI = math.pi
 
@@ -69,6 +70,21 @@ class TestInvariantsCmd:
         result = runner.invoke(main, ["invariants", "--gate", "TOFFOLI"])
         assert result.exit_code == 7
 
+    @pytest.mark.parametrize("matrix", [
+        [[["a", 0]] * 4] * 4,                    # a non-numeric entry
+        [[[1, 0], [0, 0], [0, 0]]] * 3,          # 3x3
+    ])
+    def test_malformed_matrix_exit_1(self, runner, tmp_path, matrix):
+        path = write_json(tmp_path, "m.json", matrix)
+        result = runner.invoke(main, ["invariants", "--input", path])
+        assert refused(result, 1)
+
+    @pytest.mark.parametrize("args", [
+        ["--gate", "CNOT", "--input", "m.json"], []])
+    def test_exactly_one_source_exit_1(self, runner, args):
+        result = runner.invoke(main, ["invariants", *args])
+        assert refused(result, 1)
+
 
 class TestKakCmd:
     def test_cnot_class(self, runner):
@@ -130,6 +146,20 @@ class TestCompileSimulateRoundTrip:
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"]
 
+    def test_bare_schedule_needs_coupling_exit_1(self, runner, tmp_path):
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": PI / 4}])
+        result = runner.invoke(main, ["simulate", "--input", sched])
+        assert refused(result, 1)
+
+    def test_tiny_jprime_beside_huge_j(self, runner, tmp_path):
+        # arg(J + iJ') underflows to 0 here; it must not raise.
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1e300, "Jzz": 0.0, "Jprime": 1e-300})
+        result = runner.invoke(main, ["compile", "--input", cpl])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["verification"]["passed"]
+
 
 class TestTrajectoryCmd:
     def test_straight_line(self, runner, tmp_path):
@@ -189,6 +219,23 @@ class TestRwaScanCmd:
         vals = [float(line.split(",")[1]) for line in lines[1:]]
         assert vals[1] < vals[0]
 
+    def test_tensor_file(self, runner, tmp_path):
+        # The default tensor, given as a file, reproduces the default scan.
+        default = [[1.0, 0.4, 0.3], [0.2, 0.8, -0.5], [0.6, -0.3, 0.9]]
+        path = write_json(tmp_path, "t.json", {
+            f"J{a}{b}": default[i][k]
+            for i, a in enumerate("xyz") for k, b in enumerate("xyz")})
+        args = ["rwa-scan", "--ratios", "1e-1,1e-2"]
+        result = runner.invoke(main, [*args, "--coupling", path])
+        assert result.exit_code == 0
+        assert result.output == runner.invoke(main, args).output
+
+    def test_zero_tensor_exit_1(self, runner, tmp_path):
+        path = write_json(tmp_path, "t.json",
+                          {f"J{a}{b}": 0.0 for a in "xyz" for b in "xyz"})
+        result = runner.invoke(main, ["rwa-scan", "--coupling", path])
+        assert refused(result, 1)
+
 
 def refused(result, code):
     """Exit code as documented, through sys.exit rather than a traceback."""
@@ -199,6 +246,10 @@ def refused(result, code):
 class TestErrorBoundary:
     def test_zero_ratio_exit_1(self, runner):
         result = runner.invoke(main, ["rwa-scan", "--ratios", "1e-1,0"])
+        assert refused(result, 1)
+
+    def test_zero_tol_exit_1(self, runner):
+        result = runner.invoke(main, ["--tol", "0", "kak", "--gate", "CNOT"])
         assert refused(result, 1)
 
     def test_schedule_object_exit_1(self, runner, tmp_path):
@@ -216,8 +267,8 @@ class TestErrorBoundary:
                                       "--input", cpl])
         assert refused(result, 8)
         documented = cli.__doc__.split("Exit codes:")[1].split("\n\n")[0]
-        for _, code in cli._ERROR_CODES:
-            assert f"{code} " in documented
+        for etype in QgdError.__subclasses__():
+            assert f"{etype.exit_code} " in documented
 
     @pytest.mark.parametrize("coupling,code", [
         ({"J": float("nan"), "Jzz": 1.0, "Jprime": 0.0}, 1),
@@ -226,6 +277,11 @@ class TestErrorBoundary:
         ([1.0, 2.0], 1),
         ({"J": 1.0, "Jzz": 1e308, "Jprime": 0.0}, 8),
         ({"J": 1.0, "Jzz": 0.0, "J'": 0.5}, 1),
+        # Each interval's phase dt * J_zz overflows.
+        ({"J": 0.0, "Jzz": 1e300, "Jprime": 1e-300}, 1),
+        # Reduced from a tensor, J_zz arrives as a numpy scalar.
+        ({**{f"J{a}{b}": 0.0 for a in "xyz" for b in "xyz"},
+          "Jzz": 1e-320}, 3),
     ])
     def test_in_process_call_exits_with_code(self, tmp_path, capsys,
                                              coupling, code):
@@ -240,7 +296,8 @@ class TestErrorBoundary:
 
     def test_overflowing_coupling_names_j_and_jprime(self, runner, tmp_path):
         tensor = {f"J{a}{b}": 1e308 for a in "xyz" for b in "xyz"}
-        for data in ({"J": 1e308, "Jzz": 0.0, "Jprime": 0.0}, tensor):
+        for data in ({"J": 1e308, "Jzz": 0.0, "Jprime": 0.0}, tensor,
+                     {"J": 5e307, "Jzz": 1e308, "Jprime": 5e307}):
             cpl = write_json(tmp_path, "c.json", data)
             result = runner.invoke(main, ["compile", "--input", cpl])
             assert refused(result, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from qgd.compiler import (CNOT, CZ, SWAP, compile_cnot, controlled_phase,
                           named_gate)
-from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
+from qgd.errors import (QgdError, UnknownGate, VerificationFailed,
+                        ZeroCoupling)
 from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import Entangle, Rotate, simulate_schedule
 from qgd.qmat import distance
@@ -109,6 +111,30 @@ class TestCompileBranches:
         for prefer in ("auto", "cnot"):
             with pytest.raises(ZeroCoupling):
                 compile_cnot(RotFrameParams(*params), prefer=prefer)
+
+    @pytest.mark.parametrize("kwargs", [{"prefer": "x"},
+                                        {"refocus_qubit": 3}])
+    def test_bad_argument_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            compile_cnot(RotFrameParams(1.0, 0.3, 0.2), **kwargs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_couplings_compile_or_raise_typed(self):
+        # Near the float limits a compile either succeeds or raises a
+        # typed error; no numpy overflow warning escapes.
+        grid = (0.0, 1e-300, -1e-300, 1.0, 1e300, -1e300,
+                1e307, 5e307, -5e307, 1e308)
+        compiled = 0
+        for j, jzz, jp in itertools.product(grid, repeat=3):
+            for q in (1, 2):
+                try:
+                    res = compile_cnot(RotFrameParams(j, jzz, jp),
+                                       refocus_qubit=q)
+                except (QgdError, ValueError):
+                    continue
+                assert res.verification.pass_exact
+                compiled += 1
+        assert compiled > 0
 
     def test_failed_verification_is_typed(self):
         with pytest.raises(VerificationFailed):

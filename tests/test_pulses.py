@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from qgd.compiler import CNOT
-from qgd.entangler import XX, YY, ZZ, EntanglerCoords, canonical_entangler
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.errors import UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         hadamard_ops, rotation_2x2, rotation_matrix,
                         simulate_schedule, verify_schedule)
-from qgd.qmat import I2, distance, kron
+from qgd.qmat import I2, PAULI_PAIRS, distance, kron
 
 PI = math.pi
+XX, YY, ZZ = (PAULI_PAIRS[k, k] for k in range(3))
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
@@ -68,7 +69,7 @@ class TestSchedule:
         s1 = PulseSchedule((Rotate("x", 0.3, 1), Entangle(0.5)))
         s2 = PulseSchedule((GlobalPhase(0.2), Rotate("z", -1.1, 2),
                             Entangle(0.25)))
-        u = simulate_schedule(s1 + s2, p)
+        u = simulate_schedule(PulseSchedule(s1.ops + s2.ops), p)
         split = simulate_schedule(s2, p) @ simulate_schedule(s1, p)
         assert distance(u, split) < 1e-13
 
@@ -181,8 +182,8 @@ class TestVerifySchedule:
         from qgd.compiler import _ising_schedule
         p = RotFrameParams(0.0, j_zz, 0.0)
         sched, _ = _ising_schedule(p)
-        rep = verify_schedule(sched + PulseSchedule((GlobalPhase(0.3),)), p,
-                              CNOT, mode="exact_up_to_phase")
+        rep = verify_schedule(PulseSchedule(sched.ops + (GlobalPhase(0.3),)),
+                              p, CNOT, mode="exact_up_to_phase")
         assert rep.passed and not rep.pass_exact
         assert rep.phase_distance < 1e-12
 

@@ -26,6 +26,16 @@ class TestKron:
         assert np.allclose(kron(SX, SX), np.fliplr(np.eye(4)))
 
 
+class TestCouplingOperator:
+    def test_matches_kron_sum(self, rng):
+        paulis = (SX, SY, SZ)
+        for _ in range(50):
+            t = rng.normal(size=(3, 3))
+            ref = sum(t[m, n] * kron(paulis[m], paulis[n])
+                      for m in range(3) for n in range(3))
+            assert np.max(np.abs(qmat.coupling_operator(t) - ref)) < 1e-14
+
+
 class TestExpmHermitian:
     def test_zero_generator(self):
         assert np.allclose(expm_hermitian(np.zeros((4, 4)), 2.7), I4)
