@@ -4,7 +4,8 @@ Subcommands: invariants, kak, compile, simulate, trajectory, rwa-scan.
 Matrices travel as JSON 4x4 arrays of [re, im] pairs; couplings as a full
 tensor {"Jxx": ..., "Jzz": ...} or as {"J": ..., "Jzz": ..., "Jprime": ...},
 every key required; schedules as lists of op objects in application order.
---tol (or QGD_TOL) sets the verification tolerance, and nothing else.
+--tol (or QGD_TOL) sets the verification tolerance, positive and finite,
+and nothing else.
 
 Exit codes: 1 invalid input (unparsable file, bad value or usage error),
 2 non-unitary input, 3 zero coupling, 4 nonzero J', 5 unsupported schedule
@@ -22,7 +23,7 @@ import sys
 import click
 import numpy as np
 
-from . import compiler, entangler, equivalence, hamiltonian, pulses
+from . import compiler, equivalence, hamiltonian, pulses
 from .errors import QgdError
 
 
@@ -90,8 +91,8 @@ def _resolve_params(data: dict) -> hamiltonian.RotFrameParams:
 @click.pass_context
 def main(ctx, tol):
     """Two-qubit gate synthesis toolkit for weakly coupled qubits."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     ctx.obj = {"tol": tol}
 
 
@@ -169,8 +170,7 @@ def trajectory(coupling_path, schedule_path, samples):
     """Emit the entangler-space trajectory of a schedule as CSV."""
     params = _resolve_params(_load_json(coupling_path))
     schedule = pulses.PulseSchedule.from_json(_load_json(schedule_path))
-    traj = entangler.trajectory(params, schedule,
-                                samples_per_interval=samples)
+    traj = pulses.trajectory(params, schedule, samples_per_interval=samples)
     click.echo(traj.to_csv(), nl=False)
 
 
@@ -198,13 +198,13 @@ def rwa_scan(ratios, gt_product, coupling_path):
     if not all(r > 0 and math.isfinite(r) for r in values):
         raise ValueError(f"ratios {ratios!r} must be positive and finite")
     eps = 1.0
-    click.echo("ratio,infidelity")
+    rows = []  # every row is computed before anything is printed
     for ratio in values:
         g = ratio * eps
         ct = hamiltonian.CouplingTensor(base * (g / scale))
-        t_final = gt_product / g
-        inf = hamiltonian.rwa_infidelity(ct, eps, t_final)
-        click.echo(f"{ratio:.6g},{inf:.12g}")
+        inf = hamiltonian.rwa_infidelity(ct, eps, gt_product / g)
+        rows.append(f"{ratio:.6g},{inf:.12g}")
+    click.echo("\n".join(["ratio,infidelity", *rows]))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
 whose generator is qmat.coupling_operator of diag(x, y, z), coordinate
-arithmetic on the 3-torus of entanglers, and trajectory generation from
-pulse schedules via the area theorems (J' = 0 only).
+arithmetic on the 3-torus of entanglers, the area theorem (J' = 0 only)
+and the sampled path type Trajectory, which pulses.trajectory fills in
+from a pulse schedule.
 """
 from __future__ import annotations
 
@@ -12,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import NonzeroJPrime, UnsupportedOp
 from .qmat import coupling_operator
 
 __all__ = [
     "EntanglerCoords", "Trajectory", "wrap_angle",
-    "canonical_entangler", "coords_from_area", "trajectory",
+    "canonical_entangler", "coords_from_area",
 ]
 
 _TWO_PI = 2 * math.pi
@@ -99,55 +99,3 @@ class Trajectory:
             row = [t, *r, *w]
             buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
         return buf.getvalue()
-
-
-def _reflection_for(axis: str) -> np.ndarray:
-    # A pi pulse about x flips the signs of the YY and ZZ accumulation
-    # rates; about y it flips XX and ZZ.
-    if axis == "x":
-        return np.array([1.0, -1.0, -1.0])
-    if axis == "y":
-        return np.array([-1.0, 1.0, -1.0])
-    raise UnsupportedOp(f"refocusing pulse about '{axis}' not supported")
-
-
-def trajectory(p, schedule, samples_per_interval: int = 32) -> Trajectory:
-    """Entangler-space path of a PulseSchedule of entangling intervals and
-    refocusing pi pulses, under constant couplings with J' = 0.
-
-    Entangling intervals advance (x, y, z) at rates (J, J, J_zz), with
-    the running sign state toggled by each pi pulse.
-    """
-    from .pulses import Entangle, GlobalPhase, Rotate
-
-    if p.j_prime != 0.0:
-        raise NonzeroJPrime("closed-form trajectories require J' = 0")
-    if samples_per_interval < 1:
-        raise ValueError("samples_per_interval must be at least 1")
-
-    rates = np.array([p.j, p.j, p.j_zz])
-    signs = np.array([1.0, 1.0, 1.0])
-    times = [0.0]
-    points = [np.zeros(3)]
-    for op in schedule.ops:
-        if isinstance(op, GlobalPhase):
-            continue
-        if isinstance(op, Rotate):
-            if not math.isclose(abs(op.angle), math.pi, rel_tol=0, abs_tol=1e-12):
-                raise UnsupportedOp(
-                    "trajectory schedules admit only refocusing pi pulses; "
-                    f"got {op.axis} rotation by {op.angle}")
-            signs = signs * _reflection_for(op.axis)
-            continue
-        if isinstance(op, Entangle):
-            if op.duration == 0:
-                continue
-            t0 = times[-1]
-            r0 = points[-1]
-            for k in range(1, samples_per_interval + 1):
-                dt = op.duration * k / samples_per_interval
-                times.append(t0 + dt)
-                points.append(r0 + signs * rates * dt)
-            continue
-        raise UnsupportedOp(f"unsupported schedule op {op!r}")
-    return Trajectory(times=np.array(times), raw=np.array(points))

@@ -144,9 +144,13 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
     splitting eps:
 
     H = -(eps/2)(Z1 + Z2) + sum_{mu nu} J_{mu nu} sigma_1^mu sigma_2^nu.
+    Raises ValueError when eps + sum |J_{mu nu}| is not finite.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
+    # Summed on Python floats: an overflow is inf, not a numpy warning.
+    if not math.isfinite(eps + sum(map(abs, ct.j.ravel().tolist()))):
+        raise ValueError("coupling tensor too large: eps + sum |J| overflows")
     return _drift(eps) + coupling_operator(ct.j)
 
 

@@ -1,8 +1,10 @@
-"""Pulse-schedule data model and rotating-frame simulator.
+"""Pulse schedules: the op set, simulation, trajectories, verification.
 
 Schedules are stored in application order (first-applied first); the
 conventional right-to-left notation is used only for pretty-printing.
 Rotations are instantaneous; only entangling intervals consume time.
+The op kinds are Rotate, Entangle and GlobalPhase; _OPS declares each
+one's JSON name and text form, and PulseSchedule refuses any other op.
 
 Rotation convention: R_a(theta) = e^{-i theta sigma^a / 2}, the unique
 choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard.
@@ -11,21 +13,33 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Union
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import equivalence, qmat
-from .errors import UnsupportedOp
+from .entangler import Trajectory
+from .errors import NonzeroJPrime, UnsupportedOp
 from .hamiltonian import RotFrameParams, rot_frame_matrix
 from .qmat import I2, I4, PAULI, kron
 
 __all__ = [
-    "Rotate", "Entangle", "GlobalPhase", "PulseOp", "PulseSchedule",
+    "Rotate", "Entangle", "GlobalPhase", "PulseSchedule",
     "VerificationReport", "rotation_2x2", "rotation_matrix",
-    "hadamard_ops", "simulate_schedule", "verify_schedule",
+    "hadamard_ops", "simulate_schedule", "trajectory", "verify_schedule",
 ]
+
+
+def _finite(what: str, value) -> float:
+    """value as a finite Python float; ValueError for anything else."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    return x
 
 
 @dataclass(frozen=True)
@@ -39,10 +53,12 @@ class Rotate:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"bad axis {self.axis!r}")
-        if not math.isfinite(self.angle):
-            raise ValueError(f"rotation angle {self.angle} is not finite")
-        if self.qubit not in (1, 2) or isinstance(self.qubit, (bool, float)):
+        object.__setattr__(self, "angle",
+                           _finite("rotation angle", self.angle))
+        if (not isinstance(self.qubit, numbers.Integral)
+                or isinstance(self.qubit, bool) or self.qubit not in (1, 2)):
             raise ValueError(f"bad qubit index {self.qubit!r}")
+        object.__setattr__(self, "qubit", int(self.qubit))
 
 
 @dataclass(frozen=True)
@@ -52,8 +68,10 @@ class Entangle:
     duration: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"duration {self.duration} is not finite, >= 0")
+        duration = _finite("duration", self.duration)
+        if duration < 0:
+            raise ValueError(f"duration {duration} is negative")
+        object.__setattr__(self, "duration", duration)
 
 
 @dataclass(frozen=True)
@@ -63,21 +81,30 @@ class GlobalPhase:
     angle: float
 
     def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"phase angle {self.angle} is not finite")
+        object.__setattr__(self, "angle", _finite("phase angle", self.angle))
 
 
-PulseOp = Union[Rotate, Entangle, GlobalPhase]
+# The op set: each kind's JSON name and right-to-left text form, which
+# formats the op's fields.
+_OPS = {
+    Rotate: ("rotate", "R{axis}({angle:+.4f})_{qubit}"),
+    Entangle: ("entangle", "E({duration:.4f})"),
+    GlobalPhase: ("phase", "e^(i{angle:+.4f})"),
+}
+_OP_BY_NAME = {name: cls for cls, (name, _) in _OPS.items()}
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered pulse ops, first-applied first."""
+    """Ordered Rotate, Entangle and GlobalPhase ops, first-applied first."""
 
     ops: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
+        for op in self.ops:
+            if type(op) not in _OPS:
+                raise UnsupportedOp(f"unknown schedule op {op!r}")
 
     @property
     def total_entangling_time(self) -> float:
@@ -86,27 +113,11 @@ class PulseSchedule:
 
     def pretty(self) -> str:
         """Right-to-left rendering matching the usual operator notation."""
-        parts = []
-        for op in reversed(self.ops):
-            if isinstance(op, Rotate):
-                parts.append(f"R{op.axis}({op.angle:+.4f})_{op.qubit}")
-            elif isinstance(op, Entangle):
-                parts.append(f"E({op.duration:.4f})")
-            else:
-                parts.append(f"e^(i{op.angle:+.4f})")
-        return " ".join(parts)
+        return " ".join(_OPS[type(op)][1].format(**asdict(op))
+                        for op in reversed(self.ops))
 
     def to_json(self) -> list:
-        out = []
-        for op in self.ops:
-            if isinstance(op, Rotate):
-                out.append({"op": "rotate", "axis": op.axis,
-                            "angle": op.angle, "qubit": op.qubit})
-            elif isinstance(op, Entangle):
-                out.append({"op": "entangle", "duration": op.duration})
-            else:
-                out.append({"op": "phase", "angle": op.angle})
-        return out
+        return [{"op": _OPS[type(op)][0], **asdict(op)} for op in self.ops]
 
     @classmethod
     def from_json(cls, items: list) -> "PulseSchedule":
@@ -119,20 +130,14 @@ class PulseSchedule:
             if not isinstance(item, dict):
                 raise ValueError(f"schedule op {item!r} is not an object")
             kind = item.get("op")
+            op_cls = _OP_BY_NAME.get(kind) if isinstance(kind, str) else None
+            if op_cls is None:
+                raise UnsupportedOp(f"unknown schedule op {kind!r}")
             try:
-                if kind == "rotate":
-                    ops.append(Rotate(axis=item["axis"],
-                                      angle=float(item["angle"]),
-                                      qubit=item["qubit"]))
-                elif kind == "entangle":
-                    ops.append(Entangle(duration=float(item["duration"])))
-                elif kind == "phase":
-                    ops.append(GlobalPhase(angle=float(item["angle"])))
-                else:
-                    raise UnsupportedOp(f"unknown schedule op {kind!r}")
-            except (KeyError, TypeError, OverflowError) as exc:
-                raise ValueError(
-                    f"schedule op {kind!r} is malformed: {exc!r}") from exc
+                ops.append(op_cls(**{f.name: item[f.name]
+                                     for f in fields(op_cls)}))
+            except KeyError as exc:
+                raise ValueError(f"schedule op {kind!r} lacks {exc}") from exc
         return cls(ops=tuple(ops))
 
 
@@ -163,11 +168,50 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
             u = rotation_matrix(op.axis, op.angle, op.qubit) @ u
         elif isinstance(op, Entangle):
             u = qmat.expm_hermitian(h, op.duration) @ u
-        elif isinstance(op, GlobalPhase):
+        else:  # GlobalPhase
             u = cmath.exp(1j * op.angle) * u
-        else:
-            raise UnsupportedOp(f"unknown op {op!r}")
     return u
+
+
+# A pi pulse about x flips the signs of the YY and ZZ accumulation rates;
+# about y it flips XX and ZZ.
+_REFLECTIONS = {"x": np.array([1.0, -1.0, -1.0]),
+                "y": np.array([-1.0, 1.0, -1.0])}
+
+
+def trajectory(p: RotFrameParams, schedule: PulseSchedule,
+               samples_per_interval: int = 32) -> Trajectory:
+    """Entangler-space path of a schedule of entangling intervals and
+    refocusing pi pulses, under constant couplings with J' = 0.
+
+    By the area theorem, entangling intervals advance (x, y, z) at rates
+    (J, J, J_zz), with the running sign state toggled by each pi pulse;
+    global phases leave the path unchanged.
+    """
+    if p.j_prime != 0.0:
+        raise NonzeroJPrime("closed-form trajectories require J' = 0")
+    if samples_per_interval < 1:
+        raise ValueError("samples_per_interval must be at least 1")
+
+    rates = np.array([p.j, p.j, p.j_zz])
+    signs = np.array([1.0, 1.0, 1.0])
+    times = [0.0]
+    points = [np.zeros(3)]
+    for op in schedule.ops:
+        if isinstance(op, Rotate):
+            if op.axis not in _REFLECTIONS or not math.isclose(
+                    abs(op.angle), math.pi, rel_tol=0, abs_tol=1e-12):
+                raise UnsupportedOp(
+                    "trajectory schedules admit only refocusing pi pulses "
+                    f"about x or y; got {op.axis} rotation by {op.angle}")
+            signs = signs * _REFLECTIONS[op.axis]
+        elif isinstance(op, Entangle) and op.duration:
+            t0, r0 = times[-1], points[-1]
+            for k in range(1, samples_per_interval + 1):
+                dt = op.duration * k / samples_per_interval
+                times.append(t0 + dt)
+                points.append(r0 + signs * rates * dt)
+    return Trajectory(times=np.array(times), raw=np.array(points))
 
 
 @dataclass(frozen=True)
@@ -210,9 +254,12 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
                     tol: float = 1e-9,
                     target_name: str = "") -> VerificationReport:
     """Simulate a schedule and report exact, phase-insensitive, and
-    local-class distances from the target; the pass flag follows mode."""
+    local-class distances from the target; the pass flag follows mode.
+    tol must be positive and finite."""
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance {tol!r} must be positive and finite")
     target = qmat.require_unitary(target)
     u = simulate_schedule(s, p)
     d_exact = qmat.distance(u, target)

@@ -8,6 +8,8 @@ Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonHermitianInput, NotUnitary
@@ -74,10 +76,15 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """e^{-i h t} for Hermitian h, via eigendecomposition.
 
     Exactly unitary up to eigensolver accuracy; raises NonHermitianInput
-    if the symmetry check fails.
+    if the symmetry check fails and ValueError if the largest phase,
+    spectral radius times |t|, is not finite.
     """
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
+    # eigh sorts w; an overflow of Python floats is inf, not a warning.
+    if not math.isfinite(max(-float(w[0]), float(w[-1])) * abs(float(t))):
+        raise ValueError(f"phase overflows: |t| = {abs(float(t)):.3e} is "
+                         "too long for a generator this strong")
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

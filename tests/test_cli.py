@@ -236,6 +236,23 @@ class TestRwaScanCmd:
         result = runner.invoke(main, ["rwa-scan", "--coupling", path])
         assert refused(result, 1)
 
+    @pytest.mark.parametrize("args", [
+        ["--gt", "0"], ["--gt", "inf"], ["--gt", "nan"],
+        ["--ratios", "1e-1,1e-310"],  # T = gT/g is not finite
+        ["--ratios", "1e-1,1e308"],   # eps + sum |J| is not finite
+    ])
+    def test_bad_point_prints_nothing(self, runner, args):
+        # Every row is computed before the header is printed; a numpy
+        # warning would fail the test as an error.
+        result = runner.invoke(main, ["rwa-scan", *args])
+        assert refused(result, 1)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
+    def test_overflow_names_the_coupling(self, runner):
+        result = runner.invoke(main, ["rwa-scan", "--ratios", "1e308"])
+        assert "coupling tensor too large" in result.stderr
+
 
 def refused(result, code):
     """Exit code as documented, through sys.exit rather than a traceback."""
@@ -251,6 +268,34 @@ class TestErrorBoundary:
     def test_zero_tol_exit_1(self, runner):
         result = runner.invoke(main, ["--tol", "0", "kak", "--gate", "CNOT"])
         assert refused(result, 1)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_non_finite_tol_exit_1(self, runner, tmp_path, tol):
+        # With --tol inf this schedule, 1.53 from CNOT, used to pass.
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 1e308, "Jprime": 0.0})
+        for args, env in ((["--tol", tol], {}), ([], {"QGD_TOL": tol})):
+            result = runner.invoke(main, [*args, "compile", "--input", cpl],
+                                   env=env)
+            assert refused(result, 1)
+            assert result.stdout == ""
+
+    def test_simulate_phase_overflow_exit_1(self, runner, tmp_path):
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": 1e308}])
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1e300, "Jzz": 0.0, "Jprime": 0.0})
+        result = runner.invoke(main, ["simulate", "--input", sched,
+                                      "--coupling", cpl])
+        assert refused(result, 1)
+        assert result.stdout == ""
+        assert "phase overflows" in result.stderr
+
+    @pytest.mark.parametrize("gate", ["C(1e999)", "Ctheta(-1e999)"])
+    def test_non_finite_phase_gate_exit_7(self, runner, gate):
+        result = runner.invoke(main, ["invariants", "--gate", gate])
+        assert refused(result, 7)
+        assert result.stdout == ""
 
     def test_schedule_object_exit_1(self, runner, tmp_path):
         cpl = write_json(tmp_path, "c.json",
@@ -370,6 +415,16 @@ class TestScheduleBoundary:
         result = runner.invoke(main, ["simulate", "--input", sched,
                                       "--coupling", cpl])
         assert refused(result, 1)
+
+    @pytest.mark.parametrize("op", [
+        {"op": ["rotate"]}, {"op": None}, {"axis": "x"}])
+    def test_op_name_not_in_table_exit_5(self, runner, tmp_path, op):
+        sched = write_json(tmp_path, "s.json", [op])
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        result = runner.invoke(main, ["simulate", "--input", sched,
+                                      "--coupling", cpl])
+        assert refused(result, 5)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_trajectory_needs_a_sample(self, runner, tmp_path, samples):

@@ -38,6 +38,12 @@ class TestNamedGate:
         with pytest.raises(UnknownGate):
             named_gate("TOFFOLI")
 
+    @pytest.mark.parametrize("name", ["C(1e999)", "Ctheta(-1e999)",
+                                      "C(nan)", "C(inf)"])
+    def test_non_finite_angle_rejected(self, name):
+        with pytest.raises(UnknownGate):
+            named_gate(name)
+
     @pytest.mark.parametrize("name", [5, ["CNOT"], None])
     def test_non_string_name_rejected(self, name):
         with pytest.raises(UnknownGate):
@@ -135,6 +141,14 @@ class TestCompileBranches:
                 assert res.verification.pass_exact
                 compiled += 1
         assert compiled > 0
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # inf would pass a schedule 1.53 from CNOT; nan would fail a
+        # correct one.
+        for p in (RotFrameParams(1.0, 1e308, 0.0), RotFrameParams(1, 0, 0)):
+            with pytest.raises(ValueError, match="tolerance"):
+                compile_cnot(p, tol=tol)
 
     def test_failed_verification_is_typed(self):
         with pytest.raises(VerificationFailed):

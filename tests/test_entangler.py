@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qgd.entangler import (EntanglerCoords, canonical_entangler,
-                           coords_from_area, trajectory, wrap_angle)
+                           coords_from_area, wrap_angle)
 from qgd.equivalence import locally_equivalent, makhlin_invariants
 from qgd.errors import NonzeroJPrime, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
-from qgd.pulses import Entangle, GlobalPhase, PulseSchedule, Rotate
+from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
+                        trajectory)
 from qgd.qmat import distance, expm_hermitian
 
 SWAP = np.array([[1, 0, 0, 0],

@@ -175,6 +175,12 @@ class TestLabFrameGenerator:
             with pytest.raises(ValueError):
                 lab_frame_hamiltonian(tensor(zz=0.01), eps)
 
+    @pytest.mark.parametrize("entry", [1e308, -1e308])
+    def test_overflowing_norm_rejected(self, entry):
+        # Finite entries whose sum |J_mu nu| overflows, with no warning.
+        with pytest.raises(ValueError, match="coupling tensor too large"):
+            lab_frame_hamiltonian(CouplingTensor(np.full((3, 3), entry)), 1.0)
+
 
 class TestRwaInfidelity:
     def test_zero_coupling(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -46,12 +47,15 @@ class TestRotationMatrix:
         with pytest.raises(ValueError):
             Rotate("x", 1.0, 3)
 
-    @pytest.mark.parametrize("qubit", [1.7, 1.0, True, "1"])
+    @pytest.mark.parametrize("qubit", [1.7, 1.0, True, "1", np.float32(1.0),
+                                       [1], None])
     def test_non_integer_qubit_rejected(self, qubit):
         with pytest.raises(ValueError):
             Rotate("x", 1.0, qubit)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, "abc", "1.0", None, [1.0], 1j,
+        pytest.param(10 ** 400, id="int_beyond_float")])
     def test_non_finite_values_rejected(self, bad):
         for make in (lambda: Rotate("x", bad, 1), lambda: Entangle(bad),
                      lambda: GlobalPhase(bad)):
@@ -87,6 +91,11 @@ class TestSchedule:
         with pytest.raises(UnsupportedOp):
             PulseSchedule.from_json([{"op": "measure"}])
 
+    @pytest.mark.parametrize("kind", [["x"], None, 3, "Rotate"])
+    def test_json_rejects_non_name_op(self, kind):
+        with pytest.raises(UnsupportedOp):
+            PulseSchedule.from_json([{"op": kind}])
+
     @pytest.mark.parametrize("bad", [
         {"op": "entangle", "duration": 0.5},   # an object, not a list
         [["entangle", 0.5]],                   # an op that is not an object
@@ -101,6 +110,40 @@ class TestSchedule:
         s = PulseSchedule((Rotate("y", PI / 2, 1), Entangle(0.5)))
         text = s.pretty()
         assert text.index("E(") < text.index("Ry(")
+
+
+class TestOpSet:
+    """PulseSchedule holds Rotate, Entangle and GlobalPhase ops only, and
+    each op's numbers as Python floats."""
+
+    SCHEDULE = PulseSchedule((Rotate("y", PI / 2, 1), Entangle(0.125),
+                              GlobalPhase(-PI / 4)))
+
+    def test_pretty_golden(self):
+        assert (self.SCHEDULE.pretty()
+                == "e^(i-0.7854) E(0.1250) Ry(+1.5708)_1")
+
+    def test_to_json_golden(self):
+        assert json.dumps(self.SCHEDULE.to_json()) == (
+            '[{"op": "rotate", "axis": "y", "angle": 1.5707963267948966, '
+            '"qubit": 1}, {"op": "entangle", "duration": 0.125}, '
+            '{"op": "phase", "angle": -0.7853981633974483}]')
+
+    @pytest.mark.parametrize("op", ["junk", 1.5, None, Entangle])
+    def test_foreign_op_rejected(self, op):
+        with pytest.raises(UnsupportedOp):
+            PulseSchedule((Entangle(0.5), op))
+
+    def test_numpy_numbers_stored_as_python(self):
+        s = PulseSchedule((Rotate("x", np.float32(0.5), np.int64(2)),
+                           Entangle(np.float32(0.25)),
+                           GlobalPhase(np.float64(1.0))))
+        rot = s.ops[0]
+        assert type(rot.angle) is float and type(rot.qubit) is int
+        assert type(s.ops[1].duration) is float
+        assert type(s.ops[2].angle) is float
+        again = PulseSchedule.from_json(json.loads(json.dumps(s.to_json())))
+        assert again == s
 
 
 class TestReferenceSequences:
@@ -186,6 +229,12 @@ class TestVerifySchedule:
                               p, CNOT, mode="exact_up_to_phase")
         assert rep.passed and not rep.pass_exact
         assert rep.phase_distance < 1e-12
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
+                            np.eye(4), tol=tol)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

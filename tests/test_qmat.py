@@ -60,6 +60,14 @@ class TestExpmHermitian:
         with pytest.raises(NonHermitianInput):
             expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("scale,t", [
+        (1e300, 1e10), (-1e300, -1e10), (1.0, math.inf),
+        (1e300, np.float64(1e10))])
+    def test_phase_overflow_rejected(self, scale, t):
+        # Spectral radius |scale| times |t| is not finite.
+        with pytest.raises(ValueError, match="phase overflows"):
+            expm_hermitian(scale * kron(SZ, SZ), t)
+
 
 class TestDistance:
     def test_identical(self, rng):
