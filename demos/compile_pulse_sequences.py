@@ -1,4 +1,4 @@
-"""Compile CNOT pulse schedules for the three coupling regimes.
+"""Compile CNOT pulse schedules across the coupling regimes.
 
 Each compiled schedule is re-simulated against its target; the printed
 sequences read right to left, matching operator notation.
@@ -10,6 +10,8 @@ cases = [
     ("XY with J_zz (J' = 0)", RotFrameParams(j=1.0, j_zz=0.3, j_prime=0.0)),
     ("pure XY (single-shot SWAP*CNOT)", RotFrameParams(1.0, 0.0, 0.0)),
     ("general J' != 0", RotFrameParams(j=1.0, j_zz=0.4, j_prime=0.7)),
+    ("ZZ-dominant (|J_zz| > |J + iJ'|)",
+     RotFrameParams(j=0.3, j_zz=1.0, j_prime=0.2)),
 ]
 
 for label, p in cases:

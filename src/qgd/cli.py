@@ -197,11 +197,12 @@ def rwa_scan(ratios, gt_product, coupling_path):
     values = [float(r) for r in ratios.split(",")]
     if not all(r > 0 and math.isfinite(r) for r in values):
         raise ValueError(f"ratios {ratios!r} must be positive and finite")
+    unit = base / scale  # normalised once: g / scale may overflow
     eps = 1.0
     rows = []  # every row is computed before anything is printed
     for ratio in values:
         g = ratio * eps
-        ct = hamiltonian.CouplingTensor(base * (g / scale))
+        ct = hamiltonian.CouplingTensor(unit * g)
         inf = hamiltonian.rwa_infidelity(ct, eps, gt_product / g)
         rows.append(f"{ratio:.6g},{inf:.12g}")
     click.echo("\n".join(["ratio,infidelity", *rows]))

@@ -1,19 +1,19 @@
 """CNOT pulse compilation for weakly coupled qubits.
 
-Given effective couplings (J, J_zz, J'), emits one of three verified
-constructions, reported under four branch labels:
+Given effective couplings (J, J_zz, J'), emits one of two verified
+constructions:
 
-  * ising_single_shot    -- J = J' = 0; one entangling interval of
-                            duration pi/(4|J_zz|).
-  * xy_single_shot_swapcnot -- J' = J_zz = 0; one interval of pi/(4|J|)
-                            producing SWAP*CNOT (circuit-equivalent to
-                            CNOT with no overhead).
-  * two_shot_refocus / general_jprime -- the refocused construction, for
-    J' = 0 and J' != 0 respectively: two intervals of
-    dt = pi / (8 sqrt(J^2 + J'^2)) split by a refocusing pi pulse (any
-    J_zz), each conjugated by Rz(phi)_2 with J + iJ' = s r e^{i phi},
-    phi in (-pi/2, pi/2]; for J' = 0, phi = 0 and the conjugation is
-    left out.
+  * xy_single_shot_swapcnot -- J' = J_zz = 0 under prefer="auto"; one
+    interval of pi/(4|J|) producing SWAP*CNOT (circuit-equivalent to
+    CNOT with no overhead).
+  * the refocused CNOT, for every other coupling: a local frame puts the
+    stronger of r = |J + iJ'| and |J_zz| on XX, and a pi pulse between
+    two intervals of pi/(8 max(r, |J_zz|)) cancels the rest. Its total
+    entangling time pi/(4 max(r, |J_zz|)) is the least any CNOT takes.
+    The XY frame (r >= |J_zz|) is labelled two_shot_refocus for J' = 0
+    and general_jprime otherwise; the ZZ frame (|J_zz| > r) zz_refocus,
+    or ising_single_shot for r = 0, where one interval of pi/(4|J_zz|)
+    does.
 
 Every emitted schedule is re-simulated and verified before it is
 returned; a miss raises VerificationFailed.
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
 from .pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                     VerificationReport, hadamard_ops, verify_schedule)
+                     VerificationReport, verify_schedule)
 
 __all__ = ["CompileResult", "compile_cnot", "named_gate"]
 
@@ -101,44 +101,47 @@ class CompileResult:
         }
 
 
-def _interval(rate: float) -> float:
-    """pi / rate; ZeroCoupling if the coupling is too weak for a finite one."""
-    dt = _PI / rate
+def _interval(k: int, rate: float) -> float:
+    """pi / (k rate), as two divisions so that k rate cannot overflow;
+    ZeroCoupling if the coupling is too weak for a finite interval."""
+    dt = _PI / k / rate
     if not math.isfinite(dt):
         raise ZeroCoupling(
             f"coupling too weak: entangling time {dt} is not finite")
     return dt
 
 
-def _ising_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
-    # CNOT = e^{-+ i pi/4} H_2 Rz(-+pi/2)_1 Rz(-+pi/2)_2 A(0,0,+-pi/4) H_2,
-    # upper signs for J_zz > 0 so the entangling duration stays positive.
-    sign = 1.0 if p.j_zz > 0 else -1.0
-    dt = _interval(4 * abs(p.j_zz))
-    ops = (
-        *hadamard_ops(2),
-        Entangle(dt),
-        Rotate("z", -sign * _PI / 2, 2),
-        Rotate("z", -sign * _PI / 2, 1),
-        *hadamard_ops(2),
-        GlobalPhase(-sign * _PI / 4),
-    )
-    return PulseSchedule(ops=ops), dt
-
-
 def _refocused_schedule(p: RotFrameParams,
-                        refocus_qubit: int) -> tuple[PulseSchedule, float]:
-    # Write J + iJ' = s r e^{i phi} with phi in (-pi/2, pi/2]. Conjugating
-    # an interval by Rz(phi)_2 turns the couplings into (s r, J_zz, 0).
-    # Two such intervals of pi/(8r) split by Rx(pi) cancel the J_zz area
-    # and land on A(s pi/4, 0, 0), which the wrap turns into an exact CNOT.
+                        q: int) -> tuple[PulseSchedule, float, str]:
+    # The schedule, its interval and its branch label; q refocuses.
+    r = math.hypot(p.j, p.j_prime)
+    if r < abs(p.j_zz):
+        # ZZ frame: Ry(-pi/2) on both qubits puts ZZ on XX and turns the
+        # pi pulse Rx(pi)_q into Rz(pi)_q, which flips all of the XY part.
+        # On qubit 1 the frame merges into the XY frame's wrap below:
+        # Ry(pi/2) Ry(-pi/2) cancels and Ry(-pi/2) Rx(a) Ry(pi/2) = Rz(a).
+        s = 1.0 if p.j_zz > 0 else -1.0
+        a = s * _PI / 2 if q == 1 else -s * _PI / 2
+        if r:
+            dt, branch = _interval(8, abs(p.j_zz)), "zz_refocus"
+            body = (Entangle(dt), Rotate("z", _PI, q), Entangle(dt))
+        else:  # Rz(pi)_q has nothing to flip: one interval does
+            dt, branch = _interval(4, abs(p.j_zz)), "ising_single_shot"
+            body = (Entangle(dt), Rotate("z", _PI, q))
+        ops = (Rotate("y", -_PI / 2, 2), *body, Rotate("y", _PI / 2, 2),
+               Rotate("x", -a, 2), Rotate("z", a, 1),
+               GlobalPhase(_PI / 2 + s * _PI / 4))
+        return PulseSchedule(ops=ops), dt, branch
+    # XY frame: write J + iJ' = s r e^{i phi} with phi in (-pi/2, pi/2].
+    # Conjugating an interval by Rz(phi)_2 turns the couplings into
+    # (s r, J_zz, 0). Two such intervals of pi/(8r) split by Rx(pi) cancel
+    # the J_zz area and land on A(s pi/4, 0, 0).
     phi, s = p.phi, 1.0
     if phi > _PI / 2:
         phi, s = phi - _PI, -1.0
     elif phi <= -_PI / 2:
         phi, s = phi + _PI, -1.0
-    dt = _interval(8 * math.hypot(p.j, p.j_prime))
-    q = refocus_qubit
+    dt = _interval(8, r)
     into = (Rotate("z", phi, 2),) if phi else ()
     out = (Rotate("z", -phi, 2),) if phi else ()
     if q == 1:
@@ -158,13 +161,14 @@ def _refocused_schedule(p: RotFrameParams,
         Rotate("y", -_PI / 2, 1),
         GlobalPhase(_PI / 2 + s * _PI / 4),
     )
-    return PulseSchedule(ops=ops), dt
+    branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
+    return PulseSchedule(ops=ops), dt, branch
 
 
 def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT.
     sign = 1.0 if p.j > 0 else -1.0
-    dt = _interval(4 * abs(p.j))
+    dt = _interval(4, abs(p.j))
     ops = (
         Rotate("y", -_PI / 2, 2),
         Entangle(dt),
@@ -184,10 +188,10 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
 
     prefer="auto" emits the single-shot SWAP*CNOT when J_zz = J' = 0 and
     J != 0, and a CNOT otherwise; prefer="cnot" always emits a CNOT.
-    refocus_qubit picks the qubit of the refocusing pi pulse. The
-    schedule is re-simulated and must match its target within tol, which
-    must be positive and finite. Raises ValueError when an interval's
-    phase overflows, from qmat.expm_hermitian during that re-simulation.
+    refocus_qubit picks the qubit of the refocusing pi pulse: Rx(pi) in
+    the XY frame, Rz(pi) in the ZZ frame. The schedule is re-simulated
+    and must match its target within tol, which must be positive and
+    finite.
     """
     if prefer not in ("auto", "cnot"):
         raise ValueError(f"bad prefer {prefer!r}")
@@ -196,15 +200,11 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     if refocus_qubit not in (1, 2):
         raise ValueError("refocus_qubit must be 1 or 2")
 
-    if prefer == "auto" and p.j_prime == 0 and p.j_zz == 0 and p.j != 0:
+    if prefer == "auto" and p.j_prime == 0 and p.j_zz == 0:
         schedule, dt = _xy_swapcnot_schedule(p)
         branch, target_name = "xy_single_shot_swapcnot", "SWAP_CNOT"
-    elif p.j_prime == 0 and p.j == 0:
-        schedule, dt = _ising_schedule(p)
-        branch, target_name = "ising_single_shot", "CNOT"
     else:
-        schedule, dt = _refocused_schedule(p, refocus_qubit)
-        branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
+        schedule, dt, branch = _refocused_schedule(p, refocus_qubit)
         target_name = "CNOT"
 
     report = verify_schedule(schedule, p, named_gate(target_name),

@@ -29,13 +29,10 @@ _AXES = ("x", "y", "z")
 
 
 def _number(d: dict, key: str) -> float:
-    """d[key] as a float; ValueError if it is missing or not a number."""
+    """d[key] as a finite float; ValueError if it is anything else."""
     if key not in d:
         raise ValueError(f"coupling JSON missing key {key!r}")
-    try:
-        return float(d[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"coupling JSON {key!r} is not a number") from exc
+    return qmat._finite(f"coupling JSON {key!r}", d[key])
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,11 @@ class RotFrameParams:
     discarded_weight: float = 0.0
 
     def __post_init__(self):
-        for name in ("j", "j_zz", "j_prime"):  # numpy scalars warn on overflow
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(map(math.isfinite, (self.j, self.j_zz, self.j_prime))):
-            raise ValueError("couplings J, J_zz, J' must be finite")
+        # Python floats: numpy scalars would warn on overflow below.
+        for name, what in (("j", "J"), ("j_zz", "J_zz"), ("j_prime", "J'")):
+            object.__setattr__(self, name,
+                               qmat._finite(f"coupling {what}",
+                                            getattr(self, name)))
         # rot_frame_matrix has spectral radius |J_zz| + 2|J + iJ'|.
         if not math.isfinite(abs(self.j_zz)
                              + 2 * math.hypot(self.j, self.j_prime)):

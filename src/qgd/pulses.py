@@ -22,24 +22,13 @@ from . import equivalence, qmat
 from .entangler import Trajectory
 from .errors import NonzeroJPrime, UnsupportedOp
 from .hamiltonian import RotFrameParams, rot_frame_matrix
-from .qmat import I2, I4, PAULI, kron
+from .qmat import I2, I4, PAULI, _finite, kron
 
 __all__ = [
     "Rotate", "Entangle", "GlobalPhase", "PulseSchedule",
     "VerificationReport", "rotation_2x2", "rotation_matrix",
-    "hadamard_ops", "simulate_schedule", "trajectory", "verify_schedule",
+    "simulate_schedule", "trajectory", "verify_schedule",
 ]
-
-
-def _finite(what: str, value) -> float:
-    """value as a finite Python float; ValueError for anything else."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an int too large for a float
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{what} {value!r} is not a finite number")
-    return x
 
 
 @dataclass(frozen=True)
@@ -152,13 +141,6 @@ def rotation_matrix(axis: str, angle: float, qubit: int) -> np.ndarray:
     return kron(r, I2) if qubit == 1 else kron(I2, r)
 
 
-def hadamard_ops(qubit: int) -> tuple:
-    """Hadamard as pulse ops (application order): i Rx(pi) Ry(pi/2)."""
-    return (Rotate("y", math.pi / 2, qubit),
-            Rotate("x", math.pi, qubit),
-            GlobalPhase(math.pi / 2))
-
-
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     """Product of the schedule's operations, first op applied first."""
     h = rot_frame_matrix(p)
@@ -186,12 +168,18 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
 
     By the area theorem, entangling intervals advance (x, y, z) at rates
     (J, J, J_zz), with the running sign state toggled by each pi pulse;
-    global phases leave the path unchanged.
+    global phases leave the path unchanged. Raises ValueError when
+    max(|J|, |J_zz|) times the total entangling time is not finite.
     """
     if p.j_prime != 0.0:
         raise NonzeroJPrime("closed-form trajectories require J' = 0")
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be at least 1")
+    # On Python floats: an overflowing area is inf here, not a warning.
+    area = max(abs(p.j), abs(p.j_zz)) * schedule.total_entangling_time
+    if not math.isfinite(area):
+        raise ValueError(f"entangling area {area} is not finite: "
+                         "couplings or durations are too large")
 
     rates = np.array([p.j, p.j, p.j_zz])
     signs = np.array([1.0, 1.0, 1.0])

@@ -1,7 +1,8 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
 Pauli operators, Kronecker products, the two-qubit coupling operator of a
-3x3 tensor, Hermitian matrix exponentials and unitary distance metrics.
+3x3 tensor, Hermitian matrix exponentials and unitary distance metrics,
+and the one finite-number rule of every scalar input.
 Every generator the package evolves under is constant over its interval,
 so a propagator is one exponential; there is no time-ordered product.
 Everything here is a pure function of its arguments.
@@ -9,6 +10,7 @@ Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +36,17 @@ PAULI = {"x": SX, "y": SY, "z": SZ}
 # PAULI_PAIRS[m, n] = sigma^m (x) sigma^n, m, n indexing x, y, z.
 PAULI_PAIRS = np.array([[np.kron(a, b) for b in (SX, SY, SZ)]
                         for a in (SX, SY, SZ)])
+
+
+def _finite(what: str, value) -> float:
+    """value as a finite Python float; ValueError for anything else."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    return x
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

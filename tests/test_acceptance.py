@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qgd.compiler import (CNOT, SWAP, _ising_schedule, _refocused_schedule,
-                          _xy_swapcnot_schedule, compile_cnot, controlled_phase)
+from qgd.compiler import (CNOT, SWAP, _refocused_schedule,
+                          _xy_swapcnot_schedule, controlled_phase)
 from qgd.entangler import EntanglerCoords, canonical_entangler, coords_from_area
 from qgd.equivalence import (kak_decompose, locally_equivalent,
                              makhlin_invariants)
@@ -48,10 +48,12 @@ def test_ising_sequence_exactness():
     worst = 0.0
     for jzz in (1.0, -1.0):  # both sign branches
         p = RotFrameParams(0.0, jzz, 0.0)
-        sched, _ = _ising_schedule(p)
-        worst = max(worst, distance(simulate_schedule(sched, p), CNOT))
-    report(f"Ising sequence exact CNOT, both branches (max {worst:.2e})",
-           worst < 1e-10)
+        for q in (1, 2):
+            sched, _, branch = _refocused_schedule(p, q)
+            assert branch == "ising_single_shot"
+            worst = max(worst, distance(simulate_schedule(sched, p), CNOT))
+    report(f"Ising sequence exact CNOT, both branches, both refocus qubits "
+           f"(max {worst:.2e})", worst < 1e-10)
 
 
 def test_xy_single_shot():
@@ -81,8 +83,9 @@ def test_general_jprime_sequence():
         n += 1
         p = RotFrameParams(j, jzz, jp)
         for q in (1, 2):
-            sched, dt = _refocused_schedule(p, refocus_qubit=q)
-            assert math.isclose(dt, PI / (8 * math.hypot(j, jp)))
+            sched, dt, _ = _refocused_schedule(p, q)
+            assert math.isclose(dt, PI / (8 * max(math.hypot(j, jp),
+                                                  abs(jzz))))
             worst = max(worst, distance(simulate_schedule(sched, p), CNOT))
     report(f"General-J' sequence exact CNOT incl. its global phase, "
            f"200 random triples, both refocus qubits (max {worst:.2e})",

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +203,18 @@ class TestTrajectoryCmd:
                                       "--schedule", sched])
         assert result.output.strip().split("\n")[1:] == ["0,0,0,0,0,0,0"]
 
+    def test_overflowing_area_exit_1(self, runner, tmp_path):
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1e300, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": 1e300}])
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched, "--samples", "1"])
+        # A numpy warning would fail the test as an error.
+        assert refused(result, 1)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: entangling area")
+
     def test_nonzero_jprime_exit_4(self, runner, tmp_path):
         cpl = write_json(tmp_path, "c.json",
                          {"J": 1.0, "Jzz": 0.0, "Jprime": 0.5})
@@ -229,6 +243,19 @@ class TestRwaScanCmd:
         result = runner.invoke(main, [*args, "--coupling", path])
         assert result.exit_code == 0
         assert result.output == runner.invoke(main, args).output
+
+    def test_tiny_tensor_scales_like_unit_tensor(self, runner, tmp_path):
+        # Normalised before scaling: g / 1e-300 would overflow.
+        args = ["rwa-scan", "--ratios", "1e10,1e-2"]
+        outs = []
+        for jxx in (1e-300, 1.0):
+            path = write_json(tmp_path, "t.json", {
+                f"J{a}{b}": jxx if a + b == "xx" else 0.0
+                for a in "xyz" for b in "xyz"})
+            result = runner.invoke(main, [*args, "--coupling", path])
+            assert result.exit_code == 0, result.output
+            outs.append(result.output)
+        assert outs[0] == outs[1]
 
     def test_zero_tensor_exit_1(self, runner, tmp_path):
         path = write_json(tmp_path, "t.json",
@@ -271,7 +298,7 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
     def test_non_finite_tol_exit_1(self, runner, tmp_path, tol):
-        # With --tol inf this schedule, 1.53 from CNOT, used to pass.
+        # --tol inf would pass any schedule, however far from CNOT.
         cpl = write_json(tmp_path, "c.json",
                          {"J": 1.0, "Jzz": 1e308, "Jprime": 0.0})
         for args, env in ((["--tol", tol], {}), ([], {"QGD_TOL": tol})):
@@ -320,10 +347,10 @@ class TestErrorBoundary:
         ({"J": 1e-320, "Jzz": 0.0, "Jprime": 0.0}, 3),
         ({"J": 0.0, "Jzz": 1e-320, "Jprime": 0.0}, 3),
         ([1.0, 2.0], 1),
-        ({"J": 1.0, "Jzz": 1e308, "Jprime": 0.0}, 8),
+        # A string is not a number, even one that spells a number.
+        ({"J": "0.5", "Jzz": 1.0, "Jprime": 0.0}, 1),
         ({"J": 1.0, "Jzz": 0.0, "J'": 0.5}, 1),
-        # Each interval's phase dt * J_zz overflows.
-        ({"J": 0.0, "Jzz": 1e300, "Jprime": 1e-300}, 1),
+        ({"J": None, "Jzz": 1.0, "Jprime": 0.0}, 1),
         # Reduced from a tensor, J_zz arrives as a numpy scalar.
         ({**{f"J{a}{b}": 0.0 for a in "xyz" for b in "xyz"},
           "Jzz": 1e-320}, 3),
@@ -338,6 +365,26 @@ class TestErrorBoundary:
         assert info.value.code == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("coupling", [
+        # k rate overflows a float; the interval pi / (k rate) does not.
+        {"J": 5e307, "Jzz": 0.0, "Jprime": 0.0},
+        {"J": 0.0, "Jzz": 1.7e308, "Jprime": 0.0},
+        # The weak XY part is refocused beside the strong J_zz.
+        {"J": 1.0, "Jzz": 1e308, "Jprime": 0.0},
+        {"J": 0.0, "Jzz": 1e300, "Jprime": 1e-300},
+        {"J": 1e-9, "Jzz": 1.0, "Jprime": 0.0},
+        {"J": 1e-320, "Jzz": 1.0, "Jprime": 0.0},
+    ])
+    @pytest.mark.parametrize("prefer", ["auto", "cnot"])
+    def test_extreme_couplings_compile(self, tmp_path, capsys, coupling,
+                                       prefer):
+        path = write_json(tmp_path, "c.json", coupling)
+        main(["compile", "--input", path, "--prefer", prefer],
+             standalone_mode=False)
+        out = json.loads(capsys.readouterr().out)
+        assert out["verification"]["passed"]
+        assert out["verification"]["exact_distance"] < 1e-12
 
     def test_overflowing_coupling_names_j_and_jprime(self, runner, tmp_path):
         tensor = {f"J{a}{b}": 1e308 for a in "xyz" for b in "xyz"}
@@ -436,3 +483,26 @@ class TestScheduleBoundary:
                                       "--schedule", sched,
                                       "--samples", samples])
         assert refused(result, 1)
+
+
+class TestReadmeAgreesWithCli:
+    """The README's CLI block and exit-code table describe the CLI."""
+
+    README = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+
+    def test_exit_code_table(self):
+        table = {int(c) for c in re.findall(r"^\| (\d+) \|", self.README,
+                                            re.MULTILINE)}
+        errors, codes = [QgdError], set()
+        while errors:
+            etype = errors.pop()
+            codes.add(etype.exit_code)
+            errors += etype.__subclasses__()
+        assert table == {1} | codes
+
+    def test_subcommands(self):
+        block = self.README.split("## CLI", 1)[1].split("```sh", 1)[1]
+        block = block.split("```", 1)[0]
+        listed = set(re.findall(r"^qgd ([\w-]+)", block, re.MULTILINE))
+        assert listed == set(cli.main.commands)

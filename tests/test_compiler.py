@@ -6,8 +6,7 @@ import pytest
 
 from qgd.compiler import (CNOT, CZ, SWAP, compile_cnot, controlled_phase,
                           named_gate)
-from qgd.errors import (QgdError, UnknownGate, VerificationFailed,
-                        ZeroCoupling)
+from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
 from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import Entangle, Rotate, simulate_schedule
 from qgd.qmat import distance
@@ -53,11 +52,14 @@ class TestNamedGate:
 class TestCompileBranches:
     def test_ising_single_shot(self):
         g = 0.9
-        res = compile_cnot(RotFrameParams(0.0, g, 0.0))
-        assert res.branch == "ising_single_shot"
-        assert math.isclose(res.schedule.total_entangling_time, PI / (4 * g))
-        assert res.verification.pass_exact
-        assert res.target_name == "CNOT"
+        for q in (1, 2):
+            res = compile_cnot(RotFrameParams(0.0, g, 0.0), refocus_qubit=q)
+            assert res.branch == "ising_single_shot"
+            assert res.delta_t == res.schedule.total_entangling_time
+            assert math.isclose(res.delta_t, PI / (4 * g))
+            assert res.verification.pass_exact
+            assert res.target_name == "CNOT"
+            assert len(res.schedule.ops) == 7
 
     def test_two_shot_refocus(self):
         g = 1.0
@@ -111,12 +113,37 @@ class TestCompileBranches:
 
     @pytest.mark.parametrize("params", [
         (1e-320, 0.0, 0.0), (-1e-320, 0.0, 0.0), (0.0, 1e-320, 0.0),
-        (1e-320, 1.0, 0.0), (0.0, 1.0, 1e-320),
+        (0.0, -1e-320, 0.0), (0.0, 0.0, 1e-320),
     ])
     def test_infinite_entangling_time_is_zero_coupling(self, params):
         for prefer in ("auto", "cnot"):
             with pytest.raises(ZeroCoupling):
                 compile_cnot(RotFrameParams(*params), prefer=prefer)
+
+    @pytest.mark.parametrize("weak", [1e-3, 1e-9, 1e-300, 1e-320])
+    @pytest.mark.parametrize("jprime", [False, True])
+    def test_weak_xy_part_beside_zz_takes_pi_over_4(self, weak, jprime):
+        # The weaker XY part is refocused, however weak: its own
+        # entangling time may be far too long, or not finite.
+        p = RotFrameParams(0.0, 1.0, weak) if jprime else RotFrameParams(
+            weak, 1.0, 0.0)
+        for prefer, q in itertools.product(("auto", "cnot"), (1, 2)):
+            res = compile_cnot(p, prefer=prefer, refocus_qubit=q)
+            assert res.branch == "zz_refocus"
+            assert res.verification.exact_distance < 1e-9
+            assert math.isclose(res.schedule.total_entangling_time, PI / 4,
+                                rel_tol=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        (5e307, 0.0, 0.0), (0.0, 1.7e308, 0.0), (1.0, 1e308, 0.0)])
+    def test_interval_does_not_overflow_to_zero(self, params):
+        # k rate overflows a float here; the interval pi / (k rate) must
+        # still be positive.
+        p = RotFrameParams(*params)
+        for prefer in ("auto", "cnot"):
+            res = compile_cnot(p, prefer=prefer)
+            assert res.delta_t > 0
+            assert res.verification.exact_distance < 1e-12
 
     @pytest.mark.parametrize("kwargs", [{"prefer": "x"},
                                         {"refocus_qubit": 3}])
@@ -130,13 +157,18 @@ class TestCompileBranches:
         # typed error; no numpy overflow warning escapes.
         grid = (0.0, 1e-300, -1e-300, 1.0, 1e300, -1e300,
                 1e307, 5e307, -5e307, 1e308)
+        # Any coupling RotFrameParams accepts either compiles or is too
+        # weak; no interval's phase overflows.
         compiled = 0
         for j, jzz, jp in itertools.product(grid, repeat=3):
+            try:
+                p = RotFrameParams(j, jzz, jp)
+            except ValueError:
+                continue
             for q in (1, 2):
                 try:
-                    res = compile_cnot(RotFrameParams(j, jzz, jp),
-                                       refocus_qubit=q)
-                except (QgdError, ValueError):
+                    res = compile_cnot(p, refocus_qubit=q)
+                except ZeroCoupling:
                     continue
                 assert res.verification.pass_exact
                 compiled += 1
@@ -144,8 +176,7 @@ class TestCompileBranches:
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tol_must_be_positive_and_finite(self, tol):
-        # inf would pass a schedule 1.53 from CNOT; nan would fail a
-        # correct one.
+        # inf would pass any schedule; nan would fail a correct one.
         for p in (RotFrameParams(1.0, 1e308, 0.0), RotFrameParams(1, 0, 0)):
             with pytest.raises(ValueError, match="tolerance"):
                 compile_cnot(p, tol=tol)
@@ -191,13 +222,15 @@ class TestCompileBranches:
 
 
 class TestRefocusedBuilder:
-    """One construction for J != 0 or J' != 0: the J' = 0 two-shot
-    sequence, conjugated by Rz(phi)_2 when phi = arg(+-(J + iJ')) != 0."""
+    """One construction for every CNOT: the J' = 0 two-shot sequence,
+    conjugated by Rz(phi)_2 when phi = arg(+-(J + iJ')) != 0, in the frame
+    that puts the stronger of |J + iJ'| and |J_zz| on XX."""
 
     # Ops emitted by the separate two-shot and general builders this one
-    # replaced; it may emit fewer, never more.
+    # replaced, and by the ZZ frame; it may emit fewer, never more.
     MAX_OPS = {("two_shot_refocus", 1): 9, ("two_shot_refocus", 2): 9,
-               ("general_jprime", 1): 10, ("general_jprime", 2): 13}
+               ("general_jprime", 1): 10, ("general_jprime", 2): 13,
+               ("zz_refocus", 1): 8, ("zz_refocus", 2): 8}
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("j,jp,branch", [
@@ -208,13 +241,16 @@ class TestRefocusedBuilder:
         (-0.7, 0.8, "general_jprime"), (-0.7, -0.8, "general_jprime"),
     ])
     def test_exact_cnot_and_op_count(self, j, jp, branch, q):
-        for jzz in (0.0, 0.45, -2.0):
+        # |J + iJ'| < 2 in every row: J_zz = -2 is refocused in ZZ frame.
+        for jzz, rate in ((0.0, math.hypot(j, jp)),
+                          (0.45, math.hypot(j, jp)), (-2.0, 2.0)):
             res = compile_cnot(RotFrameParams(j, jzz, jp), prefer="cnot",
                                refocus_qubit=q)
-            assert res.branch == branch
+            want = branch if jzz != -2.0 else "zz_refocus"
+            assert res.branch == want
             assert res.verification.exact_distance < 1e-9
-            assert math.isclose(res.delta_t, PI / (8 * math.hypot(j, jp)))
-            assert len(res.schedule.ops) <= self.MAX_OPS[branch, q]
+            assert math.isclose(res.delta_t, PI / (8 * rate))
+            assert len(res.schedule.ops) <= self.MAX_OPS[want, q]
 
     def test_no_z_conjugation_without_jprime(self):
         res = compile_cnot(RotFrameParams(-1.0, 0.2, 0.0), refocus_qubit=2)

@@ -87,6 +87,20 @@ class TestRotFrameParams:
             with pytest.raises(ValueError):
                 RotFrameParams(*args)
 
+    @pytest.mark.parametrize("bad", [None, [1.0], "1", "0.5"])
+    def test_non_number_rejected(self, bad):
+        # One finite-number rule, as for schedule ops: a string is not a
+        # number, even one that spells a number.
+        for args in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="not a finite number"):
+                RotFrameParams(*args)
+        with pytest.raises(ValueError, match="not a finite number"):
+            RotFrameParams.from_dict({"J": bad, "Jzz": 1.0, "Jprime": 0.0})
+
+    def test_bool_is_a_number(self):
+        assert RotFrameParams(True, False, 0).to_dict() == {
+            "J": 1.0, "Jzz": 0.0, "Jprime": 0.0}
+
     def test_from_dict_rejects_bad_shapes(self):
         for bad in ([1.0], {"J": 1.0}, {"J": None, "Jzz": 0.0},
                     {"J": 1.0, "Jzz": "x"}, {"J": 1.0, "Jzz": 0.0}):

@@ -2,6 +2,7 @@
 coupling space, the KAK round trip and Weyl idempotence on locally
 dressed gates, and the CLI's exit codes on fuzzed JSON."""
 import json
+import math
 import re
 
 import numpy as np
@@ -41,6 +42,13 @@ def test_every_compiled_schedule_is_exact_and_round_trips(
     p = RotFrameParams(j, j_zz, j_prime)
     res = compile_cnot(p, prefer=prefer, refocus_qubit=refocus_qubit)
     assert res.verification.exact_distance < EXACT
+    if res.branch != "xy_single_shot_swapcnot":
+        # The stronger coupling sets the time: the least any CNOT takes.
+        r = math.hypot(j, j_prime)
+        assert math.isclose(res.schedule.total_entangling_time,
+                            math.pi / (4 * max(r, abs(j_zz))), rel_tol=1e-12)
+        assert (res.branch in ("zz_refocus", "ising_single_shot")) == (
+            abs(j_zz) > r)
     u = simulate_schedule(res.schedule, p)
     assert distance(u, named_gate(res.target_name)) < EXACT
     text = json.dumps(res.schedule.to_json())

@@ -4,18 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from qgd.compiler import CNOT
+from qgd.compiler import CNOT, compile_cnot
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.errors import UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                        hadamard_ops, rotation_2x2, rotation_matrix,
-                        simulate_schedule, verify_schedule)
+                        rotation_2x2, rotation_matrix, simulate_schedule,
+                        trajectory, verify_schedule)
 from qgd.qmat import I2, PAULI_PAIRS, distance, kron
 
 PI = math.pi
 XX, YY, ZZ = (PAULI_PAIRS[k, k] for k in range(3))
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def hadamard_ops(qubit):
+    """Hadamard as pulse ops (application order): i Rx(pi) Ry(pi/2)."""
+    return (Rotate("y", PI / 2, qubit), Rotate("x", PI, qubit),
+            GlobalPhase(PI / 2))
 
 
 class TestRotationMatrix:
@@ -179,6 +185,20 @@ class TestReferenceSequences:
                 EntanglerCoords(sign * PI / 4, 0, 0))) < 1e-12
 
 
+class TestTrajectory:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p,duration", [
+        (RotFrameParams(1e300, 0.0, 0.0), 1e300),
+        (RotFrameParams(0.0, -1e300, 0.0), 1e300),
+        (RotFrameParams(1.0, 0.0, 0.0), 1e308),  # two intervals sum to inf
+    ])
+    def test_overflowing_area_rejected(self, p, duration):
+        s = PulseSchedule((Entangle(duration), Rotate("x", PI, 1),
+                           Entangle(duration)))
+        with pytest.raises(ValueError, match="entangling area"):
+            trajectory(p, s, samples_per_interval=1)
+
+
 class TestVerifySchedule:
     def test_exact_pass(self):
         p = RotFrameParams(0.0, 1.0, 0.0)
@@ -222,9 +242,8 @@ class TestVerifySchedule:
         # The Ising CNOT schedule with an extra GlobalPhase(0.3): the
         # phase-insensitive distance must sit at roundoff, far below the
         # default tolerance of 1e-9 (sqrt(2n - 2|tr|) read ~3e-8 here).
-        from qgd.compiler import _ising_schedule
         p = RotFrameParams(0.0, j_zz, 0.0)
-        sched, _ = _ising_schedule(p)
+        sched = compile_cnot(p).schedule
         rep = verify_schedule(PulseSchedule(sched.ops + (GlobalPhase(0.3),)),
                               p, CNOT, mode="exact_up_to_phase")
         assert rep.passed and not rep.pass_exact
