@@ -13,7 +13,8 @@ from .errors import (NonHermitianInput, NotUnitary, NonzeroJPrime, QgdError,
 from .qmat import distance, expm_hermitian, kron
 from .hamiltonian import (CouplingTensor, RotFrameParams,
                           lab_frame_hamiltonian, reduce_coupling,
-                          rot_frame_matrix, rwa_infidelity)
+                          rot_frame_matrix, rot_frame_propagator,
+                          rwa_infidelity)
 from .entangler import (EntanglerCoords, Trajectory, canonical_entangler,
                         coords_from_area)
 from .equivalence import (KakFactors, MakhlinInvariants, kak_decompose,

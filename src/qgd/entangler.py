@@ -1,5 +1,6 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
-whose generator is qmat.coupling_operator of diag(x, y, z), coordinate
+whose generator is qmat.coupling_operator of diag(x, y, z) and is
+diagonal in the magic basis, so A has a closed form there; coordinate
 arithmetic on the 3-torus of entanglers, the area theorem (J' = 0 only)
 and the sampled path type Trajectory, which pulses.trajectory fills in
 from a pulse schedule.
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
-from .qmat import coupling_operator
+from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, _finite
 
 __all__ = [
     "EntanglerCoords", "Trajectory", "wrap_angle",
@@ -45,9 +45,21 @@ class EntanglerCoords:
 
 
 def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
-    """A(x,y,z); the three generators commute, so this is a single
-    Hermitian exponential and is exactly 2*pi-periodic per axis."""
-    return qmat.expm_hermitian(coupling_operator(np.diag([c.x, c.y, c.z])))
+    """A(x,y,z) = MAGIC diag(e^{-i GEN_DIAGS (x, y, z)}) MAGIC^dag, exactly
+    2*pi-periodic per axis: XX, YY and ZZ are diagonal in the magic basis.
+
+    Raises ValueError for a non-finite coordinate or when a phase
+    +-x +-y +-z is not finite.
+    """
+    xyz = [_finite(f"entangler coordinate {a}", v)
+           for a, v in zip("xyz", (c.x, c.y, c.z))]
+    # On Python floats: an overflowing phase is inf here, not a warning.
+    phases = [sum(d * v for d, v in zip(row, xyz))
+              for row in GEN_DIAGS.tolist()]
+    if not all(map(math.isfinite, phases)):
+        raise ValueError(f"phase overflows: entangler coordinates {xyz} "
+                         "are too large")
+    return (MAGIC * np.exp(-1j * np.array(phases))) @ MAGIC_DAG
 
 
 def coords_from_area(times, j_values, jzz_values) -> EntanglerCoords:

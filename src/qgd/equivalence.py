@@ -12,7 +12,7 @@ import numpy as np
 
 from .entangler import EntanglerCoords, canonical_entangler, wrap_angle
 from .errors import NotUnitary
-from .qmat import PAULI_PAIRS, kron, require_unitary
+from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, kron, require_unitary
 
 __all__ = [
     "MAGIC", "MakhlinInvariants", "KakFactors",
@@ -20,20 +20,8 @@ __all__ = [
     "kak_decompose", "weyl_canonicalize",
 ]
 
-# Magic (Bell) basis: local rotations become real orthogonal matrices here.
-MAGIC = (1 / math.sqrt(2)) * np.array([
-    [1, 0, 0, 1j],
-    [0, 1j, 1, 0],
-    [0, 1j, -1, 0],
-    [1, 0, 0, -1j],
-], dtype=complex)
-
-# Diagonals of XX, YY, ZZ in the magic basis (they are diagonal there);
-# columns of the linear system that maps eigenphases to (x, y, z, phase).
-_GEN_DIAGS = np.stack([
-    np.real(np.diag(MAGIC.conj().T @ PAULI_PAIRS[k, k] @ MAGIC))
-    for k in range(3)], axis=1)
-_PHASE_SYSTEM = np.hstack([-_GEN_DIAGS, np.ones((4, 1))])
+# The linear system that maps magic-basis eigenphases to (x, y, z, phase).
+_PHASE_SYSTEM = np.hstack([-GEN_DIAGS, np.ones((4, 1))])
 
 # Largest invariant distance at which two gates count as one local class.
 CLASS_TOL = 1e-9
@@ -63,7 +51,7 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
     """G1 = tr(m)^2 / (16 det u), G2 = (tr(m)^2 - tr(m^2)) / (4 det u),
     with m = (Q^dag u Q)^T (Q^dag u Q) in the magic basis."""
     u = require_unitary(u)
-    um = MAGIC.conj().T @ u @ MAGIC
+    um = MAGIC_DAG @ u @ MAGIC
     m = um.T @ um
     det = np.linalg.det(um)
     tr2 = np.trace(m) ** 2
@@ -158,7 +146,7 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     global phase, the frames fix the local rotations.
     """
     u = require_unitary(u)
-    ub = MAGIC.conj().T @ u @ MAGIC
+    ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
     basis = _joint_orthogonal_eigenbasis(m)
     if np.linalg.det(basis) < 0:
@@ -176,8 +164,8 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     coords = EntanglerCoords(*map(float, xyzp[:3]))
     phase = float(xyzp[3])
 
-    post1, post2 = _kron_factor_local(MAGIC @ k1.real @ MAGIC.conj().T)
-    pre1, pre2 = _kron_factor_local(MAGIC @ basis.T @ MAGIC.conj().T)
+    post1, post2 = _kron_factor_local(MAGIC @ k1.real @ MAGIC_DAG)
+    pre1, pre2 = _kron_factor_local(MAGIC @ basis.T @ MAGIC_DAG)
 
     # Wrapping coordinates into the principal cell is exact (period 2*pi)
     # but the phase must be rewrapped too.

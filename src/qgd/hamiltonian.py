@@ -4,13 +4,17 @@ the 3 effective rotating-frame parameters (J, J_zz, J').
 
 Both coupling Hamiltonians are qmat.coupling_operator of a 3x3 tensor:
 J_{mu nu} itself in the lab frame, and its rotating-wave part
-[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame.
+[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame. The
+rotating-frame one is ZZ-diagonal plus one 2x2 block on {|01>, |10>},
+so rot_frame_propagator is its exact closed-form exponential; only the
+lab-frame Hamiltonian goes through qmat's eigendecomposition.
 
 Basis ordering |00>, |01>, |10>, |11> with qubit 1 the left tensor
 factor; |0> is the lower eigenstate of -(eps/2) sigma^z.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +25,8 @@ from .qmat import coupling_operator
 
 __all__ = [
     "CouplingTensor", "RotFrameParams",
-    "reduce_coupling", "rot_frame_matrix", "lab_frame_hamiltonian",
+    "reduce_coupling", "rot_frame_matrix", "rot_frame_propagator",
+    "lab_frame_hamiltonian",
     "rwa_infidelity",
 ]
 
@@ -37,17 +42,23 @@ def _number(d: dict, key: str) -> float:
 
 @dataclass(frozen=True)
 class CouplingTensor:
-    """3x3 real tensor J_{mu nu}, mu/nu in {x,y,z}, angular-frequency units."""
+    """3x3 real tensor J_{mu nu}, mu/nu in {x,y,z}, angular-frequency units.
+
+    Each entry must be a finite real number (qmat._finite); strings, None
+    and complex values raise ValueError.
+    """
 
     j: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
+        # As objects: numpy would read "0.5" as 0.5 and a complex entry
+        # as a bare TypeError.
+        j = np.asarray(self.j, dtype=object)
         if j.shape != (3, 3):
             raise ValueError("coupling tensor must be 3x3")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("coupling tensor entries must be finite")
-        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "j", np.array([
+            [qmat._finite(f"coupling tensor entry J{a}{b}", j[i, k])
+             for k, b in enumerate(_AXES)] for i, a in enumerate(_AXES)]))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CouplingTensor":
@@ -132,9 +143,30 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
                               [0.0, 0.0, p.j_zz]])
 
 
-def _drift(eps: float) -> np.ndarray:
-    """H0 = -(eps/2)(Z1 + Z2): both qubits tuned to the splitting eps."""
-    return np.diag([-eps, 0.0, 0.0, eps]).astype(complex)
+def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
+    """e^{-i rot_frame_matrix(p) t}, in closed form.
+
+    The corners are e^{-i J_zz t}; the {|01>, |10>} block is
+    e^{i J_zz t} [[c, -i e^{i phi} s], [-i e^{-i phi} s, c]] with
+    c = cos 2rt, s = sin 2rt, r = |J + iJ'| and phi = p.phi. Raises
+    ValueError when the largest phase (|J_zz| + 2r)|t| is not finite.
+    """
+    r = math.hypot(p.j, p.j_prime)
+    qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
+    corner = cmath.exp(-1j * p.j_zz * t)
+    block = corner.conjugate()
+    c = block * math.cos(2 * r * t)
+    s = -1j * block * math.sin(2 * r * t)
+    tilt = cmath.exp(1j * p.phi)
+    return np.array([[corner, 0, 0, 0],
+                     [0, c, s * tilt, 0],
+                     [0, s * tilt.conjugate(), c, 0],
+                     [0, 0, 0, corner]], dtype=complex)
+
+
+# The diagonal of the drift H0 = -(eps/2)(Z1 + Z2), per unit eps: both
+# qubits tuned to the splitting eps.
+_DRIFT = np.array([-1.0, 0.0, 0.0, 1.0])
 
 
 def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
@@ -149,7 +181,7 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
     # Summed on Python floats: an overflow is inf, not a numpy warning.
     if not math.isfinite(eps + sum(map(abs, ct.j.ravel().tolist()))):
         raise ValueError("coupling tensor too large: eps + sum |J| overflows")
-    return _drift(eps) + coupling_operator(ct.j)
+    return np.diag(eps * _DRIFT) + coupling_operator(ct.j)
 
 
 def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
@@ -157,14 +189,14 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     propagator and the rotating-wave-approximated one.
 
     The lab-frame Hamiltonian is constant, so U_lab = e^{-i H_lab T}
-    exactly; U_rot = e^{+i H0 T} U_lab with H0 = -(eps/2)(Z1 + Z2) is
-    compared against e^{-i Heff T}, Heff the reduced rotating-frame
-    Hamiltonian.
+    exactly (the one eigendecomposition); U_rot = e^{+i H0 T} U_lab with
+    H0 = -(eps/2)(Z1 + Z2), a row scaling by four phases, is compared
+    against rot_frame_propagator of the reduced couplings.
     """
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
     u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
-    u_rot = qmat.expm_hermitian(_drift(eps), -t_final) @ u_lab
-    heff = rot_frame_matrix(reduce_coupling(ct))
-    u_rwa = qmat.expm_hermitian(heff, t_final)
+    qmat._require_finite_phase(eps, t_final)
+    u_rot = np.exp(1j * (eps * t_final) * _DRIFT)[:, None] * u_lab
+    u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
     return qmat.distance(u_rot, u_rwa, up_to_global_phase=True)

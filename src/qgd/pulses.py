@@ -8,6 +8,9 @@ one's JSON name and text form, and PulseSchedule refuses any other op.
 
 Rotation convention: R_a(theta) = e^{-i theta sigma^a / 2}, the unique
 choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard.
+Simulation uses no eigensolver and builds no 4x4 rotation: each
+Entangle is hamiltonian.rot_frame_propagator, a closed form, and each
+Rotate applies its 2x2 to a reshaped view of the running product.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from . import equivalence, qmat
 from .entangler import Trajectory
 from .errors import NonzeroJPrime, UnsupportedOp
-from .hamiltonian import RotFrameParams, rot_frame_matrix
+from .hamiltonian import RotFrameParams, rot_frame_propagator
 from .qmat import I2, I4, PAULI, _finite, kron
 
 __all__ = [
@@ -142,14 +145,20 @@ def rotation_matrix(axis: str, angle: float, qubit: int) -> np.ndarray:
 
 
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
-    """Product of the schedule's operations, first op applied first."""
-    h = rot_frame_matrix(p)
+    """Product of the schedule's operations, first op applied first.
+
+    Raises ValueError when an interval's phase overflows
+    (rot_frame_propagator)."""
     u = I4.copy()
     for op in s.ops:
         if isinstance(op, Rotate):
-            u = rotation_matrix(op.axis, op.angle, op.qubit) @ u
+            r = rotation_2x2(op.axis, op.angle)
+            # Row index (a, b) of u is (qubit 1, qubit 2): r acts on a
+            # through the (2, 8) view, on b through the (2, 2, 4) view.
+            view = (2, 8) if op.qubit == 1 else (2, 2, 4)
+            u = (r @ u.reshape(view)).reshape(4, 4)
         elif isinstance(op, Entangle):
-            u = qmat.expm_hermitian(h, op.duration) @ u
+            u = rot_frame_propagator(p, op.duration) @ u
         else:  # GlobalPhase
             u = cmath.exp(1j * op.angle) * u
     return u

@@ -1,11 +1,16 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
-Pauli operators, Kronecker products, the two-qubit coupling operator of a
+Pauli operators, Kronecker products, the magic (Bell) basis with the
+diagonals of XX, YY and ZZ in it, the two-qubit coupling operator of a
 3x3 tensor, Hermitian matrix exponentials and unitary distance metrics,
 and the one finite-number rule of every scalar input.
-Every generator the package evolves under is constant over its interval,
-so a propagator is one exponential; there is no time-ordered product.
-Everything here is a pure function of its arguments.
+Every generator the package evolves under is constant over its interval.
+The rotating-frame coupling and the canonical entanglers have closed-form
+propagators (hamiltonian.rot_frame_propagator and
+entangler.canonical_entangler); the general exponential here, an
+eigendecomposition, serves only the lab frame, whose Hamiltonian has no
+such form. There is no time-ordered product. Everything here is a pure
+function of its arguments.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from .errors import NonHermitianInput, NotUnitary
 
 __all__ = [
     "I2", "I4", "SX", "SY", "SZ", "PAULI", "PAULI_PAIRS",
+    "MAGIC", "MAGIC_DAG", "GEN_DIAGS",
     "kron", "coupling_operator", "require_hermitian", "require_unitary",
     "expm_hermitian", "distance",
 ]
@@ -37,6 +43,21 @@ PAULI = {"x": SX, "y": SY, "z": SZ}
 PAULI_PAIRS = np.array([[np.kron(a, b) for b in (SX, SY, SZ)]
                         for a in (SX, SY, SZ)])
 
+# Magic (Bell) basis: local rotations become real orthogonal matrices here.
+MAGIC = (1 / math.sqrt(2)) * np.array([
+    [1, 0, 0, 1j],
+    [0, 1j, 1, 0],
+    [0, 1j, -1, 0],
+    [1, 0, 0, -1j],
+], dtype=complex)
+MAGIC_DAG = MAGIC.conj().T
+# GEN_DIAGS[:, k]: the diagonal of PAULI_PAIRS[k, k] (XX, YY, ZZ) in the
+# magic basis, where all three are diagonal; every entry is +-1 to
+# roundoff.
+GEN_DIAGS = np.stack([
+    np.real(np.diag(MAGIC_DAG @ PAULI_PAIRS[k, k] @ MAGIC))
+    for k in range(3)], axis=1)
+
 
 def _finite(what: str, value) -> float:
     """value as a finite Python float; ValueError for anything else."""
@@ -47,6 +68,15 @@ def _finite(what: str, value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not a finite number")
     return x
+
+
+def _require_finite_phase(rate: float, t: float) -> None:
+    """ValueError unless the largest phase rate * |t| of e^{-i h t} is
+    finite; rate bounds the spectral radius of h. On Python floats, so
+    an overflow is inf, not a numpy warning."""
+    if not math.isfinite(float(rate) * abs(float(t))):
+        raise ValueError(f"phase overflows: |t| = {abs(float(t)):.3e} is "
+                         "too long for a generator this strong")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,16 +118,15 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
 def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """e^{-i h t} for Hermitian h, via eigendecomposition.
 
-    Exactly unitary up to eigensolver accuracy; raises NonHermitianInput
+    The general exponential, for the lab-frame Hamiltonian only: the
+    rotating-frame and entangler propagators are closed forms. Exactly
+    unitary up to eigensolver accuracy; raises NonHermitianInput
     if the symmetry check fails and ValueError if the largest phase,
     spectral radius times |t|, is not finite.
     """
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    # eigh sorts w; an overflow of Python floats is inf, not a warning.
-    if not math.isfinite(max(-float(w[0]), float(w[-1])) * abs(float(t))):
-        raise ValueError(f"phase overflows: |t| = {abs(float(t)):.3e} is "
-                         "too long for a generator this strong")
+    _require_finite_phase(max(-float(w[0]), float(w[-1])), t)  # w sorted
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

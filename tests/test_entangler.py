@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ class TestCanonicalEntangler:
         az = canonical_entangler(EntanglerCoords(0, 0, z))
         for prod in (ax @ ay @ az, az @ ax @ ay, ay @ az @ ax):
             assert distance(a, prod) < 1e-12
+
+    @pytest.mark.parametrize("coords", [(1e308, 1e308, 0.0),
+                                        (0.0, -1e308, -1e308),
+                                        (1e308, 0.0, math.inf),
+                                        (math.nan, 0.0, 0.0)])
+    def test_overflowing_phase_rejected(self, coords):
+        # Refused before anything is exponentiated: no numpy warning, and
+        # a ValueError, not a Hermiticity or unitarity complaint.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="phase overflows|not a finite number"):
+                canonical_entangler(EntanglerCoords(*coords))
 
     def test_area_theorem_cross_check(self, rng):
         # Constant J' = 0 evolution equals the entangler at the

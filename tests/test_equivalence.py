@@ -5,6 +5,7 @@ import pytest
 
 from qgd.compiler import CNOT, CZ, SWAP, controlled_phase
 from qgd.entangler import EntanglerCoords, canonical_entangler
+from qgd import equivalence, qmat
 from qgd.equivalence import (kak_decompose, locally_equivalent,
                              makhlin_invariants, weyl_canonicalize)
 from qgd.errors import NotUnitary
@@ -13,6 +14,18 @@ from qgd.qmat import distance, kron
 from conftest import haar_unitary, random_su2
 
 PI = math.pi
+
+
+def test_magic_basis_constants():
+    assert equivalence.MAGIC is qmat.MAGIC
+    assert np.array_equal(qmat.MAGIC_DAG, qmat.MAGIC.conj().T)
+    assert np.allclose(qmat.MAGIC_DAG @ qmat.MAGIC, np.eye(4), atol=1e-15)
+    # XX, YY and ZZ are diagonal in the magic basis, with +-1 entries.
+    for k in range(3):
+        d = np.diag(qmat.GEN_DIAGS[:, k])
+        assert np.allclose(qmat.MAGIC @ d @ qmat.MAGIC_DAG,
+                           qmat.PAULI_PAIRS[k, k], atol=1e-15)
+    assert np.allclose(np.abs(qmat.GEN_DIAGS), 1.0, rtol=0, atol=1e-15)
 
 
 class TestMakhlinInvariants:

@@ -71,6 +71,39 @@ class TestReduceCoupling:
             CouplingTensor.from_dict({"Jxx": 1.0})
 
 
+class TestCouplingTensor:
+    # The constructor keeps the finite-number rule of RotFrameParams: a
+    # string that spells a number is not one.
+    def test_string_entries_rejected(self):
+        with pytest.raises(ValueError, match="Jxx '1' is not a finite"):
+            CouplingTensor([["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "0.5"]])
+
+    @pytest.mark.parametrize("bad", [None, 1j, 1 + 0j, "0.5",
+                                     math.nan, math.inf])
+    def test_non_number_entry_rejected(self, bad):
+        j = [[0.0] * 3 for _ in range(3)]
+        j[1][2] = bad
+        with pytest.raises(ValueError, match="Jyz .* not a finite number"):
+            CouplingTensor(j)
+
+    def test_complex_array_rejected(self):
+        with pytest.raises(ValueError, match="not a finite number"):
+            CouplingTensor(np.eye(3) * (1 + 1j))
+
+    def test_bools_accepted(self):
+        ct = CouplingTensor([[True, False, False], [False, True, False],
+                             [False, False, False]])
+        assert np.array_equal(ct.j, np.diag([1.0, 1.0, 0.0]))
+        assert ct.j.dtype == float
+
+    @pytest.mark.parametrize("bad", [np.eye(2), [[1.0, 0.0], [0.0]],
+                                     np.zeros((3, 3, 1)), "diag"])
+    def test_wrong_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match="3x3"):
+            CouplingTensor(bad)
+
+
 class TestRotFrameParams:
     def test_gamma_identity(self, rng):
         for _ in range(100):

@@ -1,6 +1,7 @@
 """Property tests: exact compilation and lossless schedule JSON over the
-coupling space, the KAK round trip and Weyl idempotence on locally
-dressed gates, and the CLI's exit codes on fuzzed JSON."""
+coupling space, the closed-form propagators against a kron-and-eigensolver
+reference, the KAK round trip and Weyl idempotence on locally dressed
+gates, and the CLI's exit codes on fuzzed JSON."""
 import json
 import math
 import re
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from qgd import cli
 from qgd.compiler import (CNOT, SWAP, compile_cnot, controlled_phase,
                           named_gate)
-from qgd.entangler import canonical_entangler
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import (kak_decompose, locally_equivalent,
                              makhlin_invariants, weyl_canonicalize)
-from qgd.hamiltonian import RotFrameParams
-from qgd.pulses import PulseSchedule, simulate_schedule
-from qgd.qmat import distance, kron
+from qgd.hamiltonian import RotFrameParams, rot_frame_propagator
+from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
+                        simulate_schedule)
+from qgd.qmat import (I2, PAULI, SX, SY, SZ, distance, expm_hermitian,
+                      kron)
 
 from conftest import random_su2
 
@@ -53,6 +56,82 @@ def test_every_compiled_schedule_is_exact_and_round_trips(
     assert distance(u, named_gate(res.target_name)) < EXACT
     text = json.dumps(res.schedule.to_json())
     assert PulseSchedule.from_json(json.loads(text)) == res.schedule
+
+
+# ------------------------------------------------ closed forms vs expm --
+# Largest entry difference allowed between a closed-form propagator and
+# the eigensolver reference: a few ulps of phases up to ~20 rad.
+CLOSED_FORM = 1e-14
+
+
+def _reference_generator(p: RotFrameParams) -> np.ndarray:
+    """J (XX + YY) + J' (XY - YX) + J_zz ZZ, built with np.kron."""
+    return (p.j * (np.kron(SX, SX) + np.kron(SY, SY))
+            + p.j_prime * (np.kron(SX, SY) - np.kron(SY, SX))
+            + p.j_zz * np.kron(SZ, SZ))
+
+
+def _reference_simulate(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
+    h = _reference_generator(p)
+    u = np.eye(4, dtype=complex)
+    for op in s.ops:
+        if isinstance(op, Rotate):
+            r = expm_hermitian(PAULI[op.axis] / 2, op.angle)
+            u = (np.kron(r, I2) if op.qubit == 1 else np.kron(I2, r)) @ u
+        elif isinstance(op, Entangle):
+            u = expm_hermitian(h, op.duration) @ u
+        else:
+            u = np.exp(1j * op.angle) * u
+    return u
+
+
+def _max_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+unit_coupling = st.floats(min_value=-5, max_value=5)
+rot_params = st.builds(RotFrameParams, unit_coupling, unit_coupling,
+                       unit_coupling)
+duration = st.floats(min_value=0, max_value=1)
+angle = st.floats(min_value=-7, max_value=7)
+pulse_op = st.one_of(
+    st.builds(Rotate, st.sampled_from(["x", "y", "z"]), angle,
+              st.sampled_from([1, 2])),
+    st.builds(Entangle, duration),
+    st.builds(GlobalPhase, angle))
+
+
+@PROPERTY
+@given(ops=st.lists(pulse_op, max_size=12), p=rot_params)
+def test_simulate_schedule_matches_kron_expm_reference(ops, p):
+    s = PulseSchedule(tuple(ops))
+    assert _max_diff(simulate_schedule(s, p),
+                     _reference_simulate(s, p)) < CLOSED_FORM
+
+
+@PROPERTY
+@given(p=rot_params, t=duration)
+def test_rot_frame_propagator_matches_expm(p, t):
+    assert _max_diff(rot_frame_propagator(p, t),
+                     expm_hermitian(_reference_generator(p), t)) \
+        < CLOSED_FORM
+
+
+coord = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+
+
+@PROPERTY
+@given(x=coord, y=coord, z=coord)
+def test_canonical_entangler_matches_expm(x, y, z):
+    h = (x * np.kron(SX, SX) + y * np.kron(SY, SY) + z * np.kron(SZ, SZ))
+    assert _max_diff(canonical_entangler(EntanglerCoords(x, y, z)),
+                     expm_hermitian(h)) < CLOSED_FORM
+
+
+def test_simulate_phase_overflow_is_value_error():
+    s = PulseSchedule.from_json([{"op": "entangle", "duration": 1e308}])
+    with pytest.raises(ValueError, match="phase overflows"):
+        simulate_schedule(s, RotFrameParams(1e300, 0.0, 0.0))
 
 
 def _dressed(seed: int, core: np.ndarray) -> np.ndarray:
