@@ -60,13 +60,12 @@ def _load_json(path: str):
 
 
 def _matrix_from_json(data) -> np.ndarray:
+    """The [re, im] pair matrix of the JSON; its 4x4 shape is checked by
+    qmat.require_unitary."""
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in data])
+        return np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad matrix JSON: {exc}") from exc
-    if m.shape != (4, 4):
-        raise ValueError(f"bad matrix JSON: expected 4x4, got {m.shape}")
-    return m
 
 
 def _resolve_unitary(gate: str | None, input_path: str | None) -> np.ndarray:

@@ -44,6 +44,13 @@ class EntanglerCoords:
         return EntanglerCoords(*map(float, w))
 
 
+def _finite_xyz(c: EntanglerCoords) -> list[float]:
+    """[x, y, z] as finite Python floats; ValueError naming the first
+    coordinate that is not."""
+    return [_finite(f"entangler coordinate {a}", v)
+            for a, v in zip("xyz", (c.x, c.y, c.z))]
+
+
 def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
     """A(x,y,z) = MAGIC diag(e^{-i GEN_DIAGS (x, y, z)}) MAGIC^dag, exactly
     2*pi-periodic per axis: XX, YY and ZZ are diagonal in the magic basis.
@@ -51,8 +58,7 @@ def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
     Raises ValueError for a non-finite coordinate or when a phase
     +-x +-y +-z is not finite.
     """
-    xyz = [_finite(f"entangler coordinate {a}", v)
-           for a, v in zip("xyz", (c.x, c.y, c.z))]
+    xyz = _finite_xyz(c)
     # On Python floats: an overflowing phase is inf here, not a warning.
     phases = [sum(d * v for d, v in zip(row, xyz))
               for row in GEN_DIAGS.tolist()]

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangler import EntanglerCoords, canonical_entangler, wrap_angle
+from .entangler import (EntanglerCoords, _finite_xyz, canonical_entangler,
+                        wrap_angle)
 from .errors import NotUnitary
 from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, kron, require_unitary
 
@@ -56,7 +57,7 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
     det = np.linalg.det(um)
     tr2 = np.trace(m) ** 2
     g1 = tr2 / (16 * det)
-    g2 = (tr2 - np.trace(m @ m)) / (4 * det)
+    g2 = (tr2 - np.sum(m * m)) / (4 * det)  # tr(m^2), m symmetric
     residual = abs(g2.imag)
     if residual > 1e-10:
         raise NotUnitary(
@@ -76,12 +77,17 @@ def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class KakFactors:
     """U = e^{i phase} (u_post1 x u_post2) A(coords) (u_pre1 x u_pre2),
-    with each local factor in SU(2) and coords in the principal cell."""
+    with each local factor in SU(2) and coords in the principal cell.
+
+    eigh_attempts counts the weights the eigenbasis search tried: 1 on
+    the generic path, more when degenerate eigenvalues forced a retry.
+    """
 
     phase: float
     u_post: tuple  # (Mat2, Mat2)
     coords: EntanglerCoords
     u_pre: tuple   # (Mat2, Mat2)
+    eigh_attempts: int
 
     def reconstruct(self) -> np.ndarray:
         return (cmath.exp(1j * self.phase)
@@ -97,45 +103,67 @@ class KakFactors:
             "coords": [self.coords.x, self.coords.y, self.coords.z],
             "u_post": [c2(self.u_post[0]), c2(self.u_post[1])],
             "u_pre": [c2(self.u_pre[0]), c2(self.u_pre[1])],
+            "eigh_attempts": self.eigh_attempts,
         }
 
 
-def _joint_orthogonal_eigenbasis(m: np.ndarray) -> np.ndarray:
-    """Real orthogonal eigenbasis of a unitary complex-symmetric matrix.
+# Off-diagonal positions of a flattened 4x4 matrix.
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool).ravel()
+
+
+def _eigh_weights():
+    """Weights (w_re, w_im) for _joint_orthogonal_eigenbasis, in order:
+    two fixed pairs, then 20 seeded normal draws. The generator is built
+    only when both fixed pairs fail, so the generic call never touches
+    numpy.random (which a module-level generator would load at import)."""
+    yield 1 / math.pi, math.pi
+    yield 1 / 10, 10
+    rng = np.random.default_rng(20090619)
+    for _ in range(20):
+        yield tuple(rng.normal(size=2))
+
+
+def _joint_orthogonal_eigenbasis(m: np.ndarray):
+    """(basis, diag, attempts): a real orthogonal eigenbasis of a unitary
+    complex-symmetric matrix, the diagonal of basis^T m basis, and the
+    number of weights tried.
 
     Re(m) and Im(m) are commuting real symmetric matrices; diagonalize a
-    generic linear combination. Degenerate clusters are resolved by
-    retrying with deterministically-seeded weights.
+    generic linear combination, accepted once basis^T m basis is diagonal
+    within 1e-11. The fixed weights (1/pi, pi) and (1/10, 10) come first;
+    the deterministically seeded retry weights are drawn only if both
+    leave a degenerate cluster unresolved.
     """
     re, im = m.real, m.imag
-    rng = np.random.default_rng(20090619)
-    weights = [(1 / math.pi, math.pi), (1 / 10, 10)]
-    weights += [tuple(rng.normal(size=2)) for _ in range(20)]
-    for wr, wi in weights:
+    for attempt, (wr, wi) in enumerate(_eigh_weights(), start=1):
         _, basis = np.linalg.eigh(wr * re + wi * im)
         check = basis.T @ m @ basis
-        if np.max(np.abs(check - np.diag(np.diag(check)))) < 1e-11:
-            return basis
+        if np.max(np.abs(check.ravel()[_OFF_DIAGONAL])) < 1e-11:
+            return basis, np.diag(check), attempt
     raise NotUnitary("could not jointly diagonalize; input is "
                      "likely far from unitary")
 
 
-def _kron_factor_local(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an element of SU(2) x SU(2) into its SU(2) factors.
+def _det2(b: np.ndarray) -> complex:
+    return b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
 
-    The rank-1 structure of the reshaped matrix gives the factors by SVD;
-    each is then projected to unit determinant and the leftover +-1 is
-    folded into the first factor.
+
+def _kron_factor_local(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split an element a (x) b of SU(2) x SU(2) into SU(2) factors, in
+    closed form.
+
+    Block (i, j) of a (x) b is a[i, j] b. The block of largest norm has
+    norm sqrt(2)|a[i, j]| >= 1, so scaling it to unit determinant gives
+    +-b stably; then a[i, j] = tr(b^dag block_ij) / 2, and a is scaled to
+    unit determinant too. The common sign cancels in a (x) b.
     """
-    t = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    w, s, vh = np.linalg.svd(t)
-    f1 = math.sqrt(s[0]) * w[:, 0].reshape(2, 2)
-    f2 = math.sqrt(s[0]) * vh[0, :].reshape(2, 2)
-    f1 = f1 / cmath.sqrt(np.linalg.det(f1))
-    f2 = f2 / cmath.sqrt(np.linalg.det(f2))
-    residual = np.trace(kron(f1, f2).conj().T @ u) / 4
-    f1 = f1 * round(residual.real)  # +-1; det unchanged
-    return f1, f2
+    blocks = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    k = int(np.argmax(np.sum(np.abs(blocks) ** 2, axis=1)))
+    b = blocks[k].reshape(2, 2)
+    b = b / cmath.sqrt(_det2(b))
+    a = (blocks @ b.conj().ravel()).reshape(2, 2) / 2
+    a = a / cmath.sqrt(_det2(a))
+    return a, b
 
 
 def kak_decompose(u: np.ndarray) -> KakFactors:
@@ -148,17 +176,15 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     u = require_unitary(u)
     ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
-    basis = _joint_orthogonal_eigenbasis(m)
+    # Flipping a column leaves the diagonal of basis^T m basis unchanged.
+    basis, d, attempts = _joint_orthogonal_eigenbasis(m)
     if np.linalg.det(basis) < 0:
-        basis = basis.copy()
         basis[:, 0] = -basis[:, 0]
-    d = np.diag(basis.T @ m @ basis)
     theta = np.angle(d) / 2
-    k1 = ub @ basis @ np.diag(np.exp(-1j * theta))
+    k1 = (ub @ basis) * np.exp(-1j * theta)
     if np.linalg.det(k1).real < 0:
-        theta = theta.copy()
         theta[0] += math.pi
-        k1 = ub @ basis @ np.diag(np.exp(-1j * theta))
+        k1[:, 0] = -k1[:, 0]
     # theta_k = phase - (x, y, z) . diag_k ; exact 4x4 linear solve.
     xyzp = np.linalg.solve(_PHASE_SYSTEM, theta)
     coords = EntanglerCoords(*map(float, xyzp[:3]))
@@ -169,11 +195,11 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
 
     # Wrapping coordinates into the principal cell is exact (period 2*pi)
     # but the phase must be rewrapped too.
-    factors = KakFactors(phase=float(wrap_angle(phase)),
-                         u_post=(post1, post2),
-                         coords=coords.wrapped(),
-                         u_pre=(pre1, pre2))
-    return factors
+    return KakFactors(phase=float(wrap_angle(phase)),
+                      u_post=(post1, post2),
+                      coords=coords.wrapped(),
+                      u_pre=(pre1, pre2),
+                      eigh_attempts=attempts)
 
 
 _QUARTER = math.pi / 4
@@ -188,12 +214,13 @@ def weyl_canonicalize(c: EntanglerCoords) -> EntanglerCoords:
     Convention: pi/4 >= x >= y >= |z| with z >= 0 unless the class parity
     forces a single negative coordinate (then it is carried by z). Every
     move used is a local-class symmetry: per-axis shifts by pi/2, paired
-    sign flips, and coordinate permutations.
+    sign flips, and coordinate permutations. Raises ValueError for a
+    non-finite coordinate.
     """
-    v = c.as_array()
+    v = np.array(_finite_xyz(c))
     # Reduce each coordinate to [-pi/4, pi/4], preferring +pi/4 on the edge.
     v = v - _HALF * np.floor((v + _QUARTER) / _HALF)
-    v[np.isclose(v, -_QUARTER, rtol=0, atol=_EDGE_TOL)] = _QUARTER
+    v[np.abs(v + _QUARTER) <= _EDGE_TOL] = _QUARTER
     neg = int(np.sum(v < -_EDGE_TOL)) % 2
     order = np.argsort(-np.abs(v), kind="stable")
     mag = np.abs(v)[order]

@@ -105,11 +105,18 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
-    """u as a complex array, if finite and unitary within UNITARY_TOL."""
-    u = np.asarray(u, dtype=complex)
+    """u as a complex 4x4 array, if finite and unitary within UNITARY_TOL.
+
+    ValueError for anything that is not a 4x4 numeric array.
+    """
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected a 4x4 matrix: {exc}") from exc
+    if u.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
     if not (np.all(np.isfinite(u))
-            and np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-            < UNITARY_TOL):
+            and np.max(np.abs(u.conj().T @ u - I4)) < UNITARY_TOL):
         raise NotUnitary(
             f"matrix deviates from unitarity by more than {UNITARY_TOL}")
     return u

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from qgd.compiler import CNOT, CZ, SWAP, controlled_phase
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd import equivalence, qmat
+from qgd.hamiltonian import RotFrameParams
+from qgd.pulses import Entangle, PulseSchedule, verify_schedule
 from qgd.equivalence import (kak_decompose, locally_equivalent,
                              makhlin_invariants, weyl_canonicalize)
 from qgd.errors import NotUnitary
@@ -131,12 +137,35 @@ class TestKakDecompose:
         with pytest.raises(NotUnitary):
             kak_decompose(2 * np.eye(4, dtype=complex))
 
+    def test_eigh_attempts_generic(self, rng):
+        assert kak_decompose(haar_unitary(rng)).eigh_attempts == 1
+
+    def test_eigh_attempts_retry_point(self, rng):
+        # At tan(2x) = pi^2 the first weight (1/pi, pi) makes two
+        # eigenvalues coincide; local dressing keeps the spectrum.
+        x = math.atan(PI ** 2) / 2
+        core = canonical_entangler(EntanglerCoords(x, x, 0))
+        u = (kron(random_su2(rng), random_su2(rng)) @ core
+             @ kron(random_su2(rng), random_su2(rng)))
+        f = kak_decompose(u)
+        assert f.eigh_attempts == 2
+        assert distance(f.reconstruct(), u) < 1e-9
+
+    def test_retry_weights(self):
+        # Two fixed pairs, then 20 normal draws of one seeded generator.
+        rng = np.random.default_rng(20090619)
+        expected = [(1 / PI, PI), (1 / 10, 10)]
+        expected += [tuple(rng.normal(size=2)) for _ in range(20)]
+        assert list(equivalence._eigh_weights()) == expected
+
     def test_json_shape(self, rng):
         import json
         d = kak_decompose(haar_unitary(rng)).to_dict()
         json.dumps(d)
-        assert set(d) == {"phase", "coords", "u_pre", "u_post"}
+        assert set(d) == {"phase", "coords", "u_pre", "u_post",
+                          "eigh_attempts"}
         assert len(d["coords"]) == 3
+        assert d["eigh_attempts"] == 1
 
 
 class TestWeylCanonicalize:
@@ -175,6 +204,13 @@ class TestWeylCanonicalize:
             assert np.allclose(w.as_array(), [PI / 4 - d, 0.3, -0.1],
                                rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_rejects_non_finite(self, axis, bad):
+        xyz = {"x": 0.3, "y": 0.2, "z": 0.1, axis: bad}
+        with pytest.raises(ValueError, match=f"coordinate {axis} "):
+            weyl_canonicalize(EntanglerCoords(**xyz))
+
     def test_chamber_bounds(self, rng):
         for _ in range(200):
             w = weyl_canonicalize(
@@ -182,3 +218,36 @@ class TestWeylCanonicalize:
             x, y, z = w.as_array()
             assert PI / 4 + 1e-12 >= x >= y >= abs(z) - 1e-12
             assert y >= 0
+
+
+def _verify_target(target):
+    return verify_schedule(PulseSchedule((Entangle(0.1),)),
+                           RotFrameParams(1.0, 0.0, 0.0), target)
+
+
+@pytest.mark.parametrize("entry", [makhlin_invariants, kak_decompose,
+                                   _verify_target],
+                         ids=["makhlin", "kak", "verify_schedule"])
+@pytest.mark.parametrize("bad, shape", [
+    (np.eye(2), "(2, 2)"), (np.eye(8), "(8, 8)"),
+    (np.eye(4)[None], "(1, 4, 4)"), ([[1, 0], [0]], None)],
+    ids=["eye2", "eye8", "stacked", "ragged"])
+def test_entry_points_refuse_non_4x4(entry, bad, shape):
+    with pytest.raises(ValueError, match="4x4") as exc:
+        entry(bad)
+    if shape is not None:
+        assert f"shape {shape}" in str(exc.value)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # The KAK retry weights come from a generator built on demand; one
+    # built at import would load numpy.random into every process.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, qgd; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

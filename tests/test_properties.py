@@ -16,8 +16,9 @@ from qgd import cli
 from qgd.compiler import (CNOT, SWAP, compile_cnot, controlled_phase,
                           named_gate)
 from qgd.entangler import EntanglerCoords, canonical_entangler
-from qgd.equivalence import (kak_decompose, locally_equivalent,
-                             makhlin_invariants, weyl_canonicalize)
+from qgd.equivalence import (_kron_factor_local, kak_decompose,
+                             locally_equivalent, makhlin_invariants,
+                             weyl_canonicalize)
 from qgd.hamiltonian import RotFrameParams, rot_frame_propagator
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         simulate_schedule)
@@ -161,6 +162,24 @@ def test_kak_round_trip_and_weyl_idempotence(core, seed):
     again = weyl_canonicalize(w)
     assert np.max(np.abs(again.as_array() - w.as_array())) < 1e-12
     assert locally_equivalent(canonical_entangler(w), u)
+
+
+# SU(2) factors: Haar-random, or i times a Pauli matrix, so that products
+# such as X (x) Y (whose (0, 0) block is zero) are covered.
+local_factor = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: random_su2(np.random.default_rng(seed))),
+    st.sampled_from([I2, 1j * SX, 1j * SY, 1j * SZ]))
+
+
+@PROPERTY
+@given(a=local_factor, b=local_factor)
+def test_kron_factor_local_closed_form(a, b):
+    u = kron(a, b)
+    f1, f2 = _kron_factor_local(u)
+    assert np.max(np.abs(kron(f1, f2) - u)) < 1e-13
+    for f in (f1, f2):
+        assert abs(np.linalg.det(f) - 1) < 1e-12
 
 
 # ------------------------------------------------------------ CLI fuzz --
