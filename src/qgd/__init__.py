@@ -7,9 +7,8 @@ and rotating-frame Hamiltonians (hamiltonian), the canonical entangler
 verification (pulses), and the CNOT compiler
 (compiler). A command-line front end lives in qgd.cli.
 """
-from .errors import (NonHermitianInput, NotUnitary, NonzeroJPrime, QgdError,
-                     UnknownGate, UnsupportedOp, VerificationFailed,
-                     ZeroCoupling)
+from .errors import (NonHermitianInput, NotUnitary, QgdError, UnknownGate,
+                     UnsupportedOp, VerificationFailed, ZeroCoupling)
 from .qmat import distance, expm_hermitian, kron
 from .hamiltonian import (CouplingTensor, RotFrameParams,
                           lab_frame_hamiltonian, reduce_coupling,

@@ -8,11 +8,11 @@ every key required; schedules as lists of op objects in application order.
 and nothing else.
 
 Exit codes: 1 invalid input (unparsable file, bad value or usage error),
-2 non-unitary input, 3 zero coupling, 4 nonzero J', 5 unsupported schedule
-op, 7 unknown gate name, 8 verification failed.
+2 non-unitary input, 3 zero coupling, 5 unsupported schedule op, 7 unknown
+gate name, 8 verification failed.
 
-Code 6 (integrator non-convergence) went with the lab-frame integrator
-and is not reused.
+Codes 4 (nonzero J', which trajectories now draw) and 6 (integrator
+non-convergence) are retired and not reused.
 """
 from __future__ import annotations
 
@@ -60,11 +60,18 @@ def _load_json(path: str):
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    """The [re, im] pair matrix of the JSON; its 4x4 shape is checked by
-    qmat.require_unitary."""
+    """The matrix of a JSON list of rows of [re, im] pairs of numbers;
+    qmat.require_unitary checks its 4x4 shape."""
+    rows = data if isinstance(data, list) else [data]
+    for i, row in enumerate(rows):
+        for k, z in enumerate(row if isinstance(row, list) else [row]):
+            if not (isinstance(z, list) and len(z) == 2
+                    and all(isinstance(v, (int, float)) for v in z)):
+                raise ValueError(f"bad matrix JSON: entry [{i}][{k}] is "
+                                 f"{json.dumps(z)}, not an [re, im] pair")
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError, OverflowError) as exc:
+        return np.array([[complex(*z) for z in row] for row in rows])
+    except (ValueError, OverflowError) as exc:  # ragged rows, a huge int
         raise ValueError(f"bad matrix JSON: {exc}") from exc
 
 
@@ -85,8 +92,9 @@ def _resolve_params(data: dict) -> hamiltonian.RotFrameParams:
 
 
 @click.group(cls=_Group)
-@click.option("--tol", type=float, envvar="QGD_TOL", default=1e-9,
-              show_default=True, help="Verification tolerance.")
+@click.option("--tol", type=float, envvar="QGD_TOL",
+              default=pulses.VERIFY_TOL, show_default=True,
+              help="Verification tolerance.")
 @click.pass_context
 def main(ctx, tol):
     """Two-qubit gate synthesis toolkit for weakly coupled qubits."""
@@ -160,9 +168,9 @@ def simulate(ctx, input_path, coupling_path, target, mode):
 
 @main.command()
 @click.option("--coupling", "coupling_path", required=True,
-              help="Coupling JSON; J' must vanish.")
+              help="Coupling JSON (tensor or reduced parameters).")
 @click.option("--schedule", "schedule_path", required=True,
-              help="Schedule JSON (entangling intervals and pi pulses).")
+              help="Schedule JSON op list, e.g. a compile result's schedule.")
 @click.option("--samples", type=click.IntRange(min=1), default=32,
               show_default=True, help="Samples per entangling interval.")
 def trajectory(coupling_path, schedule_path, samples):

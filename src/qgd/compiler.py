@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
-from .pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                     VerificationReport, verify_schedule)
+from .pulses import (VERIFY_TOL, Entangle, GlobalPhase, PulseSchedule,
+                     Rotate, VerificationReport, verify_schedule)
 
 __all__ = ["CompileResult", "compile_cnot", "named_gate"]
 
@@ -51,7 +51,8 @@ def controlled_phase(theta: float) -> np.ndarray:
     return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
 
 
-_CPHASE_RE = re.compile(r"^C(?:theta)?\(([-+0-9.eE]+)\)$")
+_CPHASE_RE = re.compile(
+    r"^C(?:theta)?\(([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\)$")
 
 _NAMED_GATES = {
     "I": np.eye(4, dtype=complex),
@@ -132,15 +133,10 @@ def _refocused_schedule(p: RotFrameParams,
                Rotate("x", -a, 2), Rotate("z", a, 1),
                GlobalPhase(_PI / 2 + s * _PI / 4))
         return PulseSchedule(ops=ops), dt, branch
-    # XY frame: write J + iJ' = s r e^{i phi} with phi in (-pi/2, pi/2].
-    # Conjugating an interval by Rz(phi)_2 turns the couplings into
-    # (s r, J_zz, 0). Two such intervals of pi/(8r) split by Rx(pi) cancel
-    # the J_zz area and land on A(s pi/4, 0, 0).
-    phi, s = p.phi, 1.0
-    if phi > _PI / 2:
-        phi, s = phi - _PI, -1.0
-    elif phi <= -_PI / 2:
-        phi, s = phi + _PI, -1.0
+    # XY frame: with J + iJ' = s r e^{i phi} (p.fold), Rz(phi)_2 turns the
+    # couplings into (s r, J_zz, 0). Two such intervals of pi/(8r) split by
+    # Rx(pi) cancel the J_zz area and land on A(s pi/4, 0, 0).
+    s, phi = p.fold
     dt = _interval(8, r)
     into = (Rotate("z", phi, 2),) if phi else ()
     out = (Rotate("z", -phi, 2),) if phi else ()
@@ -183,7 +179,8 @@ def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
 
 
 def compile_cnot(p: RotFrameParams, prefer: str = "auto",
-                 refocus_qubit: int = 1, tol: float = 1e-9) -> CompileResult:
+                 refocus_qubit: int = 1,
+                 tol: float = VERIFY_TOL) -> CompileResult:
     """Emit a verified CNOT (or SWAP*CNOT) schedule for the couplings p.
 
     prefer="auto" emits the single-shot SWAP*CNOT when J_zz = J' = 0 and

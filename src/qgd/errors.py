@@ -15,11 +15,6 @@ class NotUnitary(QgdError):
     exit_code = 2
 
 
-class NonzeroJPrime(QgdError):
-    """Operation requires the antisymmetric coupling J' to vanish."""
-    exit_code = 4
-
-
 class UnsupportedOp(QgdError):
     """Schedule contains an operation the consumer cannot handle."""
     exit_code = 5

@@ -104,6 +104,21 @@ class RotFrameParams:
         """arg(J + i J'), in (-pi, pi]."""
         return math.atan2(self.j_prime, self.j)
 
+    @property
+    def fold(self) -> tuple[float, float]:
+        """(s, phi): s = +-1, phi in (-pi/2, pi/2], J + iJ' = s r e^{i phi}.
+        Rz(phi) on qubit 2 turns the tensor into diag(s r, s r, J_zz)."""
+        phi = self.phi
+        if -math.pi / 2 < phi <= math.pi / 2:
+            return 1.0, phi
+        return -1.0, phi - math.copysign(math.pi, phi)
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The rotating-frame coupling tensor (module docstring)."""
+        j, jp = self.j, self.j_prime
+        return np.array([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, self.j_zz]])
+
     @classmethod
     def from_dict(cls, d: dict) -> "RotFrameParams":
         if not isinstance(d, dict):
@@ -138,9 +153,7 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
     """The effective rotating-frame coupling
     J (XX + YY) + J' (XY - YX) + J_zz ZZ: diag(J_zz, -J_zz, -J_zz, J_zz)
     with 2(J + iJ') on the |01><10| entry."""
-    return coupling_operator([[p.j, p.j_prime, 0.0],
-                              [-p.j_prime, p.j, 0.0],
-                              [0.0, 0.0, p.j_zz]])
+    return coupling_operator(p.tensor)
 
 
 def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import equivalence, qmat
 from .entangler import Trajectory
-from .errors import NonzeroJPrime, UnsupportedOp
+from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, rot_frame_propagator
-from .qmat import I2, I4, PAULI, _finite, kron
+from .qmat import ALGEBRA_TOL, I2, I4, PAULI, SX, SY, SZ, _finite, kron
 
 __all__ = [
     "Rotate", "Entangle", "GlobalPhase", "PulseSchedule",
-    "VerificationReport", "rotation_2x2", "rotation_matrix",
+    "VERIFY_TOL", "VerificationReport", "rotation_2x2", "rotation_matrix",
     "simulate_schedule", "trajectory", "verify_schedule",
 ]
 
@@ -133,6 +133,11 @@ class PulseSchedule:
         return cls(ops=tuple(ops))
 
 
+# The default tolerance of verify_schedule, compile_cnot and qgd --tol.
+VERIFY_TOL = 1e-9
+_SIGMAS = np.array([SX, SY, SZ])
+
+
 def rotation_2x2(axis: str, angle: float) -> np.ndarray:
     s = PAULI[axis]
     return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * s
@@ -164,50 +169,47 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     return u
 
 
-# A pi pulse about x flips the signs of the YY and ZZ accumulation rates;
-# about y it flips XX and ZZ.
-_REFLECTIONS = {"x": np.array([1.0, -1.0, -1.0]),
-                "y": np.array([-1.0, 1.0, -1.0])}
-
-
 def trajectory(p: RotFrameParams, schedule: PulseSchedule,
                samples_per_interval: int = 32) -> Trajectory:
-    """Entangler-space path of a schedule of entangling intervals and
-    refocusing pi pulses, under constant couplings with J' = 0.
+    """Entangler-space path of a schedule under constant couplings.
 
-    By the area theorem, entangling intervals advance (x, y, z) at rates
-    (J, J, J_zz), with the running sign state toggled by each pi pulse;
-    global phases leave the path unchanged. Raises ValueError when
-    max(|J|, |J_zz|) times the total entangling time is not finite.
+    Pulses toggle the frame of T = p.tensor (Khaneja, Brockett and Glaser,
+    PRA 63, 032308 (2001)): an interval evolves under O_1^T T O_2, O_q the
+    3x3 rotation of qubit q's pulses since the first interval, qubit 2
+    first turned by phi about z (p.fold) to make T diagonal, and advances
+    (x, y, z) by that diagonal times its duration. Raises UnsupportedOp,
+    naming the interval, when a toggled tensor is off diagonal by more
+    than ALGEBRA_TOL max(r, |J_zz|); ValueError when max(r, |J_zz|) times
+    the total entangling time is not finite.
     """
-    if p.j_prime != 0.0:
-        raise NonzeroJPrime("closed-form trajectories require J' = 0")
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be at least 1")
+    scale = max(math.hypot(p.j, p.j_prime), abs(p.j_zz))
     # On Python floats: an overflowing area is inf here, not a warning.
-    area = max(abs(p.j), abs(p.j_zz)) * schedule.total_entangling_time
+    area = scale * schedule.total_entangling_time
     if not math.isfinite(area):
         raise ValueError(f"entangling area {area} is not finite: "
                          "couplings or durations are too large")
 
-    rates = np.array([p.j, p.j, p.j_zz])
-    signs = np.array([1.0, 1.0, 1.0])
-    times = [0.0]
-    points = [np.zeros(3)]
-    for op in schedule.ops:
-        if isinstance(op, Rotate):
-            if op.axis not in _REFLECTIONS or not math.isclose(
-                    abs(op.angle), math.pi, rel_tol=0, abs_tol=1e-12):
-                raise UnsupportedOp(
-                    "trajectory schedules admit only refocusing pi pulses "
-                    f"about x or y; got {op.axis} rotation by {op.angle}")
-            signs = signs * _REFLECTIONS[op.axis]
+    frames = {1: I2, 2: rotation_2x2("z", p.fold[1])}
+    times, points = [0.0], [np.zeros(3)]
+    for i, op in enumerate(schedule.ops):
+        if isinstance(op, Rotate) and len(times) > 1:
+            frames[op.qubit] = (rotation_2x2(op.axis, op.angle)
+                                @ frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
-            t0, r0 = times[-1], points[-1]
-            for k in range(1, samples_per_interval + 1):
-                dt = op.duration * k / samples_per_interval
-                times.append(t0 + dt)
-                points.append(r0 + signs * rates * dt)
+            # O[a, b] = tr(sigma^a m sigma^b m^dag) / 2 for each frame m.
+            o1, o2 = (np.einsum("aij,jk,bkl,li->ab", _SIGMAS, m, _SIGMAS,
+                                m.conj().T).real / 2 for m in frames.values())
+            toggled = o1.T @ p.tensor @ o2
+            rates = np.diag(toggled)
+            if np.max(np.abs(toggled - np.diag(rates))) > ALGEBRA_TOL * scale:
+                raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"
+                                    " it turn the coupling off diagonal")
+            steps = op.duration * np.arange(1, samples_per_interval + 1)
+            steps = steps / samples_per_interval
+            times.extend(times[-1] + steps)
+            points.extend(points[-1] + np.outer(steps, rates))
     return Trajectory(times=np.array(times), raw=np.array(points))
 
 
@@ -232,30 +234,20 @@ class VerificationReport:
                 "local_class": self.pass_class}[self.mode]
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target_name,
-            "mode": self.mode,
-            "exact_distance": self.exact_distance,
-            "phase_distance": self.phase_distance,
-            "invariant_distance": self.invariant_distance,
-            "pass_exact": self.pass_exact,
-            "pass_exact_up_to_phase": self.pass_exact_up_to_phase,
-            "pass_class": self.pass_class,
-            "passed": self.passed,
-            "total_entangling_time": self.total_entangling_time,
-        }
+        d = asdict(self)
+        return {"target": d.pop("target_name"), **d, "passed": self.passed}
 
 
 def verify_schedule(s: PulseSchedule, p: RotFrameParams,
                     target: np.ndarray, mode: str = "exact",
-                    tol: float = 1e-9,
+                    tol: float = VERIFY_TOL,
                     target_name: str = "") -> VerificationReport:
     """Simulate a schedule and report exact, phase-insensitive, and
     local-class distances from the target; the pass flag follows mode.
     tol must be positive and finite."""
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
-    if not 0 < tol < math.inf:
+    if not 0 < _finite("tolerance", tol):
         raise ValueError(f"tolerance {tol!r} must be positive and finite")
     target = qmat.require_unitary(target)
     u = simulate_schedule(s, p)
@@ -264,13 +256,9 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     d_inv = equivalence.makhlin_invariants(u).distance(
         equivalence.makhlin_invariants(target))
     return VerificationReport(
-        target_name=target_name,
-        mode=mode,
-        exact_distance=float(d_exact),
-        phase_distance=float(d_phase),
-        invariant_distance=float(d_inv),
+        target_name=target_name, mode=mode, exact_distance=float(d_exact),
+        phase_distance=float(d_phase), invariant_distance=float(d_inv),
         pass_exact=bool(d_exact < tol),
         pass_exact_up_to_phase=bool(d_phase < tol),
         pass_class=bool(d_inv < tol),
-        total_entangling_time=s.total_entangling_time,
-    )
+        total_entangling_time=s.total_entangling_time)

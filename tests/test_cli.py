@@ -81,6 +81,13 @@ class TestInvariantsCmd:
         result = runner.invoke(main, ["invariants", "--input", path])
         assert refused(result, 1)
 
+    def test_real_entries_name_the_pair_format(self, runner, tmp_path):
+        path = write_json(tmp_path, "m.json", np.eye(4, dtype=int).tolist())
+        result = runner.invoke(main, ["kak", "--input", path])
+        assert refused(result, 1)
+        assert result.stderr == ("error: bad matrix JSON: entry [0][0] is 1, "
+                                 "not an [re, im] pair\n")
+
     @pytest.mark.parametrize("args", [
         ["--gate", "CNOT", "--input", "m.json"], []])
     def test_exactly_one_source_exit_1(self, runner, args):
@@ -195,6 +202,34 @@ class TestTrajectoryCmd:
         assert abs(last[1] - PI / 4) < 1e-9
         assert abs(last[2]) < 1e-9 and abs(last[3]) < 1e-9
 
+    @pytest.mark.parametrize("prefer", ["auto", "cnot"])
+    @pytest.mark.parametrize("refocus_qubit", [1, 2])
+    @pytest.mark.parametrize("coupling", [
+        {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0},    # xy_single_shot_swapcnot
+        {"J": -1.0, "Jzz": 0.4, "Jprime": 0.0},   # two_shot_refocus
+        {"J": 0.8, "Jzz": -0.3, "Jprime": -1.1},  # general_jprime
+        {"J": 0.2, "Jzz": -1.0, "Jprime": 0.3},   # zz_refocus
+        {"J": 0.0, "Jzz": 0.7, "Jprime": 0.0},    # ising_single_shot
+    ])
+    def test_every_compiled_schedule_is_drawn(self, runner, tmp_path,
+                                              coupling, prefer,
+                                              refocus_qubit):
+        from qgd.compiler import compile_cnot, named_gate
+        from qgd.entangler import EntanglerCoords, canonical_entangler
+        from qgd.equivalence import locally_equivalent
+        from qgd.hamiltonian import RotFrameParams
+        res = compile_cnot(RotFrameParams.from_dict(coupling), prefer=prefer,
+                           refocus_qubit=refocus_qubit)
+        cpl = write_json(tmp_path, "c.json", coupling)
+        sched = write_json(tmp_path, "s.json", res.schedule.to_json())
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched, "--samples", "2"])
+        assert result.exit_code == 0, result.output
+        last = [float(v) for v in result.stdout.strip().split("\n")[-1]
+                .split(",")]
+        end = canonical_entangler(EntanglerCoords(*last[1:4]))
+        assert locally_equivalent(end, named_gate(res.target_name))
+
     def test_empty_schedule_single_row(self, runner, tmp_path):
         cpl = write_json(tmp_path, "c.json",
                          {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
@@ -214,14 +249,6 @@ class TestTrajectoryCmd:
         assert refused(result, 1)
         assert result.stdout == ""
         assert result.stderr.startswith("error: entangling area")
-
-    def test_nonzero_jprime_exit_4(self, runner, tmp_path):
-        cpl = write_json(tmp_path, "c.json",
-                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.5})
-        sched = write_json(tmp_path, "s.json", [])
-        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
-                                      "--schedule", sched])
-        assert result.exit_code == 4
 
 
 class TestRwaScanCmd:
@@ -494,12 +521,15 @@ class TestReadmeAgreesWithCli:
     def test_exit_code_table(self):
         table = {int(c) for c in re.findall(r"^\| (\d+) \|", self.README,
                                             re.MULTILINE)}
+        paragraph = cli.__doc__.split("Exit codes:")[1].split("\n\n")[0]
+        docstring = {int(c) for c in re.findall(r"\b(\d+)\s+[a-zA-Z]",
+                                                paragraph)}
         errors, codes = [QgdError], set()
         while errors:
             etype = errors.pop()
             codes.add(etype.exit_code)
             errors += etype.__subclasses__()
-        assert table == {1} | codes
+        assert table == docstring == {1} | codes
 
     def test_subcommands(self):
         block = self.README.split("## CLI", 1)[1].split("```sh", 1)[1]

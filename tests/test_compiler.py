@@ -43,6 +43,11 @@ class TestNamedGate:
         with pytest.raises(UnknownGate):
             named_gate(name)
 
+    @pytest.mark.parametrize("name", ["C(1.2.3)", "C(--1)", "C(.)", "C(e)"])
+    def test_unparsable_angle_rejected(self, name):
+        with pytest.raises(UnknownGate):
+            named_gate(name)
+
     @pytest.mark.parametrize("name", [5, ["CNOT"], None])
     def test_non_string_name_rejected(self, name):
         with pytest.raises(UnknownGate):

@@ -7,7 +7,7 @@ import pytest
 from qgd.entangler import (EntanglerCoords, canonical_entangler,
                            coords_from_area, wrap_angle)
 from qgd.equivalence import locally_equivalent, makhlin_invariants
-from qgd.errors import NonzeroJPrime, UnsupportedOp
+from qgd.errors import UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         trajectory)
@@ -154,17 +154,16 @@ class TestTrajectory:
                        PulseSchedule((Entangle(0.5),)),
                        samples_per_interval=samples)
 
-    def test_rejects_nonzero_jprime(self):
-        with pytest.raises(NonzeroJPrime):
-            trajectory(RotFrameParams(1, 0, 0.2), PulseSchedule(()))
-
     def test_rejects_non_refocusing_rotation(self):
-        with pytest.raises(UnsupportedOp):
-            trajectory(RotFrameParams(1, 0, 0),
-                       PulseSchedule((Rotate("x", PI / 2, 1),)))
-        with pytest.raises(UnsupportedOp):
-            trajectory(RotFrameParams(1, 0, 0),
-                       PulseSchedule((Rotate("z", PI, 1),)))
+        # Rx(pi/2)_1 between two intervals turns YY into YZ; before the
+        # first interval it only dresses the path.
+        sched = PulseSchedule((Entangle(0.3), Rotate("x", PI / 2, 1),
+                               Entangle(0.3)))
+        with pytest.raises(UnsupportedOp, match="op 2"):
+            trajectory(RotFrameParams(1, 0, 0), sched)
+        traj = trajectory(RotFrameParams(1, 0, 0),
+                          PulseSchedule(sched.ops[1:]))
+        assert np.allclose(traj.raw[-1], [0.3, 0.3, 0.0])
 
     def test_phase_ops_ignored(self):
         traj = trajectory(RotFrameParams(1, 0, 0),

@@ -1,7 +1,8 @@
 """Property tests: exact compilation and lossless schedule JSON over the
-coupling space, the closed-form propagators against a kron-and-eigensolver
-reference, the KAK round trip and Weyl idempotence on locally dressed
-gates, and the CLI's exit codes on fuzzed JSON."""
+coupling space, trajectories of every compiled schedule and against the
+pi-pulse sign rule, the closed-form propagators against a
+kron-and-eigensolver reference, the KAK round trip and Weyl idempotence
+on locally dressed gates, and the CLI's exit codes on fuzzed JSON."""
 import json
 import math
 import re
@@ -21,7 +22,7 @@ from qgd.equivalence import (_kron_factor_local, kak_decompose,
                              weyl_canonicalize)
 from qgd.hamiltonian import RotFrameParams, rot_frame_propagator
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                        simulate_schedule)
+                        simulate_schedule, trajectory)
 from qgd.qmat import (I2, PAULI, SX, SY, SZ, distance, expm_hermitian,
                       kron)
 
@@ -57,6 +58,76 @@ def test_every_compiled_schedule_is_exact_and_round_trips(
     assert distance(u, named_gate(res.target_name)) < EXACT
     text = json.dumps(res.schedule.to_json())
     assert PulseSchedule.from_json(json.loads(text)) == res.schedule
+
+
+@PROPERTY
+@given(j=coupling, j_zz=coupling, j_prime=coupling,
+       prefer=st.sampled_from(["auto", "cnot"]),
+       refocus_qubit=st.sampled_from([1, 2]))
+def test_every_compiled_schedule_is_drawn_in_class_at_each_interval(
+        j, j_zz, j_prime, prefer, refocus_qubit):
+    assume(j or j_zz or j_prime)
+    p = RotFrameParams(j, j_zz, j_prime)
+    res = compile_cnot(p, prefer=prefer, refocus_qubit=refocus_qubit)
+    ops = res.schedule.ops
+    samples = 3
+    traj = trajectory(p, PulseSchedule(ops), samples_per_interval=samples)
+    ends = [i for i, op in enumerate(ops) if isinstance(op, Entangle)]
+    assert len(traj.times) == 1 + samples * len(ends)
+    for n, i in enumerate(ends, start=1):
+        prefix = simulate_schedule(PulseSchedule(ops[:i + 1]), p)
+        point = EntanglerCoords(*traj.raw[samples * n])
+        assert locally_equivalent(canonical_entangler(point), prefix)
+    assert locally_equivalent(canonical_entangler(traj.endpoint),
+                              named_gate(res.target_name))
+
+
+def _sign_rule_trajectory(p: RotFrameParams, s: PulseSchedule,
+                          samples: int):
+    """The pi-pulse sign rule (J' = 0, pi pulses about x or y only): each
+    interval advances (x, y, z) at (J, J, J_zz), with the signs of YY and
+    ZZ flipped by every pi pulse about x and of XX and ZZ about y."""
+    flips = {"x": np.array([1.0, -1.0, -1.0]),
+             "y": np.array([-1.0, 1.0, -1.0])}
+    rates = np.array([p.j, p.j, p.j_zz])
+    signs = np.ones(3)
+    times, points = [0.0], [np.zeros(3)]
+    for op in s.ops:
+        if isinstance(op, Rotate):
+            signs = signs * flips[op.axis]
+        elif isinstance(op, Entangle) and op.duration:
+            t0, r0 = times[-1], points[-1]
+            for k in range(1, samples + 1):
+                dt = op.duration * k / samples
+                times.append(t0 + dt)
+                points.append(r0 + signs * rates * dt)
+    return np.array(times), np.array(points)
+
+
+pi_pulse = st.builds(Rotate, st.sampled_from(["x", "y"]),
+                     st.sampled_from([math.pi, -math.pi]),
+                     st.sampled_from([1, 2]))
+# Durations far above an ulp of the running time, which would not advance.
+interval = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1)
+                     ).map(Entangle)
+refocused = st.tuples(
+    st.floats(min_value=1e-3, max_value=1).map(Entangle),
+    st.lists(st.one_of(interval, pi_pulse,
+                       st.builds(GlobalPhase, st.floats(-7, 7))),
+             max_size=10)).map(lambda t: PulseSchedule((t[0], *t[1])))
+
+
+@PROPERTY
+@given(j=coupling, j_zz=coupling, schedule=refocused,
+       samples=st.integers(min_value=1, max_value=8))
+def test_trajectory_keeps_the_sign_rule_without_leading_rotations(
+        j, j_zz, schedule, samples):
+    p = RotFrameParams(j, j_zz, 0.0)
+    traj = trajectory(p, schedule, samples_per_interval=samples)
+    times, raw = _sign_rule_trajectory(p, schedule, samples)
+    assert np.array_equal(traj.times, times)
+    bound = max(abs(j), abs(j_zz)) * schedule.total_entangling_time
+    assert np.max(np.abs(traj.raw - raw)) <= 1e-15 * bound
 
 
 # ------------------------------------------------ closed forms vs expm --

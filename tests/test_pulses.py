@@ -249,9 +249,9 @@ class TestVerifySchedule:
         assert rep.passed and not rep.pass_exact
         assert rep.phase_distance < 1e-12
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0, "1"])
     def test_tol_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tolerance"):
             verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
                             np.eye(4), tol=tol)
 
