@@ -29,7 +29,8 @@ import numpy as np
 from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
 from .pulses import (VERIFY_TOL, Entangle, GlobalPhase, PulseSchedule,
-                     Rotate, VerificationReport, verify_schedule)
+                     Rotate, VerificationReport, _qubit_index,
+                     verify_schedule)
 
 __all__ = ["CompileResult", "compile_cnot", "named_gate"]
 
@@ -186,22 +187,24 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     prefer="auto" emits the single-shot SWAP*CNOT when J_zz = J' = 0 and
     J != 0, and a CNOT otherwise; prefer="cnot" always emits a CNOT.
     refocus_qubit picks the qubit of the refocusing pi pulse: Rx(pi) in
-    the XY frame, Rz(pi) in the ZZ frame. The schedule is re-simulated
-    and must match its target within tol, which must be positive and
-    finite.
+    the XY frame, Rz(pi) in the ZZ frame; like Rotate.qubit it must be
+    the integer 1 or 2, never a bool, on every branch. The schedule is
+    re-simulated and must match its target within tol, which must be
+    positive and finite.
     """
     if prefer not in ("auto", "cnot"):
         raise ValueError(f"bad prefer {prefer!r}")
     if p.j == 0 and p.j_zz == 0 and p.j_prime == 0:
         raise ZeroCoupling("all of J, J_zz, J' are zero")
-    if refocus_qubit not in (1, 2):
+    q = _qubit_index(refocus_qubit)
+    if q is None:
         raise ValueError("refocus_qubit must be 1 or 2")
 
     if prefer == "auto" and p.j_prime == 0 and p.j_zz == 0:
         schedule, dt = _xy_swapcnot_schedule(p)
         branch, target_name = "xy_single_shot_swapcnot", "SWAP_CNOT"
     else:
-        schedule, dt, branch = _refocused_schedule(p, refocus_qubit)
+        schedule, dt, branch = _refocused_schedule(p, q)
         target_name = "CNOT"
 
     report = verify_schedule(schedule, p, named_gate(target_name),

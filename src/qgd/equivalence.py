@@ -54,17 +54,18 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
     u = require_unitary(u)
     um = MAGIC_DAG @ u @ MAGIC
     m = um.T @ um
-    det = np.linalg.det(um)
-    tr2 = np.trace(m) ** 2
+    # Python complex scalars from here: cheaper than numpy scalars.
+    det = complex(np.linalg.det(um))
+    tr = complex(m.trace())
+    tr2 = tr * tr
     g1 = tr2 / (16 * det)
-    g2 = (tr2 - np.sum(m * m)) / (4 * det)  # tr(m^2), m symmetric
+    g2 = (tr2 - complex((m * m).sum())) / (4 * det)  # tr(m^2), m symmetric
     residual = abs(g2.imag)
     if residual > 1e-10:
         raise NotUnitary(
             f"G2 imaginary residual {residual:.3e} exceeds 1e-10; "
             "input is not unitary enough")
-    return MakhlinInvariants(g1=complex(g1), g2=float(g2.real),
-                             g2_imag_residual=residual)
+    return MakhlinInvariants(g1=g1, g2=g2.real, g2_imag_residual=residual)
 
 
 def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:

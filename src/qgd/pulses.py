@@ -7,14 +7,20 @@ The op kinds are Rotate, Entangle and GlobalPhase; _OPS declares each
 one's JSON name and text form, and PulseSchedule refuses any other op.
 
 Rotation convention: R_a(theta) = e^{-i theta sigma^a / 2}, the unique
-choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard.
-Simulation uses no eigensolver and builds no 4x4 rotation: each
-Entangle is hamiltonian.rot_frame_propagator, a closed form, and each
-Rotate applies its 2x2 to a reshaped view of the running product.
+choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard; one
+closed form (cos, sin of theta / 2 per axis) gives every rotation.
+Simulation runs one pulse layer at a time and uses no eigensolver: the
+Rotates between two Entangles multiply into one 2x2 factor per qubit,
+on Python scalars, and each interval applies
+hamiltonian.rot_frame_propagator (a closed form) times that layer's
+a (x) b to the running product; the global phases fold into one scalar.
+Verification checks each distinct target once: its unitarity and its
+Makhlin invariants are kept in a small bounded memo keyed by its content.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -25,13 +31,23 @@ from . import equivalence, qmat
 from .entangler import Trajectory
 from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, rot_frame_propagator
-from .qmat import ALGEBRA_TOL, I2, I4, PAULI, SX, SY, SZ, _finite, kron
+from .qmat import ALGEBRA_TOL, I2, SX, SY, SZ, _finite, kron
 
 __all__ = [
     "Rotate", "Entangle", "GlobalPhase", "PulseSchedule",
     "VERIFY_TOL", "VerificationReport", "rotation_2x2", "rotation_matrix",
     "simulate_schedule", "trajectory", "verify_schedule",
 ]
+
+
+def _qubit_index(q) -> int | None:
+    """q as the int 1 or 2 if it is an integer other than a bool and
+    equals one of them; None otherwise."""
+    if type(q) is not int:  # the common case skips the ABC check
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+            return None
+        q = int(q)
+    return q if q in (1, 2) else None
 
 
 @dataclass(frozen=True)
@@ -47,10 +63,10 @@ class Rotate:
             raise ValueError(f"bad axis {self.axis!r}")
         object.__setattr__(self, "angle",
                            _finite("rotation angle", self.angle))
-        if (not isinstance(self.qubit, numbers.Integral)
-                or isinstance(self.qubit, bool) or self.qubit not in (1, 2)):
+        qubit = _qubit_index(self.qubit)
+        if qubit is None:
             raise ValueError(f"bad qubit index {self.qubit!r}")
-        object.__setattr__(self, "qubit", int(self.qubit))
+        object.__setattr__(self, "qubit", qubit)
 
 
 @dataclass(frozen=True)
@@ -138,9 +154,42 @@ VERIFY_TOL = 1e-9
 _SIGMAS = np.array([SX, SY, SZ])
 
 
+# A 2x2 matrix as the Python scalars (m00, m01, m10, m11).
+_ID2 = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _rotation_entries(axis: str, angle: float) -> tuple:
+    """R_axis(angle) = cos(angle / 2) I - i sin(angle / 2) sigma^axis."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    if axis == "x":
+        return (c, -1j * s, -1j * s, c)
+    if axis == "y":
+        return (c, -s, s, c)
+    return (complex(c, -s), 0j, 0j, complex(c, s))
+
+
+def _mul2(r: tuple, m: tuple) -> tuple:
+    """The 2x2 product r m."""
+    r0, r1, r2, r3 = r
+    m0, m1, m2, m3 = m
+    return (r0 * m0 + r1 * m2, r0 * m1 + r1 * m3,
+            r2 * m0 + r3 * m2, r2 * m1 + r3 * m3)
+
+
+def _layer(a: tuple, b: tuple) -> np.ndarray:
+    """a (x) b as a 4x4 array, qubit 1's factor a on the left."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.array([[a0 * b0, a0 * b1, a1 * b0, a1 * b1],
+                     [a0 * b2, a0 * b3, a1 * b2, a1 * b3],
+                     [a2 * b0, a2 * b1, a3 * b0, a3 * b1],
+                     [a2 * b2, a2 * b3, a3 * b2, a3 * b3]], dtype=complex)
+
+
 def rotation_2x2(axis: str, angle: float) -> np.ndarray:
-    s = PAULI[axis]
-    return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * s
+    """e^{-i angle sigma^axis / 2}."""
+    r = _rotation_entries(axis, angle)
+    return np.array(r, dtype=complex).reshape(2, 2)
 
 
 def rotation_matrix(axis: str, angle: float, qubit: int) -> np.ndarray:
@@ -152,21 +201,32 @@ def rotation_matrix(axis: str, angle: float, qubit: int) -> np.ndarray:
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     """Product of the schedule's operations, first op applied first.
 
-    Raises ValueError when an interval's phase overflows
-    (rot_frame_propagator)."""
-    u = I4.copy()
+    One pulse layer at a time: the Rotates up to each Entangle multiply
+    into a 2x2 factor per qubit, a on qubit 1 and b on qubit 2; the
+    interval then applies rot_frame_propagator(p, dt) (a (x) b) to the
+    running product. The Rotates after the last Entangle form the last
+    layer, which also carries the product of the global phases. Raises
+    ValueError when an interval's phase overflows (rot_frame_propagator).
+    """
+    u = None
+    a = b = _ID2
+    phase = 1 + 0j
     for op in s.ops:
-        if isinstance(op, Rotate):
-            r = rotation_2x2(op.axis, op.angle)
-            # Row index (a, b) of u is (qubit 1, qubit 2): r acts on a
-            # through the (2, 8) view, on b through the (2, 2, 4) view.
-            view = (2, 8) if op.qubit == 1 else (2, 2, 4)
-            u = (r @ u.reshape(view)).reshape(4, 4)
-        elif isinstance(op, Entangle):
-            u = rot_frame_propagator(p, op.duration) @ u
+        kind = type(op)  # PulseSchedule admits exactly the _OPS types
+        if kind is Rotate:
+            r = _rotation_entries(op.axis, op.angle)
+            if op.qubit == 1:
+                a = _mul2(r, a)
+            else:
+                b = _mul2(r, b)
+        elif kind is Entangle:
+            step = rot_frame_propagator(p, op.duration) @ _layer(a, b)
+            u = step if u is None else step @ u
+            a = b = _ID2
         else:  # GlobalPhase
-            u = cmath.exp(1j * op.angle) * u
-    return u
+            phase *= cmath.exp(1j * op.angle)
+    last = _layer([phase * x for x in a], b)
+    return last if u is None else last @ u
 
 
 def trajectory(p: RotFrameParams, schedule: PulseSchedule,
@@ -180,7 +240,8 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     (x, y, z) by that diagonal times its duration. Raises UnsupportedOp,
     naming the interval, when a toggled tensor is off diagonal by more
     than ALGEBRA_TOL max(r, |J_zz|); ValueError when max(r, |J_zz|) times
-    the total entangling time is not finite.
+    the total entangling time is not finite, or naming the interval when
+    its samples are too short to advance the running time.
     """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be at least 1")
@@ -208,7 +269,14 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
                                     " it turn the coupling off diagonal")
             steps = op.duration * np.arange(1, samples_per_interval + 1)
             steps = steps / samples_per_interval
-            times.extend(times[-1] + steps)
+            new_times = times[-1] + steps
+            if np.any(np.diff(new_times, prepend=times[-1]) <= 0):
+                raise ValueError(
+                    f"schedule op {i}, {op}: duration {op.duration!r} over "
+                    f"{samples_per_interval} samples is below the float "
+                    f"resolution of the time {float(times[-1])!r} and does "
+                    "not advance it")
+            times.extend(new_times)
             points.extend(points[-1] + np.outer(steps, rates))
     return Trajectory(times=np.array(times), raw=np.array(points))
 
@@ -238,23 +306,48 @@ class VerificationReport:
         return {"target": d.pop("target_name"), **d, "passed": self.passed}
 
 
+# Distinct targets whose checks the memos below keep.
+_TARGET_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_TARGET_MEMO_SIZE)
+def _checked_target(raw: bytes) -> np.ndarray:
+    """The unitarity-checked target whose 4x4 complex C-order bytes are
+    raw, as a read-only array."""
+    return qmat.require_unitary(np.frombuffer(raw, dtype=complex)
+                                .reshape(4, 4))
+
+
+@functools.lru_cache(maxsize=_TARGET_MEMO_SIZE)
+def _target_invariants(raw: bytes) -> equivalence.MakhlinInvariants:
+    """The Makhlin invariants of _checked_target(raw)."""
+    return equivalence.makhlin_invariants(_checked_target(raw))
+
+
 def verify_schedule(s: PulseSchedule, p: RotFrameParams,
                     target: np.ndarray, mode: str = "exact",
                     tol: float = VERIFY_TOL,
                     target_name: str = "") -> VerificationReport:
     """Simulate a schedule and report exact, phase-insensitive, and
     local-class distances from the target; the pass flag follows mode.
-    tol must be positive and finite."""
+    tol must be positive and finite.
+
+    Each distinct target is checked once: its unitarity check and its
+    Makhlin invariants are memoized by content (the bytes of the 4x4
+    complex array), so a target mutated in place is checked anew. A
+    failing check is not memoized and raises on every call.
+    """
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
     if not 0 < _finite("tolerance", tol):
         raise ValueError(f"tolerance {tol!r} must be positive and finite")
-    target = qmat.require_unitary(target)
+    raw = qmat._as_4x4(target).tobytes()
+    target = _checked_target(raw)
     u = simulate_schedule(s, p)
     d_exact = qmat.distance(u, target)
     d_phase = qmat.distance(u, target, up_to_global_phase=True)
     d_inv = equivalence.makhlin_invariants(u).distance(
-        equivalence.makhlin_invariants(target))
+        _target_invariants(raw))
     return VerificationReport(
         target_name=target_name, mode=mode, exact_distance=float(d_exact),
         phase_distance=float(d_phase), invariant_distance=float(d_inv),

@@ -61,10 +61,13 @@ GEN_DIAGS = np.stack([
 
 def _finite(what: str, value) -> float:
     """value as a finite Python float; ValueError for anything else."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an int too large for a float
-        x = math.inf
+    if type(value) is float:  # the common case: no ABC check, no copy
+        x = value
+    else:
+        try:
+            x = float(value) if isinstance(value, numbers.Real) else math.nan
+        except OverflowError:  # an int too large for a float
+            x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not a finite number")
     return x
@@ -104,19 +107,28 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def require_unitary(u: np.ndarray) -> np.ndarray:
-    """u as a complex 4x4 array, if finite and unitary within UNITARY_TOL.
-
-    ValueError for anything that is not a 4x4 numeric array.
-    """
+def _as_4x4(u) -> np.ndarray:
+    """u as a complex 4x4 array; ValueError for anything else."""
     try:
         u = np.asarray(u, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"expected a 4x4 matrix: {exc}") from exc
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
-    if not (np.all(np.isfinite(u))
-            and np.max(np.abs(u.conj().T @ u - I4)) < UNITARY_TOL):
+    return u
+
+
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    """u as a complex 4x4 array, if finite and unitary within UNITARY_TOL.
+
+    ValueError for anything that is not a 4x4 numeric array.
+    """
+    u = _as_4x4(u)
+    # One reduction: a nan or inf entry makes the deviation nan or inf,
+    # which fails the < test, so it needs no finiteness pass of its own.
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.abs(u.conj().T @ u - I4).max()
+    if not deviation < UNITARY_TOL:
         raise NotUnitary(
             f"matrix deviates from unitarity by more than {UNITARY_TOL}")
     return u

@@ -500,6 +500,21 @@ class TestScheduleBoundary:
                                       "--coupling", cpl])
         assert refused(result, 5)
 
+    def test_trajectory_interval_below_time_resolution_exit_1(
+            self, runner, tmp_path):
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json", [
+            {"op": "entangle", "duration": 1.0},
+            {"op": "entangle", "duration": 1e-20}])
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched, "--samples", "2"])
+        assert refused(result, 1)
+        assert result.stderr == (
+            "error: schedule op 1, Entangle(duration=1e-20): duration 1e-20 "
+            "over 2 samples is below the float resolution of the time 1.0 "
+            "and does not advance it\n")
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_trajectory_needs_a_sample(self, runner, tmp_path, samples):
         cpl = write_json(tmp_path, "c.json",

@@ -156,6 +156,29 @@ class TestCompileBranches:
         with pytest.raises(ValueError):
             compile_cnot(RotFrameParams(1.0, 0.3, 0.2), **kwargs)
 
+    @pytest.mark.parametrize("prefer", ["auto", "cnot"])
+    @pytest.mark.parametrize("params", [
+        (1.0, 0.0, 0.0),    # xy_single_shot_swapcnot under auto
+        (-1.0, 0.4, 0.0),   # two_shot_refocus
+        (0.8, -0.3, 1.1),   # general_jprime
+        (0.2, -1.0, 0.3),   # zz_refocus
+        (0.0, 0.7, 0.0)])   # ising_single_shot
+    @pytest.mark.parametrize("qubit", [True, False, 1.0, 2.0, np.float64(1.0),
+                                       "1", None, 0, 3, -1])
+    def test_refocus_qubit_checked_on_every_branch(self, qubit, params,
+                                                   prefer):
+        # Rotate.qubit's rule: the integer 1 or 2, never a bool.
+        with pytest.raises(ValueError, match="^refocus_qubit must be 1 or 2$"):
+            compile_cnot(RotFrameParams(*params), prefer=prefer,
+                         refocus_qubit=qubit)
+
+    @pytest.mark.parametrize("qubit", [np.int64(2), np.int32(1)])
+    def test_numpy_refocus_qubit_accepted(self, qubit):
+        res = compile_cnot(RotFrameParams(0.8, -0.3, 1.1),
+                           refocus_qubit=qubit)
+        assert res.schedule == compile_cnot(
+            RotFrameParams(0.8, -0.3, 1.1), refocus_qubit=int(qubit)).schedule
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_couplings_compile_or_raise_typed(self):
         # Near the float limits a compile either succeeds or raises a

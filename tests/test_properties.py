@@ -200,6 +200,32 @@ def test_canonical_entangler_matches_expm(x, y, z):
                      expm_hermitian(h)) < CLOSED_FORM
 
 
+# Deterministic layer shapes the Hypothesis search need not hit: no
+# interval, Rotates after the last interval, zero-length intervals, and
+# nothing but global phases.
+_LAYER_CASES = {
+    "no_entangle": (Rotate("x", 0.3, 1), Rotate("y", -1.2, 2),
+                    GlobalPhase(0.4), Rotate("z", 2.0, 1),
+                    Rotate("x", 5.1, 2)),
+    "rotates_after_last_entangle": (Rotate("y", 1.1, 2), Entangle(0.7),
+                                    Rotate("x", -0.6, 2), Rotate("z", 0.9, 1),
+                                    GlobalPhase(-1.3), Rotate("y", 2.2, 1)),
+    "zero_entangle": (Rotate("x", 0.5, 1), Entangle(0.0), Rotate("z", 1.4, 2),
+                      Entangle(0.0), Entangle(0.3), Entangle(0.0)),
+    "only_global_phase": (GlobalPhase(0.3), GlobalPhase(-2.0),
+                          GlobalPhase(6.5)),
+}
+
+
+@pytest.mark.parametrize("ops", _LAYER_CASES.values(), ids=_LAYER_CASES)
+@pytest.mark.parametrize("p", [RotFrameParams(0.8, -0.3, 1.1),
+                               RotFrameParams(0.0, 0.0, 0.0)])
+def test_simulate_schedule_layers_match_reference(ops, p):
+    s = PulseSchedule(ops)
+    assert _max_diff(simulate_schedule(s, p),
+                     _reference_simulate(s, p)) < CLOSED_FORM
+
+
 def test_simulate_phase_overflow_is_value_error():
     s = PulseSchedule.from_json([{"op": "entangle", "duration": 1e308}])
     with pytest.raises(ValueError, match="phase overflows"):

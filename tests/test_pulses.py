@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qgd.compiler import CNOT, compile_cnot
+from qgd import pulses
+from qgd.compiler import CNOT, compile_cnot, named_gate
 from qgd.entangler import EntanglerCoords, canonical_entangler
-from qgd.errors import UnsupportedOp
+from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         rotation_2x2, rotation_matrix, simulate_schedule,
                         trajectory, verify_schedule)
 from qgd.qmat import I2, PAULI_PAIRS, distance, kron
+
+from conftest import haar_unitary
 
 PI = math.pi
 XX, YY, ZZ = (PAULI_PAIRS[k, k] for k in range(3))
@@ -198,6 +201,31 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="entangling area"):
             trajectory(p, s, samples_per_interval=1)
 
+    @pytest.mark.parametrize("first,short,samples", [
+        (1.0, 1e-20, 2),      # the interval itself is below an ulp of t
+        (1.0, 3e-16, 32),     # above an ulp, but each sample step is not
+        (1e10, 1e-7, 1),
+    ])
+    def test_interval_below_time_resolution_is_named(self, first, short,
+                                                     samples):
+        s = PulseSchedule((Entangle(first), Rotate("x", PI, 1),
+                           Entangle(short)))
+        message = (f"schedule op 2, Entangle(duration={short!r}): duration "
+                   f"{short!r} over {samples} samples is below the float "
+                   f"resolution of the time {first!r} and does not advance "
+                   "it")
+        with pytest.raises(ValueError) as info:
+            trajectory(RotFrameParams(1.0, 0.0, 0.0), s,
+                       samples_per_interval=samples)
+        assert str(info.value) == message
+
+    def test_short_interval_at_time_zero_is_drawn(self):
+        # At t = 0 every positive step advances the time.
+        s = PulseSchedule((Entangle(1e-300), Entangle(1.0)))
+        traj = trajectory(RotFrameParams(1.0, 0.0, 0.0), s,
+                          samples_per_interval=4)
+        assert len(traj.times) == 9 and traj.times[1] > 0
+
 
 class TestVerifySchedule:
     def test_exact_pass(self):
@@ -259,3 +287,62 @@ class TestVerifySchedule:
         with pytest.raises(ValueError):
             verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
                             CNOT, mode="sloppy")
+
+
+class TestTargetMemo:
+    """verify_schedule checks each distinct target content once."""
+
+    MEMOS = (pulses._checked_target, pulses._target_invariants)
+    SCHEDULE = PulseSchedule((Rotate("x", 0.3, 1), Entangle(0.4)))
+    PARAMS = RotFrameParams(0.8, -0.3, 0.1)
+
+    def test_target_mutated_in_place_is_checked_again(self):
+        target = CNOT.copy()
+        verify_schedule(self.SCHEDULE, self.PARAMS, target)
+        target[0, 0] = 2.0
+        with pytest.raises(NotUnitary):
+            verify_schedule(self.SCHEDULE, self.PARAMS, target)
+
+    @pytest.mark.parametrize("target", [
+        np.eye(3), [[1, 0, 0, 0], [0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        np.eye(4)[None]])
+    def test_bad_shape_raises_on_every_call(self, target):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+                verify_schedule(self.SCHEDULE, self.PARAMS, target)
+
+    def test_failed_check_is_not_memoized(self):
+        for _ in range(3):
+            with pytest.raises(NotUnitary):
+                verify_schedule(self.SCHEDULE, self.PARAMS, 2 * CNOT)
+
+    def test_memo_stays_at_its_bound(self, rng):
+        for _ in range(100):
+            verify_schedule(self.SCHEDULE, self.PARAMS, haar_unitary(rng))
+        for memo in self.MEMOS:
+            info = memo.cache_info()
+            assert info.currsize == info.maxsize == pulses._TARGET_MEMO_SIZE
+
+    def test_memoized_target_is_read_only(self):
+        verify_schedule(self.SCHEDULE, self.PARAMS, CNOT)
+        kept = pulses._checked_target(CNOT.tobytes())
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, CNOT)
+
+    @pytest.mark.parametrize("name,params", [
+        ("CNOT", RotFrameParams(0.8, -0.3, 1.1)),
+        ("SWAP_CNOT", RotFrameParams(-1.3, 0.0, 0.0))])
+    def test_cold_and_warm_reports_agree(self, name, params):
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        cold = compile_cnot(params)
+        warm = compile_cnot(params)
+        assert cold.target_name == name
+        assert pulses._checked_target.cache_info().hits >= 1
+        assert warm.verification == cold.verification
+        assert warm.verification.to_dict() == cold.verification.to_dict()
+        for mode in ("exact_up_to_phase", "local_class"):
+            assert (verify_schedule(cold.schedule, params, named_gate(name),
+                                    mode=mode)
+                    == verify_schedule(cold.schedule, params,
+                                       named_gate(name).tolist(), mode=mode))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgd import qmat
-from qgd.errors import NonHermitianInput
+from qgd.errors import NonHermitianInput, NotUnitary
 from qgd.qmat import I2, I4, SX, SY, SZ, distance, expm_hermitian, kron
 
 from conftest import haar_unitary
@@ -67,6 +67,25 @@ class TestExpmHermitian:
         # Spectral radius |scale| times |t| is not finite.
         with pytest.raises(ValueError, match="phase overflows"):
             expm_hermitian(scale * kron(SZ, SZ), t)
+
+
+class TestRequireUnitary:
+    def test_unitary_passes_unchanged(self, rng):
+        u = haar_unitary(rng)
+        assert qmat.require_unitary(u) is u
+
+    @pytest.mark.parametrize("entry", [
+        math.nan, math.inf, -math.inf, complex(0, math.inf),
+        complex(math.nan, 0), 1e200, 1 + 2e-9])
+    def test_bad_entry_fails_the_one_reduction(self, entry):
+        # A nan or inf entry, or one whose square overflows, makes
+        # max|u^dag u - I| nan or inf, which fails the < test without a
+        # RuntimeWarning.
+        u = CNOT.copy()
+        u[2, 3] = entry
+        with pytest.raises(NotUnitary, match="deviates from unitarity by "
+                                             "more than 1e-09"):
+            qmat.require_unitary(u)
 
 
 class TestDistance:
