@@ -29,7 +29,7 @@ import numpy as np
 from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
 from .pulses import (VERIFY_TOL, Entangle, GlobalPhase, PulseSchedule,
-                     Rotate, VerificationReport, _qubit_index,
+                     Rotate, VerificationReport, _exact_int,
                      verify_schedule)
 
 __all__ = ["CompileResult", "compile_cnot", "named_gate"]
@@ -196,8 +196,8 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
         raise ValueError(f"bad prefer {prefer!r}")
     if p.j == 0 and p.j_zz == 0 and p.j_prime == 0:
         raise ZeroCoupling("all of J, J_zz, J' are zero")
-    q = _qubit_index(refocus_qubit)
-    if q is None:
+    q = _exact_int(refocus_qubit)
+    if q not in (1, 2):
         raise ValueError("refocus_qubit must be 1 or 2")
 
     if prefer == "auto" and p.j_prime == 0 and p.j_zz == 0:

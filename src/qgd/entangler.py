@@ -1,9 +1,9 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
 whose generator is qmat.coupling_operator of diag(x, y, z) and is
-diagonal in the magic basis, so A has a closed form there; coordinate
-arithmetic on the 3-torus of entanglers, the area theorem (J' = 0 only)
-and the sampled path type Trajectory, which pulses.trajectory fills in
-from a pulse schedule.
+diagonal in the magic basis, so A has a closed form there; coordinates
+on the 3-torus of entanglers with their principal-cell wrap, and the
+sampled path type Trajectory, which pulses.trajectory fills in from a
+pulse schedule.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, _finite
 
 __all__ = [
     "EntanglerCoords", "Trajectory", "wrap_angle",
-    "canonical_entangler", "coords_from_area",
+    "canonical_entangler",
 ]
 
 _TWO_PI = 2 * math.pi
@@ -66,17 +66,6 @@ def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
         raise ValueError(f"phase overflows: entangler coordinates {xyz} "
                          "are too large")
     return (MAGIC * np.exp(-1j * np.array(phases))) @ MAGIC_DAG
-
-
-def coords_from_area(times, j_values, jzz_values) -> EntanglerCoords:
-    """Area theorem (valid for J' = 0): the accumulated entangler
-    coordinates are (int J dt, int J dt, int J_zz dt), by trapezoidal
-    quadrature over the caller's sample grid, wrapped to the principal
-    cell."""
-    times = np.asarray(times, dtype=float)
-    area_j = float(np.trapezoid(np.asarray(j_values, dtype=float), times))
-    area_zz = float(np.trapezoid(np.asarray(jzz_values, dtype=float), times))
-    return EntanglerCoords(area_j, area_j, area_zz).wrapped()
 
 
 @dataclass(frozen=True)

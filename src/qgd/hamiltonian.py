@@ -162,10 +162,10 @@ def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     The corners are e^{-i J_zz t}; the {|01>, |10>} block is
     e^{i J_zz t} [[c, -i e^{i phi} s], [-i e^{-i phi} s, c]] with
     c = cos 2rt, s = sin 2rt, r = |J + iJ'| and phi = p.phi. Raises
-    ValueError when the largest phase (|J_zz| + 2r)|t| is not finite.
+    ValueError when t is no number or (|J_zz| + 2r)|t| is not finite.
     """
     r = math.hypot(p.j, p.j_prime)
-    qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
+    t = qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
     corner = cmath.exp(-1j * p.j_zz * t)
     block = corner.conjugate()
     c = block * math.cos(2 * r * t)
@@ -187,8 +187,10 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
     splitting eps:
 
     H = -(eps/2)(Z1 + Z2) + sum_{mu nu} J_{mu nu} sigma_1^mu sigma_2^nu.
-    Raises ValueError when eps + sum |J_{mu nu}| is not finite.
+    Raises ValueError unless eps is positive and finite and so is
+    eps + sum |J_{mu nu}|.
     """
+    eps = qmat._real("eps", eps)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     # Summed on Python floats: an overflow is inf, not a numpy warning.
@@ -204,8 +206,10 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     The lab-frame Hamiltonian is constant, so U_lab = e^{-i H_lab T}
     exactly (the one eigendecomposition); U_rot = e^{+i H0 T} U_lab with
     H0 = -(eps/2)(Z1 + Z2), a row scaling by four phases, is compared
-    against rot_frame_propagator of the reduced couplings.
+    against rot_frame_propagator of the reduced couplings. ValueError
+    unless eps and t_final are positive and finite.
     """
+    t_final = qmat._real("t_final", t_final)
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
     u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)

@@ -8,10 +8,11 @@ one's JSON name and text form, and PulseSchedule refuses any other op.
 
 Rotation convention: R_a(theta) = e^{-i theta sigma^a / 2}, the unique
 choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard; one
-closed form (cos, sin of theta / 2 per axis) gives every rotation.
-Simulation runs one pulse layer at a time and uses no eigensolver: the
-Rotates between two Entangles multiply into one 2x2 factor per qubit,
-on Python scalars, and each interval applies
+closed form (cos, sin of theta / 2 per axis) gives every rotation as
+four Python scalars, and rotations compose by their 2x2 product (_mul2)
+in both simulation and trajectories. Simulation runs one pulse layer at
+a time and uses no eigensolver: the Rotates between two Entangles
+multiply into one 2x2 factor per qubit, and each interval applies
 hamiltonian.rot_frame_propagator (a closed form) times that layer's
 a (x) b to the running product; the global phases fold into one scalar.
 Verification checks each distinct target once: its unitarity and its
@@ -31,23 +32,25 @@ from . import equivalence, qmat
 from .entangler import Trajectory
 from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, rot_frame_propagator
-from .qmat import ALGEBRA_TOL, I2, SX, SY, SZ, _finite, kron
+from .qmat import ALGEBRA_TOL, SX, SY, SZ, _finite
+# perfbench/selftest.py pins pulses.kron until ROADMAP item 1 re-aims it.
+from .qmat import kron  # noqa: F401
 
 __all__ = [
     "Rotate", "Entangle", "GlobalPhase", "PulseSchedule",
-    "VERIFY_TOL", "VerificationReport", "rotation_2x2", "rotation_matrix",
+    "VERIFY_TOL", "VerificationReport",
     "simulate_schedule", "trajectory", "verify_schedule",
 ]
 
 
-def _qubit_index(q) -> int | None:
-    """q as the int 1 or 2 if it is an integer other than a bool and
-    equals one of them; None otherwise."""
-    if type(q) is not int:  # the common case skips the ABC check
-        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
-            return None
-        q = int(q)
-    return q if q in (1, 2) else None
+def _exact_int(n) -> int | None:
+    """n as a Python int if it is an integer other than a bool (numpy
+    integers included); None otherwise."""
+    if type(n) is int:  # the common case skips the ABC check
+        return n
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        return None
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class Rotate:
             raise ValueError(f"bad axis {self.axis!r}")
         object.__setattr__(self, "angle",
                            _finite("rotation angle", self.angle))
-        qubit = _qubit_index(self.qubit)
-        if qubit is None:
+        qubit = _exact_int(self.qubit)
+        if qubit not in (1, 2):
             raise ValueError(f"bad qubit index {self.qubit!r}")
         object.__setattr__(self, "qubit", qubit)
 
@@ -186,16 +189,12 @@ def _layer(a: tuple, b: tuple) -> np.ndarray:
                      [a2 * b2, a2 * b3, a3 * b2, a3 * b3]], dtype=complex)
 
 
-def rotation_2x2(axis: str, angle: float) -> np.ndarray:
-    """e^{-i angle sigma^axis / 2}."""
-    r = _rotation_entries(axis, angle)
-    return np.array(r, dtype=complex).reshape(2, 2)
-
-
-def rotation_matrix(axis: str, angle: float, qubit: int) -> np.ndarray:
-    """e^{-i angle sigma^axis / 2} embedded on the given qubit."""
-    r = rotation_2x2(axis, angle)
-    return kron(r, I2) if qubit == 1 else kron(I2, r)
+def _so3(m: tuple) -> np.ndarray:
+    """The 3x3 rotation O[a, b] = tr(sigma^a m sigma^b m^dag) / 2 of the
+    2x2 unitary with entries m."""
+    m = np.array(m, dtype=complex).reshape(2, 2)
+    return np.einsum("aij,jk,bkl,li->ab", _SIGMAS, m, _SIGMAS,
+                     m.conj().T).real / 2
 
 
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
@@ -241,10 +240,13 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     naming the interval, when a toggled tensor is off diagonal by more
     than ALGEBRA_TOL max(r, |J_zz|); ValueError when max(r, |J_zz|) times
     the total entangling time is not finite, or naming the interval when
-    its samples are too short to advance the running time.
+    its samples are too short to advance the running time or when
+    samples_per_interval is not an _exact_int of at least 1.
     """
-    if samples_per_interval < 1:
-        raise ValueError("samples_per_interval must be at least 1")
+    samples = _exact_int(samples_per_interval)
+    if samples is None or samples < 1:
+        raise ValueError(f"samples_per_interval {samples_per_interval!r} "
+                         "must be an integer of at least 1")
     scale = max(math.hypot(p.j, p.j_prime), abs(p.j_zz))
     # On Python floats: an overflowing area is inf here, not a warning.
     area = scale * schedule.total_entangling_time
@@ -252,30 +254,26 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
         raise ValueError(f"entangling area {area} is not finite: "
                          "couplings or durations are too large")
 
-    frames = {1: I2, 2: rotation_2x2("z", p.fold[1])}
+    frames = {1: _ID2, 2: _rotation_entries("z", p.fold[1])}
     times, points = [0.0], [np.zeros(3)]
     for i, op in enumerate(schedule.ops):
         if isinstance(op, Rotate) and len(times) > 1:
-            frames[op.qubit] = (rotation_2x2(op.axis, op.angle)
-                                @ frames[op.qubit])
+            frames[op.qubit] = _mul2(_rotation_entries(op.axis, op.angle),
+                                     frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
-            # O[a, b] = tr(sigma^a m sigma^b m^dag) / 2 for each frame m.
-            o1, o2 = (np.einsum("aij,jk,bkl,li->ab", _SIGMAS, m, _SIGMAS,
-                                m.conj().T).real / 2 for m in frames.values())
+            o1, o2 = map(_so3, frames.values())
             toggled = o1.T @ p.tensor @ o2
             rates = np.diag(toggled)
             if np.max(np.abs(toggled - np.diag(rates))) > ALGEBRA_TOL * scale:
                 raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"
                                     " it turn the coupling off diagonal")
-            steps = op.duration * np.arange(1, samples_per_interval + 1)
-            steps = steps / samples_per_interval
+            steps = op.duration * np.arange(1, samples + 1) / samples
             new_times = times[-1] + steps
             if np.any(np.diff(new_times, prepend=times[-1]) <= 0):
                 raise ValueError(
                     f"schedule op {i}, {op}: duration {op.duration!r} over "
-                    f"{samples_per_interval} samples is below the float "
-                    f"resolution of the time {float(times[-1])!r} and does "
-                    "not advance it")
+                    f"{samples} samples is below the float resolution of "
+                    f"the time {float(times[-1])!r} and does not advance it")
             times.extend(new_times)
             points.extend(points[-1] + np.outer(steps, rates))
     return Trajectory(times=np.array(times), raw=np.array(points))

@@ -3,7 +3,7 @@
 Pauli operators, Kronecker products, the magic (Bell) basis with the
 diagonals of XX, YY and ZZ in it, the two-qubit coupling operator of a
 3x3 tensor, Hermitian matrix exponentials and unitary distance metrics,
-and the one finite-number rule of every scalar input.
+and the number rules of every scalar input (_real, _finite).
 Every generator the package evolves under is constant over its interval.
 The rotating-frame coupling and the canonical entanglers have closed-form
 propagators (hamiltonian.rot_frame_propagator and
@@ -59,27 +59,36 @@ GEN_DIAGS = np.stack([
     for k in range(3)], axis=1)
 
 
+def _real(what: str, value) -> float:
+    """value as a Python float, nan and +-inf kept (a huge int is +-inf);
+    ValueError naming what for a non-number."""
+    if type(value) is float:  # the common case: no ABC check, no copy
+        return value
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _finite(what: str, value) -> float:
     """value as a finite Python float; ValueError for anything else."""
-    if type(value) is float:  # the common case: no ABC check, no copy
-        x = value
-    else:
-        try:
-            x = float(value) if isinstance(value, numbers.Real) else math.nan
-        except OverflowError:  # an int too large for a float
-            x = math.inf
+    x = value if type(value) is float else _real(what, value)
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not a finite number")
     return x
 
 
-def _require_finite_phase(rate: float, t: float) -> None:
-    """ValueError unless the largest phase rate * |t| of e^{-i h t} is
-    finite; rate bounds the spectral radius of h. On Python floats, so
-    an overflow is inf, not a numpy warning."""
-    if not math.isfinite(float(rate) * abs(float(t))):
-        raise ValueError(f"phase overflows: |t| = {abs(float(t)):.3e} is "
+def _require_finite_phase(rate: float, t) -> float:
+    """_real("t", t), if the largest phase rate * |t| of e^{-i h t} is
+    finite (rate bounds the spectral radius of h); ValueError otherwise.
+    On Python floats, so an overflow is inf, not a numpy warning."""
+    t = _real("t", t)
+    if not math.isfinite(float(rate) * abs(t)):
+        raise ValueError(f"phase overflows: |t| = {abs(t):.3e} is "
                          "too long for a generator this strong")
+    return t
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,12 +149,12 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     The general exponential, for the lab-frame Hamiltonian only: the
     rotating-frame and entangler propagators are closed forms. Exactly
     unitary up to eigensolver accuracy; raises NonHermitianInput
-    if the symmetry check fails and ValueError if the largest phase,
-    spectral radius times |t|, is not finite.
+    if the symmetry check fails and ValueError if t is no number or the
+    largest phase, spectral radius times |t|, is not finite.
     """
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    _require_finite_phase(max(-float(w[0]), float(w[-1])), t)  # w sorted
+    t = _require_finite_phase(max(-float(w[0]), float(w[-1])), t)  # w sorted
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

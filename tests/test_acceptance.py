@@ -8,17 +8,20 @@ import pytest
 
 from qgd.compiler import (CNOT, SWAP, _refocused_schedule,
                           _xy_swapcnot_schedule, controlled_phase)
-from qgd.entangler import EntanglerCoords, canonical_entangler, coords_from_area
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import (kak_decompose, locally_equivalent,
                              makhlin_invariants)
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams, rot_frame_matrix,
                              rwa_infidelity)
-from qgd.pulses import PulseSchedule, rotation_matrix, simulate_schedule
-from qgd.qmat import distance, expm_hermitian
+from qgd.pulses import simulate_schedule
+from qgd.qmat import I2, SX, distance, expm_hermitian
 
 from conftest import haar_unitary
 
 PI = math.pi
+# Rx(pi) on qubit 1: e^{-i pi X / 2} = -i X, and its inverse i X.
+RX_PI_1 = -1j * np.kron(SX, I2)
+RX_MINUS_PI_1 = 1j * np.kron(SX, I2)
 
 
 def report(name, ok):
@@ -94,8 +97,6 @@ def test_general_jprime_sequence():
 
 def test_two_shot_identity_suite():
     rng = np.random.default_rng(7)
-    rx = rotation_matrix("x", PI, 1)
-    rx_inv = rotation_matrix("x", -PI, 1)
     worst = 0.0
     for sign in (1.0, -1.0):
         for z in rng.uniform(-PI, PI, size=100):
@@ -103,7 +104,7 @@ def test_two_shot_identity_suite():
                 EntanglerCoords(sign * PI / 8, sign * PI / 8, z))
             refl = canonical_entangler(
                 EntanglerCoords(sign * PI / 8, -sign * PI / 8, -z))
-            worst = max(worst, distance(rx_inv @ a @ rx, refl))
+            worst = max(worst, distance(RX_MINUS_PI_1 @ a @ RX_PI_1, refl))
             worst = max(worst, distance(refl @ a, canonical_entangler(
                 EntanglerCoords(sign * PI / 4, 0, 0))))
     report(f"Two-shot identity suite, 100 random z per branch "
@@ -114,12 +115,11 @@ def test_refocusing_conjugation():
     rng = np.random.default_rng(11)
     from qgd.qmat import PAULI_PAIRS
     XX, YY, ZZ = (PAULI_PAIRS[k, k] for k in range(3))
-    rx = rotation_matrix("x", PI, 1)
     worst = 0.0
     for _ in range(100):
         j, jzz, jp = rng.normal(size=3)
         h = rot_frame_matrix(RotFrameParams(j, jzz, 0.0))
-        conj = rx.conj().T @ h @ rx
+        conj = RX_PI_1.conj().T @ h @ RX_PI_1
         expected = j * (XX - YY) - jzz * ZZ
         worst = max(worst, float(np.max(np.abs(conj - expected))))
     report(f"Refocusing conjugation identity, 100 triples "
@@ -151,9 +151,11 @@ def test_area_theorem_profiles():
         (h_of(1.5 * area_j / t_final, 0.5 * area_zz / t_final), t_final / 2),
         (h_of(0.5 * area_j / t_final, 1.5 * area_zz / t_final), t_final / 2),
     ))
-    a = canonical_entangler(coords_from_area(
-        np.linspace(0, t_final, 3),
-        np.full(3, area_j / t_final), np.full(3, area_zz / t_final)))
+    # The area theorem (J' = 0): A at the integrals (int J, int J, int J_zz)
+    # of a profile, here the triangular one's midpoint sums.
+    tri_j, tri_zz = (peak * ws.sum() * t_final / n
+                     for peak in (peak_j, peak_zz))
+    a = canonical_entangler(EntanglerCoords(tri_j, tri_j, tri_zz))
     worst = max(distance(u_const, u_tri), distance(u_const, u_two),
                 distance(u_const, a), distance(u_tri, a), distance(u_two, a))
     report(f"Area theorem: 3 profiles with equal integrals agree "

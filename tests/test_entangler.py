@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qgd.entangler import (EntanglerCoords, canonical_entangler,
-                           coords_from_area, wrap_angle)
+from qgd.entangler import EntanglerCoords, canonical_entangler, wrap_angle
 from qgd.equivalence import locally_equivalent, makhlin_invariants
 from qgd.errors import UnsupportedOp
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
@@ -88,28 +87,6 @@ class TestCoordsWrap:
         assert np.allclose(c.as_array(), [0.1, -0.1, 0.0])
 
 
-class TestCoordsFromArea:
-    def test_constant_xy(self):
-        g = 0.8
-        t = np.linspace(0, PI / (4 * g), 101)
-        c = coords_from_area(t, np.full_like(t, g), np.zeros_like(t))
-        assert np.allclose(c.as_array(), [PI / 4, PI / 4, 0], atol=1e-12)
-
-    def test_constant_ising(self):
-        g = 0.8
-        t = np.linspace(0, PI / (4 * g), 101)
-        c = coords_from_area(t, np.zeros_like(t), np.full_like(t, g))
-        assert np.allclose(c.as_array(), [0, 0, PI / 4], atol=1e-12)
-
-    def test_profile_shape_irrelevant(self):
-        t = np.linspace(0, 2.0, 1001)
-        tri = 1.0 - np.abs(t - 1.0)  # integral 1.0
-        const = np.full_like(t, 0.5)  # integral 1.0
-        c1 = coords_from_area(t, tri, 0.3 * tri)
-        c2 = coords_from_area(t, const, 0.3 * const)
-        assert np.allclose(c1.as_array(), c2.as_array(), atol=1e-12)
-
-
 class TestTrajectory:
     def test_straight_line_in_xy_plane(self):
         g, t = 0.7, 1.1
@@ -147,12 +124,22 @@ class TestTrajectory:
         ga = makhlin_invariants(a)
         assert abs(gu.g1 - ga.g1) + abs(gu.g2 - ga.g2) < 1e-9
 
-    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, "3", None, True])
     def test_rejects_fewer_than_one_sample(self, samples):
-        with pytest.raises(ValueError):
+        # Exactly an integer of at least 1: no float, string, None or bool.
+        with pytest.raises(ValueError, match="samples_per_interval"):
             trajectory(RotFrameParams(1, 0, 0),
                        PulseSchedule((Entangle(0.5),)),
                        samples_per_interval=samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        sched = PulseSchedule((Entangle(0.5),))
+        traj = trajectory(RotFrameParams(1, 0, 0), sched,
+                          samples_per_interval=np.int64(3))
+        again = trajectory(RotFrameParams(1, 0, 0), sched,
+                           samples_per_interval=3)
+        assert np.array_equal(traj.times, again.times)
+        assert np.array_equal(traj.raw, again.raw)
 
     def test_rejects_non_refocusing_rotation(self):
         # Rx(pi/2)_1 between two intervals turns YY into YZ; before the

@@ -5,7 +5,8 @@ import pytest
 
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
                              lab_frame_hamiltonian, reduce_coupling,
-                             rot_frame_matrix, rwa_infidelity)
+                             rot_frame_matrix, rot_frame_propagator,
+                             rwa_infidelity)
 from qgd.qmat import (I2, SX, SY, SZ, expm_hermitian, kron,
                       require_hermitian)
 
@@ -192,6 +193,15 @@ class TestRotFrameMatrix:
         h_asym = rot_frame_matrix(RotFrameParams(0.4, 0.7, 0.2))
         assert np.max(np.abs(h_asym @ SWAP - SWAP @ h_asym)) > 1e-3
 
+    def test_propagator_rejects_bad_time(self):
+        p = RotFrameParams(1.0, 0.3, 0.2)
+        for t in (math.nan, math.inf, 1e308):
+            with pytest.raises(ValueError, match="phase overflows"):
+                rot_frame_propagator(p, t)
+        for t in ("1", None, [1.0], 1j):
+            with pytest.raises(ValueError, match="t .* not a finite number"):
+                rot_frame_propagator(p, t)
+
 
 class TestLabFrameGenerator:
     """lab_frame_hamiltonian, the (constant) generator of the lab frame."""
@@ -219,7 +229,10 @@ class TestLabFrameGenerator:
 
     def test_invalid_params_rejected(self):
         for eps in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                lab_frame_hamiltonian(tensor(zz=0.01), eps)
+        for eps in ("1", None, [1.0], 1j):
+            with pytest.raises(ValueError, match="eps .* not a finite num"):
                 lab_frame_hamiltonian(tensor(zz=0.01), eps)
 
     @pytest.mark.parametrize("entry", [1e308, -1e308])
@@ -269,6 +282,15 @@ class TestRwaInfidelity:
 
     def test_rejects_bad_args(self):
         zero = CouplingTensor(np.zeros((3, 3)))
-        for eps, t_final in ((-1.0, 1.0), (1.0, 0.0), (1.0, math.inf)):
-            with pytest.raises(ValueError):
+        for eps, t_final, message in (
+                (-1.0, 1.0, "eps must be positive"),
+                (math.nan, 1.0, "eps must be positive"),
+                (1.0, 0.0, "T must be positive"),
+                (1.0, math.inf, "T must be positive"),
+                (1.0, math.nan, "T must be positive"),
+                ("1", 1.0, "eps '1' is not a finite number"),
+                (None, 1.0, "eps None is not a finite number"),
+                (1.0, "1", "t_final '1' is not a finite number"),
+                (1.0, None, "t_final None is not a finite number")):
+            with pytest.raises(ValueError, match=message):
                 rwa_infidelity(zero, eps, t_final)

@@ -6,19 +6,27 @@ import pytest
 
 from qgd import pulses
 from qgd.compiler import CNOT, compile_cnot, named_gate
-from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.errors import NotUnitary, UnsupportedOp
-from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
+from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                        rotation_2x2, rotation_matrix, simulate_schedule,
-                        trajectory, verify_schedule)
-from qgd.qmat import I2, PAULI_PAIRS, distance, kron
+                        simulate_schedule, trajectory, verify_schedule)
+from qgd.qmat import I2, PAULI, distance, expm_hermitian
 
 from conftest import haar_unitary
 
 PI = math.pi
-XX, YY, ZZ = (PAULI_PAIRS[k, k] for k in range(3))
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def reference_rotation(axis, angle):
+    """R_axis(angle) = e^{-i angle sigma^axis / 2} by the eigensolver."""
+    return expm_hermitian(PAULI[axis] / 2, angle)
+
+
+def simulate_ops(*ops):
+    """simulate_schedule of ops alone: with no Entangle the couplings
+    play no part."""
+    return simulate_schedule(PulseSchedule(ops), RotFrameParams(1, 0, 0))
 
 
 def hadamard_ops(qubit):
@@ -28,27 +36,30 @@ def hadamard_ops(qubit):
 
 
 class TestRotationMatrix:
+    """simulate_schedule's rotations against the eigensolver reference."""
+
     def test_hadamard_identity(self):
-        had = 1j * rotation_2x2("x", PI) @ rotation_2x2("y", PI / 2)
+        had = (1j * reference_rotation("x", PI)
+               @ reference_rotation("y", PI / 2))
         assert np.max(np.abs(had - HADAMARD)) < 1e-12
+        for qubit, embedded in ((1, np.kron(HADAMARD, I2)),
+                                (2, np.kron(I2, HADAMARD))):
+            u = simulate_ops(*hadamard_ops(qubit))
+            assert np.max(np.abs(u - embedded)) < 1e-12
 
     def test_full_turn_is_minus_identity(self):
-        assert np.allclose(rotation_matrix("z", 2 * PI, 1),
-                           -np.eye(4), atol=1e-14)
+        assert np.allclose(reference_rotation("z", 2 * PI), -I2, atol=1e-14)
+        for qubit in (1, 2):
+            assert np.allclose(simulate_ops(Rotate("z", 2 * PI, qubit)),
+                               -np.eye(4), atol=1e-14)
 
     def test_embedding(self):
-        r = rotation_2x2("y", 0.4)
-        assert np.allclose(rotation_matrix("y", 0.4, 1), kron(r, I2))
-        assert np.allclose(rotation_matrix("y", 0.4, 2), kron(I2, r))
-
-    def test_refocusing_conjugation(self, rng):
-        # Rx(pi)_1^dag H Rx(pi)_1 = J (XX - YY) - Jzz ZZ, for any J'=0 H.
-        for _ in range(100):
-            j, jzz = rng.normal(size=2)
-            h = rot_frame_matrix(RotFrameParams(j, jzz, 0.0))
-            rx = rotation_matrix("x", PI, 1)
-            conj = rx.conj().T @ h @ rx
-            assert np.max(np.abs(conj - (j * (XX - YY) - jzz * ZZ))) < 1e-14
+        for axis in ("x", "y", "z"):
+            r = reference_rotation(axis, 0.4)
+            assert np.allclose(simulate_ops(Rotate(axis, 0.4, 1)),
+                               np.kron(r, I2), atol=1e-14)
+            assert np.allclose(simulate_ops(Rotate(axis, 0.4, 2)),
+                               np.kron(I2, r), atol=1e-14)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -170,22 +181,6 @@ class TestReferenceSequences:
         )
         u = simulate_schedule(PulseSchedule(ops), p)
         assert distance(u, CNOT) < 1e-10
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_two_interval_identity(self, sign, rng):
-        # Rx(-pi)_1 A(+-pi/8, +-pi/8, z) Rx(pi)_1 = A(+-pi/8, -+pi/8, -z)
-        rx = rotation_matrix("x", PI, 1)
-        rx_inv = rotation_matrix("x", -PI, 1)
-        for z in rng.uniform(-PI, PI, size=100):
-            a = canonical_entangler(
-                EntanglerCoords(sign * PI / 8, sign * PI / 8, z))
-            lhs = rx_inv @ a @ rx
-            rhs = canonical_entangler(
-                EntanglerCoords(sign * PI / 8, -sign * PI / 8, -z))
-            assert distance(lhs, rhs) < 1e-12
-            prod = rhs @ a
-            assert distance(prod, canonical_entangler(
-                EntanglerCoords(sign * PI / 4, 0, 0))) < 1e-12
 
 
 class TestTrajectory:

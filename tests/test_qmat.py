@@ -68,6 +68,33 @@ class TestExpmHermitian:
         with pytest.raises(ValueError, match="phase overflows"):
             expm_hermitian(scale * kron(SZ, SZ), t)
 
+    @pytest.mark.parametrize("t", ["1", None, [1.0], 1j])
+    def test_non_number_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t .* not a finite number"):
+            expm_hermitian(kron(SZ, SZ), t)
+
+
+class TestNumberRule:
+    """_real turns a real number into a Python float, nan and +-inf
+    included; it and _finite name the input they refuse."""
+
+    @pytest.mark.parametrize("value,expected", [
+        (1.5, 1.5), (2, 2.0), (True, 1.0), (np.float32(0.5), 0.5),
+        (np.int64(-3), -3.0), (math.nan, math.nan), (-math.inf, -math.inf),
+        pytest.param(10 ** 400, math.inf, id="big_int"),
+        pytest.param(-10 ** 400, -math.inf, id="big_negative_int")])
+    def test_real_numbers_become_floats(self, value, expected):
+        x = qmat._real("v", value)
+        assert type(x) is float
+        assert x == expected or (math.isnan(x) and math.isnan(expected))
+
+    @pytest.mark.parametrize("value", ["1", None, [1.0], 1j,
+                                       np.array(1.0)])
+    def test_non_numbers_named(self, value):
+        for rule in (qmat._real, qmat._finite):
+            with pytest.raises(ValueError, match="^width .* not a finite"):
+                rule("width", value)
+
 
 class TestRequireUnitary:
     def test_unitary_passes_unchanged(self, rng):
