@@ -1,9 +1,13 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
-whose generator is qmat.coupling_operator of diag(x, y, z) and is
-diagonal in the magic basis, so A has a closed form there; coordinates
-on the 3-torus of entanglers with their principal-cell wrap, and the
-sampled path type Trajectory, which pulses.trajectory fills in from a
-pulse schedule.
+whose generator is qmat.coupling_operator of diag(x, y, z); coordinates
+on the 3-torus of entanglers, finite by construction, with their
+principal-cell wrap; and the sampled path type Trajectory, which
+pulses.trajectory fills in from a pulse schedule.
+
+XX, YY and ZZ act within span{|00>, |11>} and span{|01>, |10>}, so A has
+a closed form on Python scalars: its non-zero entries sit on the diagonal
+and the anti-diagonal. The wrap of a single coordinate or phase also runs
+on Python floats; wrap_angle is the same formula over arrays.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, _finite
+from .qmat import _finite
 
 __all__ = [
     "EntanglerCoords", "Trajectory", "wrap_angle",
@@ -28,44 +32,65 @@ def wrap_angle(a):
     return a - _TWO_PI * np.ceil((a - math.pi) / _TWO_PI)
 
 
+def _wrap(a: float) -> float:
+    """wrap_angle of one finite Python float, on Python floats."""
+    return a - _TWO_PI * math.ceil((a - math.pi) / _TWO_PI)
+
+
 @dataclass(frozen=True)
 class EntanglerCoords:
-    """A point r = (x, y, z) on the 3-torus of entanglers (period 2*pi)."""
+    """A point r = (x, y, z) on the 3-torus of entanglers (period 2*pi).
+
+    Each coordinate is stored as a finite Python float; ValueError names
+    the first one that is not a finite number.
+    """
 
     x: float
     y: float
     z: float
 
+    def __post_init__(self):
+        for a, v in zip("xyz", (self.x, self.y, self.z)):
+            if type(v) is not float or not math.isfinite(v):  # else as is
+                object.__setattr__(self, a, _finite(
+                    f"entangler coordinate {a}", v))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
     def wrapped(self) -> "EntanglerCoords":
-        w = wrap_angle(self.as_array())
-        return EntanglerCoords(*map(float, w))
-
-
-def _finite_xyz(c: EntanglerCoords) -> list[float]:
-    """[x, y, z] as finite Python floats; ValueError naming the first
-    coordinate that is not."""
-    return [_finite(f"entangler coordinate {a}", v)
-            for a, v in zip("xyz", (c.x, c.y, c.z))]
+        return EntanglerCoords(_wrap(self.x), _wrap(self.y), _wrap(self.z))
 
 
 def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
-    """A(x,y,z) = MAGIC diag(e^{-i GEN_DIAGS (x, y, z)}) MAGIC^dag, exactly
-    2*pi-periodic per axis: XX, YY and ZZ are diagonal in the magic basis.
+    """A(x,y,z), exactly 2*pi-periodic per axis, in closed form:
 
-    Raises ValueError for a non-finite coordinate or when a phase
-    +-x +-y +-z is not finite.
+        A[0, 0] = A[3, 3] = e^{-iz} cos(x - y)
+        A[0, 3] = A[3, 0] = -i e^{-iz} sin(x - y)
+        A[1, 1] = A[2, 2] = e^{iz} cos(x + y)
+        A[1, 2] = A[2, 1] = -i e^{iz} sin(x + y)
+
+    and zero elsewhere. Raises ValueError for anything but an
+    EntanglerCoords, and when a magic-basis phase +-x +-y +-z (the
+    eigenphases of A) is not finite.
     """
-    xyz = _finite_xyz(c)
+    if not isinstance(c, EntanglerCoords):
+        raise ValueError(f"expected EntanglerCoords, got {c!r}")
+    x, y, z = c.x, c.y, c.z
+    d, s = x - y, x + y
     # On Python floats: an overflowing phase is inf here, not a warning.
-    phases = [sum(d * v for d, v in zip(row, xyz))
-              for row in GEN_DIAGS.tolist()]
-    if not all(map(math.isfinite, phases)):
-        raise ValueError(f"phase overflows: entangler coordinates {xyz} "
-                         "are too large")
-    return (MAGIC * np.exp(-1j * np.array(phases))) @ MAGIC_DAG
+    if not all(map(math.isfinite, (d + z, d - z, s + z, s - z))):
+        raise ValueError(f"phase overflows: entangler coordinates "
+                         f"{[x, y, z]} are too large")
+    cz, sz = math.cos(z), math.sin(z)
+    cd, sd = math.cos(d), math.sin(d)
+    cs, ss = math.cos(s), math.sin(s)
+    a, b = complex(cz * cd, -sz * cd), complex(-sz * sd, -cz * sd)
+    e, f = complex(cz * cs, sz * cs), complex(sz * ss, -cz * ss)
+    return np.array((a, 0j, 0j, b,
+                     0j, e, f, 0j,
+                     0j, f, e, 0j,
+                     b, 0j, 0j, a)).reshape(4, 4)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,27 @@
 """Local-equivalence machinery for two-qubit gates: Makhlin invariants,
 equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 (Cartan) decomposition of arbitrary U(4) elements.
+
+makhlin_invariants keeps the invariants of the last 32 distinct inputs in
+a memo keyed by content (the C-order bytes of the 4x4 complex array), so a
+gate checked twice, as by locally_equivalent after makhlin_invariants or
+by verify_schedule on a repeated target, is computed once; a failing
+check is not memoized. KAK maps the magic-basis eigenphases to the
+coordinates and phase by one constant matrix, the exact inverse of a +-1
+Hadamard system; its wraps and the Weyl-chamber moves run on Python floats.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entangler import (EntanglerCoords, _finite_xyz, canonical_entangler,
-                        wrap_angle)
+from .entangler import EntanglerCoords, _wrap, canonical_entangler
 from .errors import NotUnitary
-from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, kron, require_unitary
+from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, _as_4x4, kron, require_unitary
 
 __all__ = [
     "MAGIC", "MakhlinInvariants", "KakFactors",
@@ -21,8 +29,14 @@ __all__ = [
     "kak_decompose", "weyl_canonicalize",
 ]
 
-# The linear system that maps magic-basis eigenphases to (x, y, z, phase).
+# The linear system theta = _PHASE_SYSTEM (x, y, z, phase) of the
+# magic-basis eigenphases. GEN_DIAGS is exactly +-1, so it is a Hadamard
+# matrix (H H^T = 4 I) and its inverse H^T / 4 is exact.
 _PHASE_SYSTEM = np.hstack([-GEN_DIAGS, np.ones((4, 1))])
+_PHASE_INVERSE = _PHASE_SYSTEM.T / 4
+
+# Distinct inputs whose invariants makhlin_invariants keeps.
+_MEMO_SIZE = 32
 
 # Largest invariant distance at which two gates count as one local class.
 CLASS_TOL = 1e-9
@@ -50,8 +64,17 @@ class MakhlinInvariants:
 
 def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
     """G1 = tr(m)^2 / (16 det u), G2 = (tr(m)^2 - tr(m^2)) / (4 det u),
-    with m = (Q^dag u Q)^T (Q^dag u Q) in the magic basis."""
-    u = require_unitary(u)
+    with m = (Q^dag u Q)^T (Q^dag u Q) in the magic basis.
+
+    Memoized by content: an input mutated in place is checked anew, and a
+    failing check raises on every call."""
+    return _invariants(_as_4x4(u).tobytes())
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _invariants(raw: bytes) -> MakhlinInvariants:
+    """makhlin_invariants of the 4x4 complex array with C-order bytes raw."""
+    u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4))
     um = MAGIC_DAG @ u @ MAGIC
     m = um.T @ um
     # Python complex scalars from here: cheaper than numpy scalars.
@@ -186,19 +209,17 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     if np.linalg.det(k1).real < 0:
         theta[0] += math.pi
         k1[:, 0] = -k1[:, 0]
-    # theta_k = phase - (x, y, z) . diag_k ; exact 4x4 linear solve.
-    xyzp = np.linalg.solve(_PHASE_SYSTEM, theta)
-    coords = EntanglerCoords(*map(float, xyzp[:3]))
-    phase = float(xyzp[3])
+    # theta_k = phase - (x, y, z) . diag_k, inverted exactly.
+    x, y, z, phase = (_PHASE_INVERSE @ theta).tolist()
 
     post1, post2 = _kron_factor_local(MAGIC @ k1.real @ MAGIC_DAG)
     pre1, pre2 = _kron_factor_local(MAGIC @ basis.T @ MAGIC_DAG)
 
     # Wrapping coordinates into the principal cell is exact (period 2*pi)
     # but the phase must be rewrapped too.
-    return KakFactors(phase=float(wrap_angle(phase)),
+    return KakFactors(phase=_wrap(phase),
                       u_post=(post1, post2),
-                      coords=coords.wrapped(),
+                      coords=EntanglerCoords(_wrap(x), _wrap(y), _wrap(z)),
                       u_pre=(pre1, pre2),
                       eigh_attempts=attempts)
 
@@ -215,23 +236,23 @@ def weyl_canonicalize(c: EntanglerCoords) -> EntanglerCoords:
     Convention: pi/4 >= x >= y >= |z| with z >= 0 unless the class parity
     forces a single negative coordinate (then it is carried by z). Every
     move used is a local-class symmetry: per-axis shifts by pi/2, paired
-    sign flips, and coordinate permutations. Raises ValueError for a
-    non-finite coordinate.
+    sign flips, and coordinate permutations. Raises ValueError for
+    anything but an EntanglerCoords (whose coordinates are finite).
     """
-    v = np.array(_finite_xyz(c))
-    # Reduce each coordinate to [-pi/4, pi/4], preferring +pi/4 on the edge.
-    v = v - _HALF * np.floor((v + _QUARTER) / _HALF)
-    v[np.abs(v + _QUARTER) <= _EDGE_TOL] = _QUARTER
-    neg = int(np.sum(v < -_EDGE_TOL)) % 2
-    order = np.argsort(-np.abs(v), kind="stable")
-    mag = np.abs(v)[order]
-    x, y, z = mag
+    if not isinstance(c, EntanglerCoords):
+        raise ValueError(f"expected EntanglerCoords, got {c!r}")
+    v = []
+    for a in (c.x, c.y, c.z):
+        # Reduce to [-pi/4, pi/4], preferring +pi/4 on the edge.
+        a -= _HALF * math.floor((a + _QUARTER) / _HALF)
+        v.append(_QUARTER if abs(a + _QUARTER) <= _EDGE_TOL else a)
+    neg = sum(a < -_EDGE_TOL for a in v) % 2
+    x, y, z = mag = sorted(map(abs, v), reverse=True)
     if neg:
         # A lone sign can be dropped on a 0 or pi/4 coordinate (a pi/2
         # shift there is itself a local move); otherwise z carries it.
-        on_edge = any(math.isclose(m, _QUARTER, rel_tol=0, abs_tol=_EDGE_TOL)
-                      or m < _EDGE_TOL
+        on_edge = any(abs(m - _QUARTER) <= _EDGE_TOL or m < _EDGE_TOL
                       for m in mag)
         if not on_edge:
             z = -z
-    return EntanglerCoords(float(x), float(y), float(z))
+    return EntanglerCoords(x, y, z)

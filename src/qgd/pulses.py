@@ -15,8 +15,9 @@ a time and uses no eigensolver: the Rotates between two Entangles
 multiply into one 2x2 factor per qubit, and each interval applies
 hamiltonian.rot_frame_propagator (a closed form) times that layer's
 a (x) b to the running product; the global phases fold into one scalar.
-Verification checks each distinct target once: its unitarity and its
-Makhlin invariants are kept in a small bounded memo keyed by its content.
+Verification checks each distinct target once: its unitarity check is
+kept in a small bounded memo keyed by its content, and its Makhlin
+invariants in equivalence.makhlin_invariants' memo, keyed the same way.
 """
 from __future__ import annotations
 
@@ -304,7 +305,7 @@ class VerificationReport:
         return {"target": d.pop("target_name"), **d, "passed": self.passed}
 
 
-# Distinct targets whose checks the memos below keep.
+# Distinct targets whose unitarity checks _checked_target keeps.
 _TARGET_MEMO_SIZE = 32
 
 
@@ -316,12 +317,6 @@ def _checked_target(raw: bytes) -> np.ndarray:
                                 .reshape(4, 4))
 
 
-@functools.lru_cache(maxsize=_TARGET_MEMO_SIZE)
-def _target_invariants(raw: bytes) -> equivalence.MakhlinInvariants:
-    """The Makhlin invariants of _checked_target(raw)."""
-    return equivalence.makhlin_invariants(_checked_target(raw))
-
-
 def verify_schedule(s: PulseSchedule, p: RotFrameParams,
                     target: np.ndarray, mode: str = "exact",
                     tol: float = VERIFY_TOL,
@@ -330,10 +325,11 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     local-class distances from the target; the pass flag follows mode.
     tol must be positive and finite.
 
-    Each distinct target is checked once: its unitarity check and its
-    Makhlin invariants are memoized by content (the bytes of the 4x4
-    complex array), so a target mutated in place is checked anew. A
-    failing check is not memoized and raises on every call.
+    Each distinct target is checked once: its unitarity check here and
+    its Makhlin invariants in equivalence.makhlin_invariants are memoized
+    by content (the bytes of the 4x4 complex array), so a target mutated
+    in place is checked anew. A failing check is not memoized and raises
+    on every call.
     """
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
@@ -345,7 +341,7 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     d_exact = qmat.distance(u, target)
     d_phase = qmat.distance(u, target, up_to_global_phase=True)
     d_inv = equivalence.makhlin_invariants(u).distance(
-        _target_invariants(raw))
+        equivalence.makhlin_invariants(target))
     return VerificationReport(
         target_name=target_name, mode=mode, exact_distance=float(d_exact),
         phase_distance=float(d_phase), invariant_distance=float(d_inv),

@@ -1,9 +1,10 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
 Pauli operators, Kronecker products, the magic (Bell) basis with the
-diagonals of XX, YY and ZZ in it, the two-qubit coupling operator of a
-3x3 tensor, Hermitian matrix exponentials and unitary distance metrics,
-and the number rules of every scalar input (_real, _finite).
+diagonals of XX, YY and ZZ in it (GEN_DIAGS, exactly +-1), the two-qubit
+coupling operator of a 3x3 tensor, Hermitian matrix exponentials and
+unitary distance metrics, and the number rules of every scalar input
+(_real, _finite).
 Every generator the package evolves under is constant over its interval.
 The rotating-frame coupling and the canonical entanglers have closed-form
 propagators (hamiltonian.rot_frame_propagator and
@@ -52,11 +53,11 @@ MAGIC = (1 / math.sqrt(2)) * np.array([
 ], dtype=complex)
 MAGIC_DAG = MAGIC.conj().T
 # GEN_DIAGS[:, k]: the diagonal of PAULI_PAIRS[k, k] (XX, YY, ZZ) in the
-# magic basis, where all three are diagonal; every entry is +-1 to
-# roundoff.
-GEN_DIAGS = np.stack([
+# magic basis, where all three are diagonal; every entry is exactly +-1
+# (rounded from the computed diagonal, which is +-1 to roundoff).
+GEN_DIAGS = np.rint(np.stack([
     np.real(np.diag(MAGIC_DAG @ PAULI_PAIRS[k, k] @ MAGIC))
-    for k in range(3)], axis=1)
+    for k in range(3)], axis=1))
 
 
 def _real(what: str, value) -> float:

@@ -67,6 +67,14 @@ class TestCanonicalEntangler:
                                match="phase overflows|not a finite number"):
                 canonical_entangler(EntanglerCoords(*coords))
 
+    @pytest.mark.parametrize("bad", [None, (0.1, 0.2, 0.3),
+                                     np.array([0.1, 0.2, 0.3])])
+    def test_rejects_non_coords(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expected EntanglerCoords"):
+                canonical_entangler(bad)
+
     def test_area_theorem_cross_check(self, rng):
         # Constant J' = 0 evolution equals the entangler at the
         # integrated coordinates.
@@ -85,6 +93,25 @@ class TestCoordsWrap:
         assert abs(wrap_angle(3 * PI / 2) + PI / 2) < 1e-14
         c = EntanglerCoords(2 * PI + 0.1, -2 * PI - 0.1, 0.0).wrapped()
         assert np.allclose(c.as_array(), [0.1, -0.1, 0.0])
+
+    def test_coords_are_finite_python_floats(self):
+        c = EntanglerCoords(np.float64(0.1), 1, np.int64(-2))
+        assert [type(v) for v in (c.x, c.y, c.z)] == [float] * 3
+        assert (c.x, c.y, c.z) == (0.1, 1.0, -2.0)
+
+    @pytest.mark.parametrize("axis", "xyz")
+    @pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan,
+                                     "0.1", 1j])
+    def test_non_finite_coordinate_refused_before_any_wrap(self, axis, bad):
+        # No nan from as_array() and no numpy warning from wrapped(): the
+        # coordinate is refused when the point is built.
+        xyz = {"x": 0.3, "y": 0.2, "z": 0.1, axis: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"entangler coordinate {axis} .* is not "
+                                     "a finite number"):
+                EntanglerCoords(**xyz).wrapped()
 
 
 class TestTrajectory:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +33,10 @@ def test_magic_basis_constants():
         d = np.diag(qmat.GEN_DIAGS[:, k])
         assert np.allclose(qmat.MAGIC @ d @ qmat.MAGIC_DAG,
                            qmat.PAULI_PAIRS[k, k], atol=1e-15)
-    assert np.allclose(np.abs(qmat.GEN_DIAGS), 1.0, rtol=0, atol=1e-15)
+    # Exactly +-1: the eigenphase system is then an exact Hadamard matrix.
+    assert np.array_equal(np.abs(qmat.GEN_DIAGS), np.ones((4, 3)))
+    assert np.array_equal(
+        equivalence._PHASE_INVERSE @ equivalence._PHASE_SYSTEM, np.eye(4))
 
 
 class TestMakhlinInvariants:
@@ -70,6 +75,63 @@ class TestMakhlinInvariants:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             makhlin_invariants(np.ones((4, 4), dtype=complex))
+
+
+class TestInvariantsMemo:
+    """makhlin_invariants computes each distinct input content once."""
+
+    MEMO = equivalence._invariants
+
+    @pytest.mark.parametrize("entry", [
+        makhlin_invariants, lambda u: locally_equivalent(u, CNOT)],
+        ids=["makhlin", "locally_equivalent"])
+    def test_input_mutated_in_place_is_checked_again(self, entry):
+        u = CZ.copy()
+        entry(u)
+        u[0, 0] = 2.0
+        with pytest.raises(NotUnitary):
+            entry(u)
+
+    @pytest.mark.parametrize("entry, kept", [
+        (makhlin_invariants, 0), (lambda u: locally_equivalent(CNOT, u), 1)],
+        ids=["makhlin", "locally_equivalent"])
+    def test_failed_check_is_not_memoized(self, entry, kept):
+        self.MEMO.cache_clear()
+        for _ in range(3):
+            with pytest.raises(NotUnitary):
+                entry(2 * SWAP)
+        info = self.MEMO.cache_info()
+        assert (info.currsize, info.misses) == (kept, 3 + kept)
+
+    def test_memo_stays_at_its_bound(self, rng):
+        for _ in range(100):
+            locally_equivalent(haar_unitary(rng), haar_unitary(rng))
+        info = self.MEMO.cache_info()
+        assert info.currsize == info.maxsize == equivalence._MEMO_SIZE
+
+    def test_memoized_invariants_are_read_only(self):
+        inv = makhlin_invariants(CNOT)
+        assert makhlin_invariants(CNOT.copy()) is inv
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inv.g2 = 0.0
+
+    def test_cold_and_warm_results_agree(self, rng):
+        u = haar_unitary(rng)
+        self.MEMO.cache_clear()
+        cold = makhlin_invariants(u)
+        cold_equiv = locally_equivalent(u, CNOT)
+        hits = self.MEMO.cache_info().hits
+        assert hits >= 1  # locally_equivalent found u kept
+        warm = makhlin_invariants(u)
+        assert self.MEMO.cache_info().hits == hits + 1
+        assert warm == cold and warm.to_dict() == cold.to_dict()
+        assert locally_equivalent(u, CNOT) == cold_equiv
+        # Equal content, whatever the layout or dtype, is one entry.
+        assert makhlin_invariants(np.asfortranarray(u)) == cold
+        assert makhlin_invariants(u.tolist()) == cold
+        real = np.eye(4)
+        assert makhlin_invariants(real) == makhlin_invariants(
+            real.astype(complex))
 
 
 class TestLocallyEquivalent:
@@ -204,12 +266,22 @@ class TestWeylCanonicalize:
             assert np.allclose(w.as_array(), [PI / 4 - d, 0.3, -0.1],
                                rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
     @pytest.mark.parametrize("axis", "xyz")
     def test_rejects_non_finite(self, axis, bad):
         xyz = {"x": 0.3, "y": 0.2, "z": 0.1, axis: bad}
-        with pytest.raises(ValueError, match=f"coordinate {axis} "):
-            weyl_canonicalize(EntanglerCoords(**xyz))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"coordinate {axis} "):
+                weyl_canonicalize(EntanglerCoords(**xyz))
+
+    @pytest.mark.parametrize("bad", [(0.1, 0.2, 0.3), None,
+                                     np.array([0.1, 0.2, 0.3])])
+    def test_rejects_non_coords(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expected EntanglerCoords"):
+                weyl_canonicalize(bad)
 
     def test_chamber_bounds(self, rng):
         for _ in range(200):

@@ -2,7 +2,9 @@
 coupling space, trajectories of every compiled schedule and against the
 pi-pulse sign rule, the closed-form propagators against a
 kron-and-eigensolver reference, the KAK round trip and Weyl idempotence
-on locally dressed gates, and the CLI's exit codes on fuzzed JSON."""
+on locally dressed gates, the Python-float Weyl, KAK and entangler
+kernels against the numpy formulas they replaced, and the CLI's exit
+codes on fuzzed JSON."""
 import json
 import math
 import re
@@ -16,17 +18,18 @@ from hypothesis import strategies as st
 from qgd import cli
 from qgd.compiler import (CNOT, SWAP, compile_cnot, controlled_phase,
                           named_gate)
-from qgd.entangler import EntanglerCoords, canonical_entangler
-from qgd.equivalence import (_kron_factor_local, kak_decompose,
+from qgd.entangler import EntanglerCoords, canonical_entangler, wrap_angle
+from qgd.equivalence import (_joint_orthogonal_eigenbasis,
+                             _kron_factor_local, kak_decompose,
                              locally_equivalent, makhlin_invariants,
                              weyl_canonicalize)
 from qgd.hamiltonian import RotFrameParams, rot_frame_propagator
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         simulate_schedule, trajectory)
-from qgd.qmat import (I2, PAULI, SX, SY, SZ, distance, expm_hermitian,
-                      kron)
+from qgd.qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, PAULI, PAULI_PAIRS,
+                      SX, SY, SZ, distance, expm_hermitian, kron)
 
-from conftest import random_su2
+from conftest import haar_unitary, random_su2
 
 EXACT = 1e-9
 
@@ -277,6 +280,98 @@ def test_kron_factor_local_closed_form(a, b):
     assert np.max(np.abs(kron(f1, f2) - u)) < 1e-13
     for f in (f1, f2):
         assert abs(np.linalg.det(f) - 1) < 1e-12
+
+
+# ------------------------------------------- lean kernels vs numpy --
+# The numpy formulas that the Python-float kernels replaced, kept here as
+# references: the Weyl moves, the general 4x4 solve for KAK's coordinates
+# and phase, and the entangler built in the magic basis.
+_QUARTER, _HALF, _EDGE_TOL = math.pi / 4, math.pi / 2, 1e-12
+
+
+def _reference_weyl(x, y, z) -> tuple:
+    v = np.array([x, y, z])
+    v = v - _HALF * np.floor((v + _QUARTER) / _HALF)
+    v[np.abs(v + _QUARTER) <= _EDGE_TOL] = _QUARTER
+    neg = int(np.sum(v < -_EDGE_TOL)) % 2
+    mag = np.abs(v)[np.argsort(-np.abs(v), kind="stable")]
+    x, y, z = mag
+    if neg and not any(
+            math.isclose(m, _QUARTER, rel_tol=0, abs_tol=_EDGE_TOL)
+            or m < _EDGE_TOL for m in mag):
+        z = -z
+    return float(x), float(y), float(z)
+
+
+# Chamber edges and cell boundaries, exactly and within 1e-11 of them.
+edge = st.sampled_from([0.0, -0.0, _QUARTER, -_QUARTER, _HALF, -_HALF,
+                        3 * _QUARTER, -3 * _QUARTER, math.pi, -math.pi])
+near_edge = st.builds(lambda e, s, d: e + s * d, edge,
+                      st.sampled_from([-1.0, 1.0]),
+                      st.floats(min_value=1e-16, max_value=1e-11))
+weyl_coord = st.one_of(edge, near_edge, st.floats(min_value=-7, max_value=7))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(x=weyl_coord, y=weyl_coord, z=weyl_coord)
+def test_weyl_canonicalize_is_bit_identical_to_numpy_moves(x, y, z):
+    w = weyl_canonicalize(EntanglerCoords(x, y, z))
+    assert (tuple(map(float.hex, (w.x, w.y, w.z)))
+            == tuple(map(float.hex, _reference_weyl(x, y, z))))
+
+
+# The eigenphase system as the magic basis gives it, +-1 to roundoff.
+_ROUNDOFF_SYSTEM = np.hstack([-np.stack([
+    np.real(np.diag(MAGIC_DAG @ PAULI_PAIRS[k, k] @ MAGIC))
+    for k in range(3)], axis=1), np.ones((4, 1))])
+
+
+def _reference_kak_angles(u) -> np.ndarray:
+    """KAK's (x, y, z, phase): its own theta, then np.linalg.solve."""
+    ub = MAGIC_DAG @ u @ MAGIC
+    basis, d, _ = _joint_orthogonal_eigenbasis(ub.T @ ub)
+    if np.linalg.det(basis) < 0:
+        basis[:, 0] = -basis[:, 0]
+    theta = np.angle(d) / 2
+    if np.linalg.det((ub @ basis) * np.exp(-1j * theta)).real < 0:
+        theta[0] += math.pi
+    return wrap_angle(np.linalg.solve(_ROUNDOFF_SYSTEM, theta))
+
+
+def _circle_gap(a: float, b: float) -> float:
+    """|a - b| modulo 2 pi: the two sides may wrap a value at pi apart."""
+    d = a - b
+    return abs(d - 2 * math.pi * round(d / (2 * math.pi)))
+
+
+seed = st.integers(min_value=0, max_value=2 ** 32 - 1)
+# At tan(2x) = pi^2 the first eigenbasis weight fails and KAK retries.
+_X_RETRY = math.atan(math.pi ** 2) / 2
+kak_gate = st.one_of(
+    seed.map(lambda s: haar_unitary(np.random.default_rng(s))),
+    st.builds(lambda core, s: _dressed(s, core), core_gate, seed),
+    seed.map(lambda s: _dressed(s, canonical_entangler(
+        EntanglerCoords(_X_RETRY, _X_RETRY, 0.0)))))
+
+
+@PROPERTY
+@given(u=kak_gate)
+def test_kak_angles_match_a_linear_solve(u):
+    f = kak_decompose(u)
+    got = (f.coords.x, f.coords.y, f.coords.z, f.phase)
+    for a, b in zip(got, _reference_kak_angles(u)):
+        assert _circle_gap(a, b) < 1e-15
+
+
+cell = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@PROPERTY
+@given(x=cell, y=cell, z=cell)
+def test_canonical_entangler_matches_magic_basis_form(x, y, z):
+    ref = (MAGIC * np.exp(-1j * (GEN_DIAGS @ [x, y, z]))) @ MAGIC_DAG
+    assert _max_diff(canonical_entangler(EntanglerCoords(x, y, z)),
+                     ref) < 1e-15
 
 
 # ------------------------------------------------------------ CLI fuzz --

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qgd import pulses
+from qgd import equivalence, pulses
 from qgd.compiler import CNOT, compile_cnot, named_gate
 from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams
@@ -287,7 +287,7 @@ class TestVerifySchedule:
 class TestTargetMemo:
     """verify_schedule checks each distinct target content once."""
 
-    MEMOS = (pulses._checked_target, pulses._target_invariants)
+    MEMOS = (pulses._checked_target, equivalence._invariants)
     SCHEDULE = PulseSchedule((Rotate("x", 0.3, 1), Entangle(0.4)))
     PARAMS = RotFrameParams(0.8, -0.3, 0.1)
 
