@@ -9,6 +9,15 @@ rotating-frame one is ZZ-diagonal plus one 2x2 block on {|01>, |10>},
 so rot_frame_propagator is its exact closed-form exponential; only the
 lab-frame Hamiltonian goes through qmat's eigendecomposition.
 
+rwa_infidelity compares the two in the lab frame. The drift
+H0 = -(eps/2)(Z1 + Z2) commutes with the rotating-wave coupling
+([H0, H_RWA] = 0: both conserve the excitation number), so the
+rotating-wave evolution seen from the lab is e^{-i H0 T} times
+rot_frame_propagator. H0 is diagonal and zero on {|01>, |10>}, so that
+product only rephases the propagator's two corner entries, and the frame
+change, being unitary, leaves the distance unchanged: the lab-frame
+comparison is exact and costs two scalar multiplies.
+
 Basis ordering |00>, |01>, |10>, |11> with qubit 1 the left tensor
 factor; |0> is the lower eigenstate of -(eps/2) sigma^z.
 """
@@ -31,6 +40,9 @@ __all__ = [
 ]
 
 _AXES = ("x", "y", "z")
+# What qmat._finite names each entry by, in C order.
+_ENTRY_LABELS = tuple(f"coupling tensor entry J{a}{b}"
+                      for a in _AXES for b in _AXES)
 
 
 def _number(d: dict, key: str) -> float:
@@ -45,7 +57,8 @@ class CouplingTensor:
     """3x3 real tensor J_{mu nu}, mu/nu in {x,y,z}, angular-frequency units.
 
     Each entry must be a finite real number (qmat._finite); strings, None
-    and complex values raise ValueError.
+    and complex values raise ValueError. j is stored as a read-only float
+    array, so no entry can be changed past that check.
     """
 
     j: np.ndarray
@@ -56,9 +69,10 @@ class CouplingTensor:
         j = np.asarray(self.j, dtype=object)
         if j.shape != (3, 3):
             raise ValueError("coupling tensor must be 3x3")
-        object.__setattr__(self, "j", np.array([
-            [qmat._finite(f"coupling tensor entry J{a}{b}", j[i, k])
-             for k, b in enumerate(_AXES)] for i, a in enumerate(_AXES)]))
+        j = np.array([qmat._finite(what, x) for what, x
+                      in zip(_ENTRY_LABELS, j.ravel().tolist())]).reshape(3, 3)
+        j.setflags(write=False)
+        object.__setattr__(self, "j", j)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CouplingTensor":
@@ -137,16 +151,15 @@ def reduce_coupling(ct: CouplingTensor) -> RotFrameParams:
     other combination time-averages to zero in the rotating frame and is
     reported via discarded_weight.
     """
-    j = ct.j
-    # Halves first: J and J' stay finite whenever the entries are.
-    jj = j[0, 0] / 2 + j[1, 1] / 2
-    jp = j[0, 1] / 2 - j[1, 0] / 2
-    with np.errstate(over="ignore"):  # an overflowing weight reads inf
-        dropped = (((j[0, 0] - j[1, 1]) / 2) ** 2
-                   + ((j[0, 1] + j[1, 0]) / 2) ** 2)
-        dropped += j[0, 2] ** 2 + j[1, 2] ** 2 + j[2, 0] ** 2 + j[2, 1] ** 2
-    return RotFrameParams(j=jj, j_zz=j[2, 2], j_prime=jp,
-                          discarded_weight=float(dropped))
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = ct.j.tolist()
+    # On Python floats. Halves first: J and J' stay finite whenever the
+    # entries are. Squares as x * x, which overflows to inf, where x ** 2
+    # would raise OverflowError: an overflowing weight reads inf.
+    a = (xx - yy) / 2
+    b = (xy + yx) / 2
+    dropped = (a * a + b * b) + (xz * xz + yz * yz + zx * zx + zy * zy)
+    return RotFrameParams(j=xx / 2 + yy / 2, j_zz=zz, j_prime=xy / 2 - yx / 2,
+                          discarded_weight=dropped)
 
 
 def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
@@ -171,15 +184,10 @@ def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     c = block * math.cos(2 * r * t)
     s = -1j * block * math.sin(2 * r * t)
     tilt = cmath.exp(1j * p.phi)
-    return np.array([[corner, 0, 0, 0],
-                     [0, c, s * tilt, 0],
-                     [0, s * tilt.conjugate(), c, 0],
-                     [0, 0, 0, corner]], dtype=complex)
-
-
-# The diagonal of the drift H0 = -(eps/2)(Z1 + Z2), per unit eps: both
-# qubits tuned to the splitting eps.
-_DRIFT = np.array([-1.0, 0.0, 0.0, 1.0])
+    return np.array([corner, 0j, 0j, 0j,
+                     0j, c, s * tilt, 0j,
+                     0j, s * tilt.conjugate(), c, 0j,
+                     0j, 0j, 0j, corner]).reshape(4, 4)
 
 
 def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
@@ -196,7 +204,11 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
     # Summed on Python floats: an overflow is inf, not a numpy warning.
     if not math.isfinite(eps + sum(map(abs, ct.j.ravel().tolist()))):
         raise ValueError("coupling tensor too large: eps + sum |J| overflows")
-    return np.diag(eps * _DRIFT) + coupling_operator(ct.j)
+    # The drift diag(-eps, 0, 0, eps): both qubits tuned to eps.
+    h = coupling_operator(ct.j)
+    h[0, 0] -= eps
+    h[3, 3] += eps
+    return h
 
 
 def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
@@ -204,16 +216,23 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     propagator and the rotating-wave-approximated one.
 
     The lab-frame Hamiltonian is constant, so U_lab = e^{-i H_lab T}
-    exactly (the one eigendecomposition); U_rot = e^{+i H0 T} U_lab with
-    H0 = -(eps/2)(Z1 + Z2), a row scaling by four phases, is compared
-    against rot_frame_propagator of the reduced couplings. ValueError
-    unless eps and t_final are positive and finite.
+    exactly (the one eigendecomposition). The comparison is made in the
+    lab frame, with no approximation: for H0 = -(eps/2)(Z1 + Z2), the
+    distance of U_rot = e^{+i H0 T} U_lab to U_RWA, the
+    rot_frame_propagator of the reduced couplings, equals that of U_lab
+    to e^{-i H0 T} U_RWA, because e^{-i H0 T} is unitary. As
+    [H0, H_RWA] = 0, that is e^{-i (H0 + H_RWA) T}, the rotating-wave
+    evolution in the lab frame, and e^{-i H0 T} =
+    diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases only its two corners.
+    ValueError unless eps and t_final are positive and finite.
     """
     t_final = qmat._real("t_final", t_final)
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
     u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
     qmat._require_finite_phase(eps, t_final)
-    u_rot = np.exp(1j * (eps * t_final) * _DRIFT)[:, None] * u_lab
     u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
-    return qmat.distance(u_rot, u_rwa, up_to_global_phase=True)
+    drift = cmath.exp(1j * (eps * t_final))  # e^{-i H0 T} on |00>
+    u_rwa[0, 0] *= drift
+    u_rwa[3, 3] *= drift.conjugate()
+    return qmat.distance(u_lab, u_rwa, up_to_global_phase=True)

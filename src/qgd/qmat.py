@@ -110,8 +110,11 @@ def coupling_operator(t) -> np.ndarray:
 def require_hermitian(h: np.ndarray) -> np.ndarray:
     """h as a complex array, if finite and Hermitian within ALGEBRA_TOL."""
     h = np.asarray(h, dtype=complex)
-    if not (np.all(np.isfinite(h))
-            and np.max(np.abs(h - h.conj().T)) < ALGEBRA_TOL):
+    # One reduction, as in require_unitary: a nan or inf entry makes its
+    # own or its mirror's deviation nan or inf, which fails the < test.
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviation = np.abs(h - h.conj().T).max()
+    if not deviation < ALGEBRA_TOL:
         raise NonHermitianInput(
             f"matrix deviates from Hermiticity by more than {ALGEBRA_TOL}")
     return h
@@ -155,8 +158,9 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    t = _require_finite_phase(max(-float(w[0]), float(w[-1])), t)  # w sorted
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    w_list = w.tolist()  # sorted
+    t = _require_finite_phase(max(-w_list[0], w_list[-1]), t)
+    return (v * np.exp(w * (-1j * t))) @ v.conj().T
 
 
 def distance(u: np.ndarray, v: np.ndarray,
@@ -171,7 +175,8 @@ def distance(u: np.ndarray, v: np.ndarray,
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if up_to_global_phase:
-        overlap = np.vdot(u, v)  # tr(u^dag v)
+        overlap = complex(np.vdot(u, v))  # tr(u^dag v)
         if overlap != 0:
-            v = v * (np.conj(overlap) / abs(overlap))
-    return float(np.linalg.norm(u - v))
+            v = v * (overlap.conjugate() / abs(overlap))
+    d = u - v
+    return math.sqrt(np.vdot(d, d).real)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ class TestReduceCoupling:
         assert (p.j, p.j_zz, p.j_prime) == (0.0, 0.0, 0.0)
         assert math.isclose(p.discarded_weight, 5.0)
 
+    def test_matches_numpy_formula(self, rng):
+        # The Python-float reduction against the numpy one it replaced:
+        # same operations in the same order, so bit-identical.
+        for _ in range(200):
+            j = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+            p = reduce_coupling(CouplingTensor(j))
+            dropped = (((j[0, 0] - j[1, 1]) / 2) ** 2
+                       + ((j[0, 1] + j[1, 0]) / 2) ** 2)
+            dropped += (j[0, 2] ** 2 + j[1, 2] ** 2 + j[2, 0] ** 2
+                        + j[2, 1] ** 2)
+            assert (p.j, p.j_zz, p.j_prime, p.discarded_weight) == (
+                j[0, 0] / 2 + j[1, 1] / 2, j[2, 2],
+                j[0, 1] / 2 - j[1, 0] / 2, dropped)
+
+    def test_overflowing_weight_reads_inf(self):
+        # Python-float squares are written x * x, which overflows to inf;
+        # x ** 2 would raise OverflowError. J, J_zz and J' stay finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = reduce_coupling(CouplingTensor(np.full((3, 3), 1e300)))
+        assert p.discarded_weight == math.inf
+        assert (p.j, p.j_zz, p.j_prime) == (1e300, 1e300, 0.0)
+
     def test_json_round_trip(self):
         ct = tensor(xx=1.0, yy=0.5, zz=-0.25, xy=0.1)
         again = CouplingTensor.from_dict(ct.to_dict())
@@ -87,6 +111,16 @@ class TestCouplingTensor:
         j[1][2] = bad
         with pytest.raises(ValueError, match="Jyz .* not a finite number"):
             CouplingTensor(j)
+
+    def test_entries_read_only(self):
+        # An entry changed after construction would skip the finite
+        # check: a nan would reach rwa_infidelity as a "too large" tensor.
+        src = np.eye(3)
+        ct = CouplingTensor(src)
+        with pytest.raises(ValueError, match="read-only"):
+            ct.j[0, 2] = math.nan
+        src[0, 2] = math.nan  # the caller's array is not the tensor
+        assert np.array_equal(ct.j, np.eye(3))
 
     def test_complex_array_rejected(self):
         with pytest.raises(ValueError, match="not a finite number"):

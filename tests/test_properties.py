@@ -3,7 +3,8 @@ coupling space, trajectories of every compiled schedule and against the
 pi-pulse sign rule, the closed-form propagators against a
 kron-and-eigensolver reference, the KAK round trip and Weyl idempotence
 on locally dressed gates, the Python-float Weyl, KAK and entangler
-kernels against the numpy formulas they replaced, and the CLI's exit
+kernels against the numpy formulas they replaced, the lab-frame RWA
+check against the rotating-frame formula it replaced, and the CLI's exit
 codes on fuzzed JSON."""
 import json
 import math
@@ -23,7 +24,9 @@ from qgd.equivalence import (_joint_orthogonal_eigenbasis,
                              _kron_factor_local, kak_decompose,
                              locally_equivalent, makhlin_invariants,
                              weyl_canonicalize)
-from qgd.hamiltonian import RotFrameParams, rot_frame_propagator
+from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
+                             lab_frame_hamiltonian, reduce_coupling,
+                             rot_frame_propagator, rwa_infidelity)
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         simulate_schedule, trajectory)
 from qgd.qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, PAULI, PAULI_PAIRS,
@@ -301,6 +304,40 @@ def _reference_weyl(x, y, z) -> tuple:
             or m < _EDGE_TOL for m in mag):
         z = -z
     return float(x), float(y), float(z)
+
+
+def _rotating_frame_rwa_infidelity(ct, eps, t_final) -> tuple:
+    """The rotating-frame comparison: U_rot = e^{+i H0 T} U_lab, a row
+    scaling, against the closed form, with np.linalg.norm. Returns the
+    distance and the two matrices compared."""
+    u_lab = expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
+    drift = np.array([-1.0, 0.0, 0.0, 1.0])  # H0 per unit eps
+    u_rot = np.exp(1j * (eps * t_final) * drift)[:, None] * u_lab
+    u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
+    overlap = np.vdot(u_rot, u_rwa)
+    phased = u_rwa * (np.conj(overlap) / abs(overlap))
+    return float(np.linalg.norm(u_rot - phased)), u_rot, u_rwa
+
+
+def test_lab_frame_rwa_check_matches_rotating_frame_formula():
+    # Seeded generic tensors as rwa-scan draws them, at rwa-scan's
+    # horizon gT = pi/8, with eps = 1.
+    rng = np.random.default_rng(20090619)
+    for _ in range(50):
+        base = rng.uniform(0.2, 1.0, (3, 3)) * rng.choice([-1, 1], (3, 3))
+        base /= np.max(np.abs(base))
+        for g in (1e-1, 1e-2, 1e-3):
+            ct = CouplingTensor(base * g)
+            ref, u_rot, u_rwa = _rotating_frame_rwa_infidelity(
+                ct, 1.0, math.pi / (8 * g))
+            assert abs(rwa_infidelity(ct, 1.0, math.pi / (8 * g))
+                       - ref) < 1e-12
+            # The norm by vdot against np.linalg.norm, to a few ulps.
+            assert math.isclose(distance(u_rot, u_rwa, True), ref,
+                                rel_tol=1e-15)
+            assert math.isclose(distance(u_rot, u_rwa),
+                                np.linalg.norm(u_rot - u_rwa),
+                                rel_tol=1e-15)
 
 
 # Chamber edges and cell boundaries, exactly and within 1e-11 of them.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,32 @@ class TestNumberRule:
         for rule in (qmat._real, qmat._finite):
             with pytest.raises(ValueError, match="^width .* not a finite"):
                 rule("width", value)
+
+
+class TestRequireHermitian:
+    def test_hermitian_passes(self, rng):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = a + a.conj().T
+        assert qmat.require_hermitian(h) is h
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param({(1, 1): math.inf}, id="inf_diagonal"),
+        pytest.param({(0, 2): math.inf}, id="inf_off_diagonal"),
+        pytest.param({(0, 2): math.inf, (2, 0): math.inf},
+                     id="mirrored_inf_pair"),
+        pytest.param({(3, 3): math.nan}, id="nan"),
+        pytest.param({(1, 2): complex(0.5, math.inf)}, id="inf_imaginary")])
+    def test_non_finite_fails_the_one_reduction(self, entries):
+        # A nan or inf entry makes max|h - h^dag| nan or inf, which fails
+        # the < test without a RuntimeWarning.
+        h = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)
+        for at, value in entries.items():
+            h[at] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match="deviates from "
+                               "Hermiticity by more than 1e-12"):
+                qmat.require_hermitian(h)
 
 
 class TestRequireUnitary:
