@@ -61,7 +61,7 @@ def _load_json(path: str):
 
 def _matrix_from_json(data) -> np.ndarray:
     """The matrix of a JSON list of rows of [re, im] pairs of numbers;
-    qmat.require_unitary checks its 4x4 shape."""
+    qmat._as_4x4 checks its 4x4 shape."""
     rows = data if isinstance(data, list) else [data]
     for i, row in enumerate(rows):
         for k, z in enumerate(row if isinstance(row, list) else [row]):

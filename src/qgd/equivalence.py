@@ -2,13 +2,14 @@
 equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 (Cartan) decomposition of arbitrary U(4) elements.
 
-makhlin_invariants keeps the invariants of the last 32 distinct inputs in
-a memo keyed by content (the C-order bytes of the 4x4 complex array), so a
-gate checked twice, as by locally_equivalent after makhlin_invariants or
-by verify_schedule on a repeated target, is computed once; a failing
-check is not memoized. KAK maps the magic-basis eigenphases to the
-coordinates and phase by one constant matrix, the exact inverse of a +-1
-Hadamard system; its wraps and the Weyl-chamber moves run on Python floats.
+makhlin_invariants checks a gate (unitarity, then the G2 residual) and
+memoizes the invariants of the last 32 distinct inputs by content (the
+C-order bytes of the 4x4 complex array); locally_equivalent, kak_decompose
+and pulses.verify_schedule check gates through it, so each content is
+checked once, and a failing check is not memoized. KAK maps the magic-basis
+eigenphases to the coordinates and phase by one constant matrix, the exact
+inverse of a +-1 Hadamard system; its wraps and the Weyl-chamber moves run
+on Python floats.
 """
 from __future__ import annotations
 
@@ -195,9 +196,11 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
 
     Works in the magic basis: m = U_B^T U_B is diagonalized over a real
     orthogonal frame; the eigenphases fix the entangler coordinates and
-    global phase, the frames fix the local rotations.
+    global phase, the frames fix the local rotations. The input is
+    checked, and refused, by makhlin_invariants: a memo hit after it.
     """
-    u = require_unitary(u)
+    makhlin_invariants(u)
+    u = _as_4x4(u)
     ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
     # Flipping a column leaves the diagonal of basis^T m basis unchanged.

@@ -15,14 +15,13 @@ a time and uses no eigensolver: the Rotates between two Entangles
 multiply into one 2x2 factor per qubit, and each interval applies
 hamiltonian.rot_frame_propagator (a closed form) times that layer's
 a (x) b to the running product; the global phases fold into one scalar.
-Verification checks each distinct target once: its unitarity check is
-kept in a small bounded memo keyed by its content, and its Makhlin
-invariants in equivalence.makhlin_invariants' memo, keyed the same way.
+Verification checks each distinct target once, through
+equivalence.makhlin_invariants, whose memo is keyed by the target's
+content; pulses keeps no memo of its own.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -305,18 +304,6 @@ class VerificationReport:
         return {"target": d.pop("target_name"), **d, "passed": self.passed}
 
 
-# Distinct targets whose unitarity checks _checked_target keeps.
-_TARGET_MEMO_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_TARGET_MEMO_SIZE)
-def _checked_target(raw: bytes) -> np.ndarray:
-    """The unitarity-checked target whose 4x4 complex C-order bytes are
-    raw, as a read-only array."""
-    return qmat.require_unitary(np.frombuffer(raw, dtype=complex)
-                                .reshape(4, 4))
-
-
 def verify_schedule(s: PulseSchedule, p: RotFrameParams,
                     target: np.ndarray, mode: str = "exact",
                     tol: float = VERIFY_TOL,
@@ -325,27 +312,24 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     local-class distances from the target; the pass flag follows mode.
     tol must be positive and finite.
 
-    Each distinct target is checked once: its unitarity check here and
-    its Makhlin invariants in equivalence.makhlin_invariants are memoized
-    by content (the bytes of the 4x4 complex array), so a target mutated
-    in place is checked anew. A failing check is not memoized and raises
-    on every call.
+    The target is checked, before simulation, by makhlin_invariants,
+    whose memo is keyed by content (the bytes of the 4x4 complex array):
+    each distinct target is checked once, one mutated in place anew, and
+    a failing check is not memoized and raises on every call.
     """
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
-    if not 0 < _finite("tolerance", tol):
+    limit = _finite("tolerance", tol)  # a Python float: the flags are bools
+    if not 0 < limit:
         raise ValueError(f"tolerance {tol!r} must be positive and finite")
-    raw = qmat._as_4x4(target).tobytes()
-    target = _checked_target(raw)
+    target_inv = equivalence.makhlin_invariants(target)
     u = simulate_schedule(s, p)
     d_exact = qmat.distance(u, target)
     d_phase = qmat.distance(u, target, up_to_global_phase=True)
-    d_inv = equivalence.makhlin_invariants(u).distance(
-        equivalence.makhlin_invariants(target))
+    d_inv = equivalence.makhlin_invariants(u).distance(target_inv)
     return VerificationReport(
-        target_name=target_name, mode=mode, exact_distance=float(d_exact),
-        phase_distance=float(d_phase), invariant_distance=float(d_inv),
-        pass_exact=bool(d_exact < tol),
-        pass_exact_up_to_phase=bool(d_phase < tol),
-        pass_class=bool(d_inv < tol),
+        target_name=target_name, mode=mode, exact_distance=d_exact,
+        phase_distance=d_phase, invariant_distance=d_inv,
+        pass_exact=d_exact < limit, pass_exact_up_to_phase=d_phase < limit,
+        pass_class=d_inv < limit,
         total_entangling_time=s.total_entangling_time)

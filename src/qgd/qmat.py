@@ -165,15 +165,16 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def distance(u: np.ndarray, v: np.ndarray,
              up_to_global_phase: bool = False) -> float:
-    """Frobenius distance between two unitaries.
+    """Frobenius distance between two 4x4 unitaries; ValueError for
+    anything that is not a 4x4 numeric array.
 
     With the flag set, minimizes over a global phase: the minimum of
     ||u - e^{i theta} v||_F sits at e^{i theta} = t^* / |t| with
     t = tr(u^dag v), and is evaluated there directly (the equivalent
     sqrt(2n - 2|t|) loses half the digits to cancellation near zero).
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u = _as_4x4(u)
+    v = _as_4x4(v)
     if up_to_global_phase:
         overlap = complex(np.vdot(u, v))  # tr(u^dag v)
         if overlap != 0:

@@ -294,6 +294,8 @@ class TestRwaScanCmd:
         ["--gt", "0"], ["--gt", "inf"], ["--gt", "nan"],
         ["--ratios", "1e-1,1e-310"],  # T = gT/g is not finite
         ["--ratios", "1e-1,1e308"],   # eps + sum |J| is not finite
+        ["--gt", "1e300"],            # eps T beyond 2^32: phase roundoff
+        ["--ratios", "1e-1,1e-300"],
     ])
     def test_bad_point_prints_nothing(self, runner, args):
         # Every row is computed before the header is printed; a numpy
@@ -545,6 +547,13 @@ class TestReadmeAgreesWithCli:
             codes.add(etype.exit_code)
             errors += etype.__subclasses__()
         assert table == docstring == {1} | codes
+
+    def test_layout_names_every_module(self):
+        block = self.README.split("## Layout", 1)[1].split("```", 2)[1]
+        listed = set(re.findall(r"^  (\w+)\.py\b", block, re.MULTILINE))
+        src = pathlib.Path(cli.__file__).parent
+        modules = {f.stem for f in src.glob("*.py")} - {"__init__"}
+        assert listed == modules
 
     def test_subcommands(self):
         block = self.README.split("## CLI", 1)[1].split("```sh", 1)[1]

@@ -1,4 +1,4 @@
-"""Each demo runs to completion as its own process."""
+"""Each demo runs to completion as its own process, without a warning."""
 import os
 import pathlib
 import subprocess
@@ -20,7 +20,9 @@ def test_demo_runs(demo):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, str(demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()

@@ -115,6 +115,14 @@ class TestInvariantsMemo:
         with pytest.raises(dataclasses.FrozenInstanceError):
             inv.g2 = 0.0
 
+    def test_kak_after_invariants_is_one_hit(self, rng):
+        u = haar_unitary(rng)
+        makhlin_invariants(u)
+        before = self.MEMO.cache_info()
+        kak_decompose(u.copy())
+        after = self.MEMO.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_cold_and_warm_results_agree(self, rng):
         u = haar_unitary(rng)
         self.MEMO.cache_clear()
@@ -297,9 +305,16 @@ def _verify_target(target):
                            RotFrameParams(1.0, 0.0, 0.0), target)
 
 
+def _distance_either_side(bad):
+    with pytest.raises(ValueError, match="4x4"):
+        distance(np.eye(4), bad)
+    return distance(bad, np.eye(4))
+
+
 @pytest.mark.parametrize("entry", [makhlin_invariants, kak_decompose,
-                                   _verify_target],
-                         ids=["makhlin", "kak", "verify_schedule"])
+                                   _verify_target, _distance_either_side],
+                         ids=["makhlin", "kak", "verify_schedule",
+                              "distance"])
 @pytest.mark.parametrize("bad, shape", [
     (np.eye(2), "(2, 2)"), (np.eye(8), "(8, 8)"),
     (np.eye(4)[None], "(1, 4, 4)"), ([[1, 0], [0]], None)],
@@ -309,6 +324,36 @@ def test_entry_points_refuse_non_4x4(entry, bad, shape):
         entry(bad)
     if shape is not None:
         assert f"shape {shape}" in str(exc.value)
+
+
+def _residual_failing_gate():
+    """A Haar gate plus 1e-10 noise: unitary within UNITARY_TOL, but with
+    a G2 imaginary residual above 1e-10."""
+    rng = np.random.default_rng(0)
+    u = haar_unitary(rng)
+    u = u + 1e-10 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    qmat.require_unitary(u)
+    return u
+
+
+@pytest.mark.parametrize("entry", [makhlin_invariants, kak_decompose,
+                                   _verify_target],
+                         ids=["makhlin", "kak", "verify_schedule"])
+def test_residual_failing_gate_is_refused_on_every_call(entry):
+    u = _residual_failing_gate()
+    for _ in range(3):
+        with pytest.raises(NotUnitary, match="G2 imaginary residual"):
+            entry(u)
+
+
+def test_target_is_checked_before_simulation():
+    # The schedule's phase overflows; the target is checked first.
+    sched = PulseSchedule((Entangle(1e308),))
+    params = RotFrameParams(1e300, 0.0, 0.0)
+    with pytest.raises(ValueError, match="phase overflows"):
+        verify_schedule(sched, params, CNOT)
+    with pytest.raises(NotUnitary, match="G2 imaginary residual"):
+        verify_schedule(sched, params, _residual_failing_gate())
 
 
 def test_import_leaves_numpy_random_unloaded():

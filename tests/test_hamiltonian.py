@@ -328,3 +328,13 @@ class TestRwaInfidelity:
                 (1.0, None, "t_final None is not a finite number")):
             with pytest.raises(ValueError, match=message):
                 rwa_infidelity(zero, eps, t_final)
+
+    def test_refuses_horizon_beyond_phase_resolution(self):
+        # Beyond eps T = 2^32 the phase roundoff exceeds 1e-6 rad.
+        ct = CouplingTensor(np.array([[1.0, 0.4, 0.3],
+                                      [0.2, 0.8, -0.5],
+                                      [0.6, -0.3, 0.9]]) * 1e-2)
+        assert math.isfinite(rwa_infidelity(ct, 2.0, 2.0 ** 31))
+        too_long = math.nextafter(2.0 ** 31, math.inf)
+        with pytest.raises(ValueError, match=f"t_final {too_long!r}"):
+            rwa_infidelity(ct, 2.0, too_long)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qgd import equivalence, pulses
+from qgd import equivalence
 from qgd.compiler import CNOT, compile_cnot, named_gate
 from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams
@@ -278,6 +278,12 @@ class TestVerifySchedule:
             verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
                             np.eye(4), tol=tol)
 
+    def test_report_holds_python_scalars(self):
+        rep = verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
+                              np.eye(4), tol=np.float64(1e-9))
+        assert rep.passed
+        assert {type(v) for v in rep.to_dict().values()} == {str, float, bool}
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
@@ -287,7 +293,7 @@ class TestVerifySchedule:
 class TestTargetMemo:
     """verify_schedule checks each distinct target content once."""
 
-    MEMOS = (pulses._checked_target, equivalence._invariants)
+    MEMOS = (equivalence._invariants,)
     SCHEDULE = PulseSchedule((Rotate("x", 0.3, 1), Entangle(0.4)))
     PARAMS = RotFrameParams(0.8, -0.3, 0.1)
 
@@ -316,13 +322,7 @@ class TestTargetMemo:
             verify_schedule(self.SCHEDULE, self.PARAMS, haar_unitary(rng))
         for memo in self.MEMOS:
             info = memo.cache_info()
-            assert info.currsize == info.maxsize == pulses._TARGET_MEMO_SIZE
-
-    def test_memoized_target_is_read_only(self):
-        verify_schedule(self.SCHEDULE, self.PARAMS, CNOT)
-        kept = pulses._checked_target(CNOT.tobytes())
-        assert not kept.flags.writeable
-        assert np.array_equal(kept, CNOT)
+            assert info.currsize == info.maxsize == equivalence._MEMO_SIZE
 
     @pytest.mark.parametrize("name,params", [
         ("CNOT", RotFrameParams(0.8, -0.3, 1.1)),
@@ -333,7 +333,7 @@ class TestTargetMemo:
         cold = compile_cnot(params)
         warm = compile_cnot(params)
         assert cold.target_name == name
-        assert pulses._checked_target.cache_info().hits >= 1
+        assert equivalence._invariants.cache_info().hits >= 1
         assert warm.verification == cold.verification
         assert warm.verification.to_dict() == cold.verification.to_dict()
         for mode in ("exact_up_to_phase", "local_class"):
