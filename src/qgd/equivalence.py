@@ -3,13 +3,18 @@ equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 (Cartan) decomposition of arbitrary U(4) elements.
 
 makhlin_invariants checks a gate (unitarity, then the G2 residual) and
-memoizes the invariants of the last 32 distinct inputs by content (the
-C-order bytes of the 4x4 complex array); locally_equivalent, kak_decompose
-and pulses.verify_schedule check gates through it, so each content is
-checked once, and a failing check is not memoized. KAK maps the magic-basis
-eigenphases to the coordinates and phase by one constant matrix, the exact
-inverse of a +-1 Hadamard system; its wraps and the Weyl-chamber moves run
-on Python floats.
+memoizes, for the last 32 distinct inputs by content (the C-order bytes
+of the 4x4 complex array), the invariants together with the gate's
+magic-basis form ub = Q^dag u Q, m = ub^T ub and det ub, the two arrays
+read-only; locally_equivalent, kak_decompose and pulses.verify_schedule
+check gates through it, so each content is checked and brought into the
+magic basis once, and a failing check is not memoized. Determinants are
+Laplace expansions on Python scalars (_det4); no LU factorization runs.
+KAK maps the magic-basis eigenphases to the coordinates and phase by one
+constant matrix, the exact inverse of a +-1 Hadamard system, and reads
+each local pair a (x) b off its real orthogonal magic-basis form by one
+constant real map (_ASSOC) to the quaternion product a b^T; its wraps and
+the Weyl-chamber moves run on Python floats.
 """
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ import numpy as np
 
 from .entangler import EntanglerCoords, _wrap, canonical_entangler
 from .errors import NotUnitary
-from .qmat import GEN_DIAGS, MAGIC, MAGIC_DAG, _as_4x4, kron, require_unitary
+from .qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, SX, SY, SZ, _as_4x4,
+                   kron, require_unitary)
 
 __all__ = [
     "MAGIC", "MakhlinInvariants", "KakFactors",
@@ -35,6 +41,17 @@ __all__ = [
 # matrix (H H^T = 4 I) and its inverse H^T / 4 is exact.
 _PHASE_SYSTEM = np.hstack([-GEN_DIAGS, np.ones((4, 1))])
 _PHASE_INVERSE = _PHASE_SYSTEM.T / 4
+
+# The quaternion basis of SU(2): q = (q0, q1, q2, q3) stands for
+# q0 I - i (q1 X + q2 Y + q3 Z), a unit q for an element of SU(2).
+_QUATERNIONS = np.array([I2, -1j * SX, -1j * SY, -1j * SZ])
+# Row 4j + k: the magic-basis form of sigma_j (x) sigma_k, a signed
+# permutation matrix (rounded to it), raveled and over 4. These 16 real
+# matrices are orthogonal with norm^2 4, so for o = Q^dag (a (x) b) Q,
+# _ASSOC @ o.ravel() is the outer product a b^T of the quaternions.
+_ASSOC = np.rint(np.array([(MAGIC_DAG @ np.kron(p, q) @ MAGIC).real.ravel()
+                           for p in _QUATERNIONS
+                           for q in _QUATERNIONS])) / 4
 
 # Distinct inputs whose invariants makhlin_invariants keeps.
 _MEMO_SIZE = 32
@@ -69,17 +86,19 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
 
     Memoized by content: an input mutated in place is checked anew, and a
     failing check raises on every call."""
-    return _invariants(_as_4x4(u).tobytes())
+    return _invariants(_as_4x4(u).tobytes())[0]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _invariants(raw: bytes) -> MakhlinInvariants:
-    """makhlin_invariants of the 4x4 complex array with C-order bytes raw."""
+def _invariants(raw: bytes) -> tuple:
+    """(makhlin_invariants, ub, m, det ub) of the 4x4 complex array with
+    C-order bytes raw: ub = Q^dag u Q and m = ub^T ub are read-only."""
     u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4))
-    um = MAGIC_DAG @ u @ MAGIC
-    m = um.T @ um
+    ub = MAGIC_DAG @ u @ MAGIC
+    m = ub.T @ ub
+    ub.flags.writeable = m.flags.writeable = False
     # Python complex scalars from here: cheaper than numpy scalars.
-    det = complex(np.linalg.det(um))
+    det = _det4(ub.tolist())
     tr = complex(m.trace())
     tr2 = tr * tr
     g1 = tr2 / (16 * det)
@@ -89,7 +108,21 @@ def _invariants(raw: bytes) -> MakhlinInvariants:
         raise NotUnitary(
             f"G2 imaginary residual {residual:.3e} exceeds 1e-10; "
             "input is not unitary enough")
-    return MakhlinInvariants(g1=g1, g2=g2.real, g2_imag_residual=residual)
+    inv = MakhlinInvariants(g1=g1, g2=g2.real, g2_imag_residual=residual)
+    return inv, ub, m, det
+
+
+def _det4(r):
+    """Determinant of a 4x4 matrix given as rows of Python scalars: the
+    Laplace expansion over the 2x2 minors of rows 0-1 and rows 2-3."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
+        (d0, d1, d2, d3) = r
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
 def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
@@ -103,6 +136,11 @@ def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
 class KakFactors:
     """U = e^{i phase} (u_post1 x u_post2) A(coords) (u_pre1 x u_pre2),
     with each local factor in SU(2) and coords in the principal cell.
+
+    A local pair (a, b) is fixed up to the common sign (-a, -b), which
+    leaves a (x) b unchanged. Convention: written as a0 I - i (a1 X +
+    a2 Y + a3 Z), the first factor's component of largest magnitude is
+    positive.
 
     eigh_attempts counts the weights the eigenbasis search tried: 1 on
     the generic path, more when degenerate eigenvalues forced a retry.
@@ -169,25 +207,25 @@ def _joint_orthogonal_eigenbasis(m: np.ndarray):
                      "likely far from unitary")
 
 
-def _det2(b: np.ndarray) -> complex:
-    return b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+def _so4_factors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) pair (a, b) with Q^dag (a (x) b) Q = o, for a real o in
+    SO(4), in closed form, under KakFactors' sign convention.
 
-
-def _kron_factor_local(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an element a (x) b of SU(2) x SU(2) into SU(2) factors, in
-    closed form.
-
-    Block (i, j) of a (x) b is a[i, j] b. The block of largest norm has
-    norm sqrt(2)|a[i, j]| >= 1, so scaling it to unit determinant gives
-    +-b stably; then a[i, j] = tr(b^dag block_ij) / 2, and a is scaled to
-    unit determinant too. The common sign cancels in a (x) b.
+    _ASSOC maps o to the outer product a b^T of the two unit quaternions.
+    Its row k of largest norm is a_k b, |a_k| the largest component of a;
+    scaled to unit norm it is s b, s the sign of a_k, and a b^T s b = s a
+    has the positive k-th component |a_k|. The pair is (s a, s b).
     """
-    blocks = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    k = int(np.argmax(np.sum(np.abs(blocks) ** 2, axis=1)))
-    b = blocks[k].reshape(2, 2)
-    b = b / cmath.sqrt(_det2(b))
-    a = (blocks @ b.conj().ravel()).reshape(2, 2) / 2
-    a = a / cmath.sqrt(_det2(a))
+    rows = (_ASSOC @ o.ravel()).reshape(4, 4).tolist()
+    norms = [math.hypot(*row) for row in rows]
+    n = max(norms)
+    b0, b1, b2, b3 = [v / n for v in rows[norms.index(n)]]
+    a0, a1, a2, a3 = [r0 * b0 + r1 * b1 + r2 * b2 + r3 * b3
+                      for r0, r1, r2, r3 in rows]
+    # q0 I - i (q1 X + q2 Y + q3 Z), as (re, im) pairs in C order.
+    a, b = np.array([a0, -a3, -a2, -a1, a2, -a1, a0, a3,
+                     b0, -b3, -b2, -b1, b2, -b1, b0, b3]
+                    ).view(complex).reshape(2, 2, 2)
     return a, b
 
 
@@ -197,26 +235,25 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     Works in the magic basis: m = U_B^T U_B is diagonalized over a real
     orthogonal frame; the eigenphases fix the entangler coordinates and
     global phase, the frames fix the local rotations. The input is
-    checked, and refused, by makhlin_invariants: a memo hit after it.
+    checked, and refused, by the invariants memo, whose record for the
+    content also holds U_B, m and det U_B.
     """
-    makhlin_invariants(u)
-    u = _as_4x4(u)
-    ub = MAGIC_DAG @ u @ MAGIC
-    m = ub.T @ ub
+    _, ub, m, det_ub = _invariants(_as_4x4(u).tobytes())
     # Flipping a column leaves the diagonal of basis^T m basis unchanged.
     basis, d, attempts = _joint_orthogonal_eigenbasis(m)
-    if np.linalg.det(basis) < 0:
+    if _det4(basis.tolist()) < 0:
         basis[:, 0] = -basis[:, 0]
     theta = np.angle(d) / 2
     k1 = (ub @ basis) * np.exp(-1j * theta)
-    if np.linalg.det(k1).real < 0:
+    # det k1 = det(ub) det(basis) e^{-i sum theta}, and det(basis) = 1.
+    if (det_ub * cmath.exp(-1j * sum(theta.tolist()))).real < 0:
         theta[0] += math.pi
         k1[:, 0] = -k1[:, 0]
     # theta_k = phase - (x, y, z) . diag_k, inverted exactly.
     x, y, z, phase = (_PHASE_INVERSE @ theta).tolist()
 
-    post1, post2 = _kron_factor_local(MAGIC @ k1.real @ MAGIC_DAG)
-    pre1, pre2 = _kron_factor_local(MAGIC @ basis.T @ MAGIC_DAG)
+    post1, post2 = _so4_factors(k1.real)
+    pre1, pre2 = _so4_factors(basis.T)
 
     # Wrapping coordinates into the principal cell is exact (period 2*pi)
     # but the phase must be rewrapped too.

@@ -225,8 +225,10 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     evolution in the lab frame, and e^{-i H0 T} =
     diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases only its two corners.
     ValueError unless eps and t_final are positive and finite; last,
-    naming t_final, when eps t_final > 2^32, where the phase roundoff
-    2^-52 eps t_final exceeds 2^-20 (~1e-6) rad and the result is noise.
+    naming t_final, when max(eps, sum |J_mn|) t_final > 2^32. That rate
+    bounds the spectral radius of H_lab within a factor of 2, and past
+    2^32 the phase roundoff 2^-52 rate t_final exceeds 2^-20 (~1e-6) rad
+    and the result is noise.
     """
     t_final = qmat._real("t_final", t_final)
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -234,10 +236,11 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
     qmat._require_finite_phase(eps, t_final)
     u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
-    if float(eps) * t_final > 2.0 ** 32:
-        raise ValueError(f"t_final {t_final!r} is too long: eps * t_final "
-                         "exceeds 2^32, where its phase roundoff exceeds "
-                         "1e-6 rad")
+    rate = max(float(eps), sum(map(abs, ct.j.ravel().tolist())))
+    if rate * t_final > 2.0 ** 32:
+        raise ValueError(f"t_final {t_final!r} is too long: "
+                         "max(eps, sum |J|) * t_final exceeds 2^32, where "
+                         "its phase roundoff exceeds 1e-6 rad")
     drift = cmath.exp(1j * (eps * t_final))  # e^{-i H0 T} on |00>
     u_rwa[0, 0] *= drift
     u_rwa[3, 3] *= drift.conjugate()

@@ -295,6 +295,7 @@ class TestRwaScanCmd:
         ["--ratios", "1e-1,1e-310"],  # T = gT/g is not finite
         ["--ratios", "1e-1,1e308"],   # eps + sum |J| is not finite
         ["--gt", "1e300"],            # eps T beyond 2^32: phase roundoff
+        ["--ratios", "1e10", "--gt", "1e15"],  # sum |J| T beyond 2^32
         ["--ratios", "1e-1,1e-300"],
     ])
     def test_bad_point_prints_nothing(self, runner, args):

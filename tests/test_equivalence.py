@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qgd.compiler import CNOT, CZ, SWAP, controlled_phase
+from qgd.compiler import CNOT, CZ, SWAP, compile_cnot, controlled_phase
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd import equivalence, qmat
 from qgd.hamiltonian import RotFrameParams
@@ -37,6 +37,11 @@ def test_magic_basis_constants():
     assert np.array_equal(np.abs(qmat.GEN_DIAGS), np.ones((4, 3)))
     assert np.array_equal(
         equivalence._PHASE_INVERSE @ equivalence._PHASE_SYSTEM, np.eye(4))
+    # The quaternion map: entries exactly 0 or +-1/4, and 4 _ASSOC is
+    # orthogonal (the 16 products sigma_j (x) sigma_k are a basis).
+    assoc = equivalence._ASSOC
+    assert set(np.unique(assoc)) <= {-0.25, 0.0, 0.25}
+    assert np.array_equal(4 * assoc @ assoc.T, np.eye(16))
 
 
 class TestMakhlinInvariants:
@@ -114,6 +119,11 @@ class TestInvariantsMemo:
         assert makhlin_invariants(CNOT.copy()) is inv
         with pytest.raises(dataclasses.FrozenInstanceError):
             inv.g2 = 0.0
+        # So are the magic-basis arrays kept beside them.
+        _, ub, m, _ = equivalence._invariants(CNOT.tobytes())
+        for a in (ub, m):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
 
     def test_kak_after_invariants_is_one_hit(self, rng):
         u = haar_unitary(rng)
@@ -122,6 +132,22 @@ class TestInvariantsMemo:
         kak_decompose(u.copy())
         after = self.MEMO.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_kak_leaves_the_memo_record_unchanged(self, rng):
+        # KAK flips columns of its own arrays, never of the memo's.
+        for u in (haar_unitary(rng), CNOT, SWAP, np.eye(4)):
+            _, ub, m, _ = equivalence._invariants(
+                np.asarray(u, complex).tobytes())
+            saved = ub.copy(), m.copy()
+            first = kak_decompose(u)
+            second = kak_decompose(u.copy())
+            assert first.coords == second.coords
+            assert first.phase == second.phase
+            for f, g in zip((*first.u_post, *first.u_pre),
+                            (*second.u_post, *second.u_pre)):
+                assert np.array_equal(f, g)
+            assert np.array_equal(ub, saved[0])
+            assert np.array_equal(m, saved[1])
 
     def test_cold_and_warm_results_agree(self, rng):
         u = haar_unitary(rng)
@@ -354,6 +380,27 @@ def test_target_is_checked_before_simulation():
         verify_schedule(sched, params, CNOT)
     with pytest.raises(NotUnitary, match="G2 imaginary residual"):
         verify_schedule(sched, params, _residual_failing_gate())
+
+
+def test_no_lu_determinant_is_needed(rng, monkeypatch):
+    # Every determinant is a Laplace expansion on Python scalars.
+    u = haar_unitary(rng)
+    dressed = (kron(random_su2(rng), random_su2(rng)) @ CNOT
+               @ kron(random_su2(rng), random_su2(rng)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    equivalence._invariants.cache_clear()
+    for gate in (u, dressed, CNOT, SWAP):
+        makhlin_invariants(gate)
+        f = kak_decompose(gate)
+        assert distance(f.reconstruct(), gate) < 1e-9
+    params = RotFrameParams(0.8, -0.3, 0.1)
+    assert verify_schedule(PulseSchedule((Entangle(0.4),)), params,
+                           u).exact_distance > 0
+    assert compile_cnot(params).verification.exact_distance < 1e-9
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -338,3 +338,11 @@ class TestRwaInfidelity:
         too_long = math.nextafter(2.0 ** 31, math.inf)
         with pytest.raises(ValueError, match=f"t_final {too_long!r}"):
             rwa_infidelity(ct, 2.0, too_long)
+
+    def test_refuses_horizon_beyond_coupling_phase_resolution(self):
+        # eps T = 1e9 is well inside 2^32, but sum |J| T is ~5e15.
+        ct = CouplingTensor(np.array([[1.0, 0.4, 0.3],
+                                      [0.2, 0.8, -0.5],
+                                      [0.6, -0.3, 0.9]]) * 1e6)
+        with pytest.raises(ValueError, match="t_final 1000000000.0 is too"):
+            rwa_infidelity(ct, 1.0, 1e9)

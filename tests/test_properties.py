@@ -2,8 +2,9 @@
 coupling space, trajectories of every compiled schedule and against the
 pi-pulse sign rule, the closed-form propagators against a
 kron-and-eigensolver reference, the KAK round trip and Weyl idempotence
-on locally dressed gates, the Python-float Weyl, KAK and entangler
-kernels against the numpy formulas they replaced, the lab-frame RWA
+on locally dressed gates, the Python-float Weyl, KAK, determinant and
+entangler kernels and the quaternion split of local gates against the
+numpy formulas they replaced, the lab-frame RWA
 check against the rotating-frame formula it replaced, and the CLI's exit
 codes on fuzzed JSON."""
 import json
@@ -20,8 +21,8 @@ from qgd import cli
 from qgd.compiler import (CNOT, SWAP, compile_cnot, controlled_phase,
                           named_gate)
 from qgd.entangler import EntanglerCoords, canonical_entangler, wrap_angle
-from qgd.equivalence import (_joint_orthogonal_eigenbasis,
-                             _kron_factor_local, kak_decompose,
+from qgd.equivalence import (_det4, _joint_orthogonal_eigenbasis,
+                             _so4_factors, kak_decompose,
                              locally_equivalent, makhlin_invariants,
                              weyl_canonicalize)
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
@@ -275,20 +276,35 @@ local_factor = st.one_of(
     st.sampled_from([I2, 1j * SX, 1j * SY, 1j * SZ]))
 
 
+def _so4(u: np.ndarray) -> np.ndarray:
+    """The real orthogonal magic-basis form of a local gate."""
+    return (MAGIC_DAG @ u @ MAGIC).real
+
+
+def _quaternion(f: np.ndarray) -> np.ndarray:
+    """(q0, q1, q2, q3) with f = q0 I - i (q1 X + q2 Y + q3 Z)."""
+    return np.array([f[0, 0].real, -f[0, 1].imag, -f[0, 1].real,
+                     -f[0, 0].imag])
+
+
 @PROPERTY
 @given(a=local_factor, b=local_factor)
-def test_kron_factor_local_closed_form(a, b):
+def test_so4_factors_closed_form(a, b):
     u = kron(a, b)
-    f1, f2 = _kron_factor_local(u)
+    f1, f2 = _so4_factors(_so4(u))
     assert np.max(np.abs(kron(f1, f2) - u)) < 1e-13
     for f in (f1, f2):
         assert abs(np.linalg.det(f) - 1) < 1e-12
+    # The sign convention: the first factor's largest component is > 0.
+    q = _quaternion(f1)
+    assert q[np.argmax(np.abs(q))] > 0
 
 
 # ------------------------------------------- lean kernels vs numpy --
 # The numpy formulas that the Python-float kernels replaced, kept here as
 # references: the Weyl moves, the general 4x4 solve for KAK's coordinates
-# and phase, and the entangler built in the magic basis.
+# and phase, the entangler built in the magic basis, the LU determinant
+# and the split of a (x) b by its 2x2 blocks.
 _QUARTER, _HALF, _EDGE_TOL = math.pi / 4, math.pi / 2, 1e-12
 
 
@@ -375,6 +391,31 @@ def _reference_kak_angles(u) -> np.ndarray:
     return wrap_angle(np.linalg.solve(_ROUNDOFF_SYSTEM, theta))
 
 
+def _reference_kron_factor_local(u) -> tuple:
+    """Split a (x) b in SU(2) x SU(2) by its 2x2 blocks: block (i, j) is
+    a[i, j] b; the block of largest norm, scaled to unit determinant,
+    gives +-b, then a[i, j] = tr(b^dag block_ij) / 2, scaled likewise."""
+    def det2(m):
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    blocks = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    k = int(np.argmax(np.sum(np.abs(blocks) ** 2, axis=1)))
+    b = blocks[k].reshape(2, 2)
+    b = b / np.sqrt(det2(b))
+    a = (blocks @ b.conj().ravel()).reshape(2, 2) / 2
+    return a / np.sqrt(det2(a)), b
+
+
+@PROPERTY
+@given(a=local_factor, b=local_factor)
+def test_so4_factors_match_block_split_up_to_common_sign(a, b):
+    u = kron(a, b)
+    got = _so4_factors(_so4(u))
+    ref = _reference_kron_factor_local(u)
+    gap = min(max(_max_diff(g, s * r) for g, r in zip(got, ref))
+              for s in (1, -1))
+    assert gap < 1e-13
+
+
 def _circle_gap(a: float, b: float) -> float:
     """|a - b| modulo 2 pi: the two sides may wrap a value at pi apart."""
     d = a - b
@@ -398,6 +439,19 @@ def test_kak_angles_match_a_linear_solve(u):
     got = (f.coords.x, f.coords.y, f.coords.z, f.phase)
     for a, b in zip(got, _reference_kak_angles(u)):
         assert _circle_gap(a, b) < 1e-15
+
+
+def _haar_orthogonal(seed: int) -> np.ndarray:
+    """A Haar-random element of O(4): det +1 or -1."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+    return q * np.sign(np.diag(r))
+
+
+@PROPERTY
+@given(m=st.one_of(kak_gate, seed.map(_haar_orthogonal)))
+def test_det4_matches_lu_determinant(m):
+    assert abs(_det4(m.tolist()) - np.linalg.det(m)) < 1e-14
 
 
 cell = st.floats(min_value=-math.pi, max_value=math.pi)
