@@ -204,6 +204,8 @@ def rwa_scan(ratios, gt_product, coupling_path):
     values = [float(r) for r in ratios.split(",")]
     if not all(r > 0 and math.isfinite(r) for r in values):
         raise ValueError(f"ratios {ratios!r} must be positive and finite")
+    if not (gt_product > 0 and math.isfinite(gt_product)):
+        raise ValueError(f"gt {gt_product!r} must be positive and finite")
     unit = base / scale  # normalised once: g / scale may overflow
     eps = 1.0
     rows = []  # every row is computed before anything is printed

@@ -5,16 +5,19 @@ equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 makhlin_invariants checks a gate (unitarity, then the G2 residual) and
 memoizes, for the last 32 distinct inputs by content (the C-order bytes
 of the 4x4 complex array), the invariants together with the gate's
-magic-basis form ub = Q^dag u Q, m = ub^T ub and det ub, the two arrays
-read-only; locally_equivalent, kak_decompose and pulses.verify_schedule
-check gates through it, so each content is checked and brought into the
-magic basis once, and a failing check is not memoized. Determinants are
-Laplace expansions on Python scalars (_det4); no LU factorization runs.
-KAK maps the magic-basis eigenphases to the coordinates and phase by one
-constant matrix, the exact inverse of a +-1 Hadamard system, and reads
-each local pair a (x) b off its real orthogonal magic-basis form by one
-constant real map (_ASSOC) to the quaternion product a b^T; its wraps and
-the Weyl-chamber moves run on Python floats.
+magic-basis form ub = Q^dag u Q, read-only, and det ub; locally_equivalent,
+kak_decompose and pulses.verify_schedule check gates through it, so each
+content is checked and brought into the magic basis once, and a failing
+check is not memoized. Determinants are Laplace expansions on Python
+scalars (_det4); no LU factorization runs. KAK takes the memo's ub one
+Newton-Schulz step towards U(4) and forms m = ub^T ub; it takes one eigh
+of Re m, one of Im m per near-degenerate cluster of Re m, one of Re m
+per cluster Im m leaves coupled, and so on. It maps the magic-basis
+eigenphases to the coordinates and phase by one constant matrix, the
+exact inverse of a +-1 Hadamard system, and reads each local pair
+a (x) b off its real orthogonal magic-basis form by one constant real
+map (_ASSOC) to the quaternion product a b^T; its wraps and the
+Weyl-chamber moves run on Python floats.
 """
 from __future__ import annotations
 
@@ -91,12 +94,12 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _invariants(raw: bytes) -> tuple:
-    """(makhlin_invariants, ub, m, det ub) of the 4x4 complex array with
-    C-order bytes raw: ub = Q^dag u Q and m = ub^T ub are read-only."""
+    """(makhlin_invariants, ub, det ub) of the 4x4 complex array with
+    C-order bytes raw: ub = Q^dag u Q is read-only."""
     u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4))
     ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
-    ub.flags.writeable = m.flags.writeable = False
+    ub.flags.writeable = False
     # Python complex scalars from here: cheaper than numpy scalars.
     det = _det4(ub.tolist())
     tr = complex(m.trace())
@@ -109,7 +112,7 @@ def _invariants(raw: bytes) -> tuple:
             f"G2 imaginary residual {residual:.3e} exceeds 1e-10; "
             "input is not unitary enough")
     inv = MakhlinInvariants(g1=g1, g2=g2.real, g2_imag_residual=residual)
-    return inv, ub, m, det
+    return inv, ub, det
 
 
 def _det4(r):
@@ -142,15 +145,14 @@ class KakFactors:
     a2 Y + a3 Z), the first factor's component of largest magnitude is
     positive.
 
-    eigh_attempts counts the weights the eigenbasis search tried: 1 on
-    the generic path, more when degenerate eigenvalues forced a retry.
+    Rebuilt, it is off u by about ||u^dag u - I||_F / 2 at most, plus up
+    to about _COUPLED where eigenphases of m nearly coincide.
     """
 
     phase: float
     u_post: tuple  # (Mat2, Mat2)
     coords: EntanglerCoords
     u_pre: tuple   # (Mat2, Mat2)
-    eigh_attempts: int
 
     def reconstruct(self) -> np.ndarray:
         return (cmath.exp(1j * self.phase)
@@ -166,45 +168,38 @@ class KakFactors:
             "coords": [self.coords.x, self.coords.y, self.coords.z],
             "u_post": [c2(self.u_post[0]), c2(self.u_post[1])],
             "u_pre": [c2(self.u_pre[0]), c2(self.u_pre[1])],
-            "eigh_attempts": self.eigh_attempts,
         }
 
 
-# Off-diagonal positions of a flattened 4x4 matrix.
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool).ravel()
+# Entry of basis^T m basis above which two eigenvectors of one part of m
+# count as one near-degenerate cluster that the other part must resolve.
+_COUPLED = 1e-12
 
 
-def _eigh_weights():
-    """Weights (w_re, w_im) for _joint_orthogonal_eigenbasis, in order:
-    two fixed pairs, then 20 seeded normal draws. The generator is built
-    only when both fixed pairs fail, so the generic call never touches
-    numpy.random (which a module-level generator would load at import)."""
-    yield 1 / math.pi, math.pi
-    yield 1 / 10, 10
-    rng = np.random.default_rng(20090619)
-    for _ in range(20):
-        yield tuple(rng.normal(size=2))
+def _joint_orthogonal_eigenbasis(m: np.ndarray, imag: bool = False):
+    """(basis, diag): a real orthogonal eigenbasis of a unitary complex-
+    symmetric m, and the diagonal of basis^T m basis.
 
-
-def _joint_orthogonal_eigenbasis(m: np.ndarray):
-    """(basis, diag, attempts): a real orthogonal eigenbasis of a unitary
-    complex-symmetric matrix, the diagonal of basis^T m basis, and the
-    number of weights tried.
-
-    Re(m) and Im(m) are commuting real symmetric matrices; diagonalize a
-    generic linear combination, accepted once basis^T m basis is diagonal
-    within 1e-11. The fixed weights (1/pi, pi) and (1/10, 10) come first;
-    the deterministically seeded retry weights are drawn only if both
-    leave a degenerate cluster unresolved.
+    Re m and Im m commute. The columns of eigh(Re m) fall into runs, each
+    ending where none of its columns couples through m to a later one; a
+    longer run (a near-degenerate cluster) is resolved likewise from
+    Im m, whose runs take Re m again, and so on.
     """
-    re, im = m.real, m.imag
-    for attempt, (wr, wi) in enumerate(_eigh_weights(), start=1):
-        _, basis = np.linalg.eigh(wr * re + wi * im)
-        check = basis.T @ m @ basis
-        if np.max(np.abs(check.ravel()[_OFF_DIAGONAL])) < 1e-11:
-            return basis, np.diag(check), attempt
-    raise NotUnitary("could not jointly diagonalize; input is "
-                     "likely far from unitary")
+    _, basis = np.linalg.eigh(m.imag if imag else m.real)
+    c = (basis.T @ m @ basis).tolist()
+    n = len(c)
+    d = [c[k][k] for k in range(n)]
+    start = 0
+    for j in range(1, n + 1):
+        if j < n and any(abs(z) > _COUPLED
+                         for row in c[start:j] for z in row[j:]):
+            continue
+        if j - start > 1:
+            v, d[start:j] = _joint_orthogonal_eigenbasis(
+                np.array([row[start:j] for row in c[start:j]]), not imag)
+            basis[:, start:j] = basis[:, start:j] @ v
+        start = j
+    return basis, d
 
 
 def _so4_factors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +231,15 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     orthogonal frame; the eigenphases fix the entangler coordinates and
     global phase, the frames fix the local rotations. The input is
     checked, and refused, by the invariants memo, whose record for the
-    content also holds U_B, m and det U_B.
+    content also holds U_B and det U_B.
     """
-    _, ub, m, det_ub = _invariants(_as_4x4(u).tobytes())
+    _, ub, det_ub = _invariants(_as_4x4(u).tobytes())
+    # One Newton-Schulz step, on a copy, squares the deviation
+    # ub^dag ub - I, which require_unitary bounds by 1e-9.
+    ub = 1.5 * ub - 0.5 * (ub @ (ub.conj().T @ ub))
+    m = ub.T @ ub
     # Flipping a column leaves the diagonal of basis^T m basis unchanged.
-    basis, d, attempts = _joint_orthogonal_eigenbasis(m)
+    basis, d = _joint_orthogonal_eigenbasis(m)
     if _det4(basis.tolist()) < 0:
         basis[:, 0] = -basis[:, 0]
     theta = np.angle(d) / 2
@@ -260,8 +259,7 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     return KakFactors(phase=_wrap(phase),
                       u_post=(post1, post2),
                       coords=EntanglerCoords(_wrap(x), _wrap(y), _wrap(z)),
-                      u_pre=(pre1, pre2),
-                      eigh_attempts=attempts)
+                      u_pre=(pre1, pre2))
 
 
 _QUARTER = math.pi / 4

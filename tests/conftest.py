@@ -12,6 +12,15 @@ def haar_unitary(rng, n=4):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def noisy_unitaries(rng, n):
+    """n Haar gates, each plus complex Gaussian noise of one scale
+    10^U(-12, -9): some pass the unitarity checks, some do not."""
+    for _ in range(n):
+        u = haar_unitary(rng)
+        s = 10 ** rng.uniform(-12, -9)
+        yield u + s * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+
 def random_su2(rng):
     u = haar_unitary(rng, 2)
     return u / np.sqrt(np.linalg.det(u))

@@ -9,7 +9,10 @@ from click.testing import CliRunner
 
 from qgd import cli
 from qgd.cli import main
+from qgd.equivalence import kak_decompose
 from qgd.errors import QgdError
+
+from conftest import noisy_unitaries
 
 PI = math.pi
 
@@ -110,6 +113,16 @@ class TestKakCmd:
         outs = [runner.invoke(main, ["kak", "--gate", "SWAP"])
                 for _ in range(2)]
         assert outs[0].output == outs[1].output
+
+    def test_noisy_unitary_input(self, runner, tmp_path):
+        # Off unitarity by ~1e-11, inside UNITARY_TOL: decomposed, exit 0.
+        u = list(noisy_unitaries(np.random.default_rng(2027), 2))[1]
+        path = write_json(tmp_path, "u.json",
+                          [[[z.real, z.imag] for z in row] for row in u])
+        result = runner.invoke(main, ["kak", "--input", path])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == json.loads(json.dumps(
+            kak_decompose(u).to_dict()))
 
 
 class TestCompileSimulateRoundTrip:
@@ -291,7 +304,7 @@ class TestRwaScanCmd:
         assert refused(result, 1)
 
     @pytest.mark.parametrize("args", [
-        ["--gt", "0"], ["--gt", "inf"], ["--gt", "nan"],
+        ["--gt", "0"], ["--gt", "-1"], ["--gt", "inf"], ["--gt", "nan"],
         ["--ratios", "1e-1,1e-310"],  # T = gT/g is not finite
         ["--ratios", "1e-1,1e308"],   # eps + sum |J| is not finite
         ["--gt", "1e300"],            # eps T beyond 2^32: phase roundoff
@@ -305,6 +318,13 @@ class TestRwaScanCmd:
         assert refused(result, 1)
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("gt", ["-1", "nan"])
+    def test_bad_gt_names_gt(self, runner, gt):
+        result = runner.invoke(main, ["rwa-scan", "--gt", gt])
+        assert refused(result, 1)
+        assert result.stderr == (f"error: gt {float(gt)!r} must be positive "
+                                 "and finite\n")
 
     def test_overflow_names_the_coupling(self, runner):
         result = runner.invoke(main, ["rwa-scan", "--ratios", "1e308"])

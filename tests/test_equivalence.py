@@ -19,9 +19,14 @@ from qgd.equivalence import (kak_decompose, locally_equivalent,
 from qgd.errors import NotUnitary
 from qgd.qmat import distance, kron
 
-from conftest import haar_unitary, random_su2
+from conftest import haar_unitary, noisy_unitaries, random_su2
 
 PI = math.pi
+
+
+def _dressed(rng, core):
+    return (kron(random_su2(rng), random_su2(rng)) @ core
+            @ kron(random_su2(rng), random_su2(rng)))
 
 
 def test_magic_basis_constants():
@@ -119,11 +124,10 @@ class TestInvariantsMemo:
         assert makhlin_invariants(CNOT.copy()) is inv
         with pytest.raises(dataclasses.FrozenInstanceError):
             inv.g2 = 0.0
-        # So are the magic-basis arrays kept beside them.
-        _, ub, m, _ = equivalence._invariants(CNOT.tobytes())
-        for a in (ub, m):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0.0
+        # So is the magic-basis form kept beside them.
+        _, ub, _ = equivalence._invariants(CNOT.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            ub[0, 0] = 0.0
 
     def test_kak_after_invariants_is_one_hit(self, rng):
         u = haar_unitary(rng)
@@ -136,9 +140,9 @@ class TestInvariantsMemo:
     def test_kak_leaves_the_memo_record_unchanged(self, rng):
         # KAK flips columns of its own arrays, never of the memo's.
         for u in (haar_unitary(rng), CNOT, SWAP, np.eye(4)):
-            _, ub, m, _ = equivalence._invariants(
+            _, ub, _ = equivalence._invariants(
                 np.asarray(u, complex).tobytes())
-            saved = ub.copy(), m.copy()
+            saved = ub.copy()
             first = kak_decompose(u)
             second = kak_decompose(u.copy())
             assert first.coords == second.coords
@@ -146,8 +150,7 @@ class TestInvariantsMemo:
             for f, g in zip((*first.u_post, *first.u_pre),
                             (*second.u_post, *second.u_pre)):
                 assert np.array_equal(f, g)
-            assert np.array_equal(ub, saved[0])
-            assert np.array_equal(m, saved[1])
+            assert np.array_equal(ub, saved)
 
     def test_cold_and_warm_results_agree(self, rng):
         u = haar_unitary(rng)
@@ -233,35 +236,65 @@ class TestKakDecompose:
         with pytest.raises(NotUnitary):
             kak_decompose(2 * np.eye(4, dtype=complex))
 
-    def test_eigh_attempts_generic(self, rng):
-        assert kak_decompose(haar_unitary(rng)).eigh_attempts == 1
+    def test_one_eigh_per_gate_and_one_per_degenerate_cluster(
+            self, rng, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
 
-    def test_eigh_attempts_retry_point(self, rng):
-        # At tan(2x) = pi^2 the first weight (1/pi, pi) makes two
-        # eigenvalues coincide; local dressing keeps the spectrum.
-        x = math.atan(PI ** 2) / 2
-        core = canonical_entangler(EntanglerCoords(x, x, 0))
-        u = (kron(random_su2(rng), random_su2(rng)) @ core
-             @ kron(random_su2(rng), random_su2(rng)))
-        f = kak_decompose(u)
-        assert f.eigh_attempts == 2
-        assert distance(f.reconstruct(), u) < 1e-9
+        def counting_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        kak_decompose(haar_unitary(rng))
+        assert shapes == [(4, 4)]
+        # A(x, x, 0) has the conjugate eigenphase pair e^{+-4ix}: Re m is
+        # degenerate there and Im m separates the pair.
+        shapes.clear()
+        kak_decompose(_dressed(rng, canonical_entangler(
+            EntanglerCoords(0.3, 0.3, 0))))
+        assert shapes == [(4, 4), (2, 2)]
 
-    def test_retry_weights(self):
-        # Two fixed pairs, then 20 normal draws of one seeded generator.
-        rng = np.random.default_rng(20090619)
-        expected = [(1 / PI, PI), (1 / 10, 10)]
-        expected += [tuple(rng.normal(size=2)) for _ in range(20)]
-        assert list(equivalence._eigh_weights()) == expected
+    @pytest.mark.parametrize("core", [
+        canonical_entangler(EntanglerCoords(0.3, 0.3, 0)),
+        controlled_phase(1e-4),
+        canonical_entangler(EntanglerCoords(PI / 4, 1e-6, 0)),
+        canonical_entangler(EntanglerCoords(PI / 4, 1e-9, 0)),
+    ], ids=["A(0.3, 0.3, 0)", "C(1e-4)", "A(pi/4, 1e-6, 0)",
+            "A(pi/4, 1e-9, 0)"])
+    def test_degenerate_re_m_rebuilds(self, rng, core):
+        # Re m is exactly degenerate for A(x, x, 0) and degenerate within
+        # ~5e-9 for a controlled phase of 1e-4, whose eigh(Re m) columns
+        # then couple at ~1e-12: the refinement must resolve both. Near
+        # CNOT, A(pi/4, y, 0) has Re m eigenvalues +-sin 2y, each twice:
+        # eigh(Re m) leaks across the 2 sin 2y gap, Im m then pairs
+        # columns of opposite Re m, and Re m must split those again.
+        for _ in range(50):
+            u = _dressed(rng, core)
+            f = kak_decompose(u)
+            assert np.linalg.norm(f.reconstruct() - u) < 1e-12
+            assert locally_equivalent(canonical_entangler(f.coords), core)
+
+    def test_noisy_gates_the_invariants_accept_decompose(self):
+        # Every gate within UNITARY_TOL decomposes, rebuilt to within its
+        # own deviation from unitarity.
+        accepted = 0
+        for u in noisy_unitaries(np.random.default_rng(2027), 2000):
+            try:
+                makhlin_invariants(u)
+            except NotUnitary:
+                continue
+            accepted += 1
+            deviation = np.linalg.norm(u.conj().T @ u - np.eye(4))
+            rebuilt = kak_decompose(u).reconstruct()
+            assert np.linalg.norm(rebuilt - u) <= deviation
+        assert accepted > 1000
 
     def test_json_shape(self, rng):
         import json
         d = kak_decompose(haar_unitary(rng)).to_dict()
         json.dumps(d)
-        assert set(d) == {"phase", "coords", "u_pre", "u_post",
-                          "eigh_attempts"}
+        assert set(d) == {"phase", "coords", "u_pre", "u_post"}
         assert len(d["coords"]) == 3
-        assert d["eigh_attempts"] == 1
 
 
 class TestWeylCanonicalize:
