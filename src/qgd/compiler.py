@@ -163,17 +163,16 @@ def _refocused_schedule(p: RotFrameParams,
 
 
 def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
-    # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT.
+    # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT. Qubit
+    # 2's wrap is one virtual z rotation: Rx(pi/2) Ry(a) Rx(-pi/2) = Rz(a).
     sign = 1.0 if p.j > 0 else -1.0
     dt = _interval(4, abs(p.j))
     ops = (
         Rotate("y", -_PI / 2, 2),
         Entangle(dt),
-        Rotate("x", -_PI / 2, 2),
         Rotate("y", _PI / 2, 1),
-        Rotate("y", sign * _PI / 2, 2),
+        Rotate("z", sign * _PI / 2, 2),
         Rotate("x", sign * _PI / 2, 1),
-        Rotate("x", _PI / 2, 2),
         GlobalPhase(sign * _PI / 2),
     )
     return PulseSchedule(ops=ops), dt

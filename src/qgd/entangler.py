@@ -4,10 +4,10 @@ on the 3-torus of entanglers, finite by construction, with their
 principal-cell wrap; and the sampled path type Trajectory, which
 pulses.trajectory fills in from a pulse schedule.
 
-XX, YY and ZZ act within span{|00>, |11>} and span{|01>, |10>}, so A has
-a closed form on Python scalars: its non-zero entries sit on the diagonal
-and the anti-diagonal. The wrap of a single coordinate or phase also runs
-on Python floats; wrap_angle is the same formula over arrays.
+A is qmat._entangler, the package's one closed form of this exponential,
+which hamiltonian.rot_frame_propagator shares. The wrap of a single
+coordinate or phase runs on Python floats; wrap_angle is the same formula
+over arrays.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import _finite
+from .qmat import _entangler, _finite
 
 __all__ = [
     "EntanglerCoords", "Trajectory", "wrap_angle",
@@ -63,14 +63,8 @@ class EntanglerCoords:
 
 
 def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
-    """A(x,y,z), exactly 2*pi-periodic per axis, in closed form:
-
-        A[0, 0] = A[3, 3] = e^{-iz} cos(x - y)
-        A[0, 3] = A[3, 0] = -i e^{-iz} sin(x - y)
-        A[1, 1] = A[2, 2] = e^{iz} cos(x + y)
-        A[1, 2] = A[2, 1] = -i e^{iz} sin(x + y)
-
-    and zero elsewhere. Raises ValueError for anything but an
+    """A(x,y,z), exactly 2*pi-periodic per axis, in closed form
+    (qmat._entangler with tilt 1). Raises ValueError for anything but an
     EntanglerCoords, and when a magic-basis phase +-x +-y +-z (the
     eigenphases of A) is not finite.
     """
@@ -82,15 +76,7 @@ def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
     if not all(map(math.isfinite, (d + z, d - z, s + z, s - z))):
         raise ValueError(f"phase overflows: entangler coordinates "
                          f"{[x, y, z]} are too large")
-    cz, sz = math.cos(z), math.sin(z)
-    cd, sd = math.cos(d), math.sin(d)
-    cs, ss = math.cos(s), math.sin(s)
-    a, b = complex(cz * cd, -sz * cd), complex(-sz * sd, -cz * sd)
-    e, f = complex(cz * cs, sz * cs), complex(sz * ss, -cz * ss)
-    return np.array((a, 0j, 0j, b,
-                     0j, e, f, 0j,
-                     0j, f, e, 0j,
-                     b, 0j, 0j, a)).reshape(4, 4)
+    return _entangler(d, s, z, 1.0)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ the 3 effective rotating-frame parameters (J, J_zz, J').
 
 Both coupling Hamiltonians are qmat.coupling_operator of a 3x3 tensor:
 J_{mu nu} itself in the lab frame, and its rotating-wave part
-[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame. The
-rotating-frame one is ZZ-diagonal plus one 2x2 block on {|01>, |10>},
-so rot_frame_propagator is its exact closed-form exponential; only the
-lab-frame Hamiltonian goes through qmat's eigendecomposition.
+[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame. With
+(s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
+form of A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, the frame
+of the compiler's wraps; only the lab frame needs an eigendecomposition.
 
 rwa_infidelity compares the two in the lab frame. The drift
 H0 = -(eps/2)(Z1 + Z2) commutes with the rotating-wave coupling
@@ -114,15 +114,10 @@ class RotFrameParams:
                              "couplings J and J' or J_zz are too large")
 
     @property
-    def phi(self) -> float:
-        """arg(J + i J'), in (-pi, pi]."""
-        return math.atan2(self.j_prime, self.j)
-
-    @property
     def fold(self) -> tuple[float, float]:
         """(s, phi): s = +-1, phi in (-pi/2, pi/2], J + iJ' = s r e^{i phi}.
         Rz(phi) on qubit 2 turns the tensor into diag(s r, s r, J_zz)."""
-        phi = self.phi
+        phi = math.atan2(self.j_prime, self.j)
         if -math.pi / 2 < phi <= math.pi / 2:
             return 1.0, phi
         return -1.0, phi - math.copysign(math.pi, phi)
@@ -170,24 +165,17 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
 
 
 def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
-    """e^{-i rot_frame_matrix(p) t}, in closed form.
-
-    The corners are e^{-i J_zz t}; the {|01>, |10>} block is
-    e^{i J_zz t} [[c, -i e^{i phi} s], [-i e^{-i phi} s, c]] with
-    c = cos 2rt, s = sin 2rt, r = |J + iJ'| and phi = p.phi. Raises
-    ValueError when t is no number or (|J_zz| + 2r)|t| is not finite.
+    """e^{-i rot_frame_matrix(p) t}: the canonical entangler
+    A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, with
+    (s, phi) = p.fold and r = |J + iJ'|, in qmat's one closed form.
+    Raises ValueError when t is no number or (|J_zz| + 2r)|t| is not
+    finite.
     """
     r = math.hypot(p.j, p.j_prime)
     t = qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
-    corner = cmath.exp(-1j * p.j_zz * t)
-    block = corner.conjugate()
-    c = block * math.cos(2 * r * t)
-    s = -1j * block * math.sin(2 * r * t)
-    tilt = cmath.exp(1j * p.phi)
-    return np.array([corner, 0j, 0j, 0j,
-                     0j, c, s * tilt, 0j,
-                     0j, s * tilt.conjugate(), c, 0j,
-                     0j, 0j, 0j, corner]).reshape(4, 4)
+    s, phi = p.fold
+    return qmat._entangler(0.0, 2 * s * r * t, p.j_zz * t,
+                           cmath.exp(1j * phi))
 
 
 def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
@@ -234,7 +222,6 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
     u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
-    qmat._require_finite_phase(eps, t_final)
     u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
     rate = max(float(eps), sum(map(abs, ct.j.ravel().tolist())))
     if rate * t_final > 2.0 ** 32:

@@ -6,12 +6,11 @@ coupling operator of a 3x3 tensor, Hermitian matrix exponentials and
 unitary distance metrics, and the number rules of every scalar input
 (_real, _finite).
 Every generator the package evolves under is constant over its interval.
-The rotating-frame coupling and the canonical entanglers have closed-form
-propagators (hamiltonian.rot_frame_propagator and
-entangler.canonical_entangler); the general exponential here, an
-eigendecomposition, serves only the lab frame, whose Hamiltonian has no
-such form. There is no time-ordered product. Everything here is a pure
-function of its arguments.
+One closed form, _entangler, serves entangler.canonical_entangler and
+hamiltonian.rot_frame_propagator (A in the fold frame). The general
+exponential here, an eigendecomposition, serves only the lab frame,
+whose Hamiltonian has no such form. There is no time-ordered product.
+Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -90,6 +89,29 @@ def _require_finite_phase(rate: float, t) -> float:
         raise ValueError(f"phase overflows: |t| = {abs(t):.3e} is "
                          "too long for a generator this strong")
     return t
+
+
+def _entangler(d: float, s: float, z: float, tilt: complex) -> np.ndarray:
+    """A(x, y, z) = e^{-i(x XX + y YY + z ZZ)} from d = x - y, s = x + y
+    and z, on Python floats, with its (1, 2) entry times the unit tilt and
+    its (2, 1) entry times tilt^*; the caller checks that the phases are
+    finite. XX, YY and ZZ act within span{|00>, |11>} and span{|01>, |10>}:
+
+        [0, 0] = [3, 3] = e^{-iz} cos d,  [0, 3] = [3, 0] = -i e^{-iz} sin d
+        [1, 1] = [2, 2] = e^{iz} cos s,   [1, 2] = [2, 1] = -i e^{iz} sin s
+
+    and zero elsewhere. For d = 0, tilt e^{i phi} turns A by Rz(phi) on
+    qubit 2.
+    """
+    cz, sz = math.cos(z), math.sin(z)
+    cd, sd = math.cos(d), math.sin(d)
+    cs, ss = math.cos(s), math.sin(s)
+    a, b = complex(cz * cd, -sz * cd), complex(-sz * sd, -cz * sd)
+    e, f = complex(cz * cs, sz * cs), complex(sz * ss, -cz * ss)
+    return np.array((a, 0j, 0j, b,
+                     0j, e, f * tilt, 0j,
+                     0j, f * tilt.conjugate(), e, 0j,
+                     b, 0j, 0j, a)).reshape(4, 4)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

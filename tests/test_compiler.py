@@ -88,7 +88,7 @@ class TestCompileBranches:
         res = compile_cnot(RotFrameParams(g, 0.0, g))
         assert res.branch == "general_jprime"
         assert math.isclose(res.delta_t, PI / (8 * math.sqrt(2) * g))
-        assert math.isclose(res.params.phi, PI / 4)
+        assert res.params.fold == (1.0, PI / 4)
         assert res.verification.pass_exact
         # The general branch uses exactly two entangling intervals of dt.
         durations = [op.duration for op in res.schedule.ops
@@ -259,6 +259,8 @@ class TestRefocusedBuilder:
     MAX_OPS = {("two_shot_refocus", 1): 9, ("two_shot_refocus", 2): 9,
                ("general_jprime", 1): 10, ("general_jprime", 2): 13,
                ("zz_refocus", 1): 8, ("zz_refocus", 2): 8}
+    # The SWAP*CNOT shot: three x/y pulses and one virtual Rz in 6 ops.
+    SWAPCNOT_MAX_OPS, SWAPCNOT_MAX_XY = 6, 3
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("j,jp,branch", [
@@ -279,6 +281,16 @@ class TestRefocusedBuilder:
             assert res.verification.exact_distance < 1e-9
             assert math.isclose(res.delta_t, PI / (8 * rate))
             assert len(res.schedule.ops) <= self.MAX_OPS[want, q]
+
+    @pytest.mark.parametrize("j", [1.3, -1.3, 0.2, -7.0])
+    def test_swapcnot_op_count(self, j):
+        res = compile_cnot(RotFrameParams(j, 0.0, 0.0))
+        assert res.branch == "xy_single_shot_swapcnot"
+        assert res.verification.exact_distance < 1e-9
+        ops = res.schedule.ops
+        assert len(ops) <= self.SWAPCNOT_MAX_OPS
+        assert sum(isinstance(op, Rotate) and op.axis != "z"
+                   for op in ops) <= self.SWAPCNOT_MAX_XY
 
     def test_no_z_conjugation_without_jprime(self):
         res = compile_cnot(RotFrameParams(-1.0, 0.2, 0.0), refocus_qubit=2)

@@ -1,9 +1,11 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
                              lab_frame_hamiltonian, reduce_coupling,
                              rot_frame_matrix, rot_frame_propagator,
@@ -140,14 +142,24 @@ class TestCouplingTensor:
 
 
 class TestRotFrameParams:
-    def test_gamma_identity(self, rng):
-        for _ in range(100):
-            j, jzz, jp = rng.normal(size=3)
-            p = RotFrameParams(j, jzz, jp)
-            assert -math.pi < p.phi <= math.pi
+    def test_fold(self, rng):
+        # J + iJ' = s r e^{i phi} with s = +-1 and phi in (-pi/2, pi/2],
+        # to a relative 1e-15; the fixed cases sit on the fold's edges.
+        cases = [tuple(rng.normal(size=2)) for _ in range(100)]
+        cases += [(0.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (-1.0, -0.0)]
+        for j, jp in cases:
+            s, phi = RotFrameParams(j, 0.3, jp).fold
+            assert s in (1.0, -1.0)
+            assert -math.pi / 2 < phi <= math.pi / 2
+            r = math.hypot(j, jp)
+            assert abs(s * r * cmath.exp(1j * phi) - complex(j, jp)) \
+                < 1e-15 * r
 
-    def test_phi_quadrant(self):
-        assert math.isclose(RotFrameParams(1.0, 0.0, 1.0).phi, math.pi / 4)
+    def test_fold_quadrants(self):
+        assert RotFrameParams(1.0, 0.0, 1.0).fold == (1.0, math.pi / 4)
+        assert RotFrameParams(-1.0, 0.0, -1.0).fold == (-1.0, math.pi / 4)
+        assert RotFrameParams(0.0, 0.0, -1.0).fold == (-1.0, math.pi / 2)
+        assert RotFrameParams(-1.0, 0.0, -0.0).fold == (-1.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -226,6 +238,27 @@ class TestRotFrameMatrix:
         assert np.max(np.abs(h_sym @ SWAP - SWAP @ h_sym)) < 1e-14
         h_asym = rot_frame_matrix(RotFrameParams(0.4, 0.7, 0.2))
         assert np.max(np.abs(h_asym @ SWAP - SWAP @ h_asym)) > 1e-3
+
+    def test_propagator_is_entangler_in_fold_frame(self, rng):
+        # e^{-i H_rot t} = (I (x) Rz(phi)) A(s r t, s r t, J_zz t)
+        # (I (x) Rz(phi))^dag, (s, phi) = p.fold, over every sign of J
+        # and J'.
+        def rz2(a):
+            return np.kron(I2, np.diag([cmath.exp(-0.5j * a),
+                                        cmath.exp(0.5j * a)]))
+
+        grid = [(j, jzz, jp) for j in (-1.3, -0.4, 0.0, 0.7)
+                for jzz in (-0.6, 0.0, 0.45) for jp in (-0.8, 0.0, 0.5)]
+        grid += [tuple(rng.normal(size=3)) for _ in range(200)]
+        for j, jzz, jp in grid:
+            p = RotFrameParams(j, jzz, jp)
+            s, phi = p.fold
+            for t in (0.3, 2.1):
+                srt = s * math.hypot(j, jp) * t
+                a = canonical_entangler(EntanglerCoords(srt, srt, jzz * t))
+                want = rz2(phi) @ a @ rz2(phi).conj().T
+                assert np.max(np.abs(rot_frame_propagator(p, t) - want)) \
+                    < 1e-15
 
     def test_propagator_rejects_bad_time(self):
         p = RotFrameParams(1.0, 0.3, 0.2)
@@ -338,6 +371,14 @@ class TestRwaInfidelity:
         too_long = math.nextafter(2.0 ** 31, math.inf)
         with pytest.raises(ValueError, match=f"t_final {too_long!r}"):
             rwa_infidelity(ct, 2.0, too_long)
+
+    def test_overflowing_drift_phase_raises_without_warning(self):
+        # eps T overflows: the lab exponential refuses it first.
+        ct = CouplingTensor(np.eye(3) * 1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phase overflows"):
+                rwa_infidelity(ct, 1e300, 1e10)
 
     def test_refuses_horizon_beyond_coupling_phase_resolution(self):
         # eps T = 1e9 is well inside 2^32, but sum |J| T is ~5e15.
