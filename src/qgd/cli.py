@@ -7,9 +7,9 @@ every key required; schedules as lists of op objects in application order.
 --tol (or QGD_TOL) sets the verification tolerance, positive and finite,
 and nothing else.
 
-Exit codes: 1 invalid input (unparsable file, bad value or usage error),
-2 non-unitary input, 3 zero coupling, 5 unsupported schedule op, 7 unknown
-gate name, 8 verification failed.
+Exit codes: 1 invalid input (unparsable file, bad value, usage error or
+a request too large for memory), 2 non-unitary input, 3 zero coupling,
+5 unsupported schedule op, 7 unknown gate name, 8 verification failed.
 
 Codes 4 (nonzero J', which trajectories now draw) and 6 (integrator
 non-convergence) are retired and not reused.
@@ -28,10 +28,10 @@ from .errors import QgdError
 
 
 class _Group(click.Group):
-    """The one error boundary: every usage error, QgdError and ValueError
-    raised by the group or a subcommand becomes a message on stderr and
-    an exit with its code (QgdError.exit_code, else 1), also under
-    main(args, standalone_mode=False)."""
+    """The one error boundary: every usage error, QgdError, ValueError
+    and MemoryError raised by the group or a subcommand becomes a message
+    on stderr and an exit with its code (QgdError.exit_code, else 1),
+    also under main(args, standalone_mode=False)."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -46,7 +46,7 @@ class _Group(click.Group):
         except click.UsageError as exc:
             exc.show()
             sys.exit(1)
-        except (QgdError, ValueError) as exc:
+        except (QgdError, ValueError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code if isinstance(exc, QgdError) else 1)
 

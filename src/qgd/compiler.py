@@ -15,8 +15,11 @@ constructions:
     or ising_single_shot for r = 0, where one interval of pi/(4|J_zz|)
     does.
 
-Every emitted schedule is re-simulated and verified before it is
-returned; a miss raises VerificationFailed.
+Each layer, the rotations between two intervals or after the last one,
+holds at most one x/y pulse per qubit; z rotations are virtual frame
+changes (McKay et al., PRA 96, 022330 (2017)). Every emitted schedule is
+re-simulated and verified before it is returned; a miss raises
+VerificationFailed.
 """
 from __future__ import annotations
 
@@ -53,7 +56,8 @@ def controlled_phase(theta: float) -> np.ndarray:
 
 
 _CPHASE_RE = re.compile(
-    r"^C(?:theta)?\(([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\)$")
+    r"^C(?:theta)?\(([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$",
+    re.IGNORECASE)
 
 _NAMED_GATES = {
     "I": np.eye(4, dtype=complex),
@@ -66,9 +70,9 @@ _NAMED_GATES = {
 
 
 def named_gate(name: str) -> np.ndarray:
-    """Look up a gate by name: I, CNOT, CZ, SWAP, SWAP_CNOT, CNOT_SWAP,
-    or a controlled phase as 'Ctheta(angle)' or 'C(angle)' with a finite
-    angle."""
+    """Look up a gate by name, in any case: I, CNOT, CZ, SWAP, SWAP_CNOT,
+    CNOT_SWAP, or a controlled phase as 'Ctheta(angle)' or 'C(angle)'
+    with a finite angle."""
     if not isinstance(name, str):
         raise UnknownGate(f"gate name {name!r} is not a string")
     key = name.strip()
@@ -120,8 +124,6 @@ def _refocused_schedule(p: RotFrameParams,
     if r < abs(p.j_zz):
         # ZZ frame: Ry(-pi/2) on both qubits puts ZZ on XX and turns the
         # pi pulse Rx(pi)_q into Rz(pi)_q, which flips all of the XY part.
-        # On qubit 1 the frame merges into the XY frame's wrap below:
-        # Ry(pi/2) Ry(-pi/2) cancels and Ry(-pi/2) Rx(a) Ry(pi/2) = Rz(a).
         s = 1.0 if p.j_zz > 0 else -1.0
         a = s * _PI / 2 if q == 1 else -s * _PI / 2
         if r:
@@ -130,14 +132,15 @@ def _refocused_schedule(p: RotFrameParams,
         else:  # Rz(pi)_q has nothing to flip: one interval does
             dt, branch = _interval(4, abs(p.j_zz)), "ising_single_shot"
             body = (Entangle(dt), Rotate("z", _PI, q))
-        ops = (Rotate("y", -_PI / 2, 2), *body, Rotate("y", _PI / 2, 2),
-               Rotate("x", -a, 2), Rotate("z", a, 1),
+        ops = (Rotate("y", -_PI / 2, 2), *body, Rotate("x", -a, 2),
+               Rotate("z", -a, 2), Rotate("z", a, 1),
                GlobalPhase(_PI / 2 + s * _PI / 4))
         return PulseSchedule(ops=ops), dt, branch
     # XY frame: with J + iJ' = s r e^{i phi} (p.fold), Rz(phi)_2 turns the
     # couplings into (s r, J_zz, 0). Two such intervals of pi/(8r) split by
     # Rx(pi) cancel the J_zz area and land on A(s pi/4, 0, 0).
     s, phi = p.fold
+    a = s * _PI / 2 if q == 1 else -s * _PI / 2
     dt = _interval(8, r)
     into = (Rotate("z", phi, 2),) if phi else ()
     out = (Rotate("z", -phi, 2),) if phi else ()
@@ -147,34 +150,20 @@ def _refocused_schedule(p: RotFrameParams,
     else:
         body = (*into, Entangle(dt), *out, Rotate("x", _PI, 2),
                 *into, Entangle(dt), *out)
-    ops = (
-        Rotate("y", _PI / 2, 1),
-        *body,
-        # The closing Rx(-pi)_q times the wrap's Rx(-s pi/2)_q is
-        # Rx(-pi - s pi/2), i.e. -Rx(pi/2) for s = 1 and Rx(-pi/2) for
-        # s = -1; the sign goes into the global phase.
-        Rotate("x", s * _PI / 2, q),
-        Rotate("x", -s * _PI / 2, 3 - q),
-        Rotate("y", -_PI / 2, 1),
-        GlobalPhase(_PI / 2 + s * _PI / 4),
-    )
+    ops = (Rotate("y", _PI / 2, 1), *body, Rotate("x", -a, 2),
+           Rotate("y", -_PI / 2, 1), Rotate("z", a, 1),
+           GlobalPhase(_PI / 2 + s * _PI / 4))
     branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
     return PulseSchedule(ops=ops), dt, branch
 
 
 def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
-    # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT. Qubit
-    # 2's wrap is one virtual z rotation: Rx(pi/2) Ry(a) Rx(-pi/2) = Rz(a).
+    # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT.
     sign = 1.0 if p.j > 0 else -1.0
     dt = _interval(4, abs(p.j))
-    ops = (
-        Rotate("y", -_PI / 2, 2),
-        Entangle(dt),
-        Rotate("y", _PI / 2, 1),
-        Rotate("z", sign * _PI / 2, 2),
-        Rotate("x", sign * _PI / 2, 1),
-        GlobalPhase(sign * _PI / 2),
-    )
+    ops = (Rotate("y", -_PI / 2, 2), Entangle(dt),
+           Rotate("z", sign * _PI / 2, 2), Rotate("x", sign * _PI / 2, 1),
+           Rotate("z", sign * _PI / 2, 1), GlobalPhase(sign * _PI / 2))
     return PulseSchedule(ops=ops), dt
 
 

@@ -357,6 +357,20 @@ class TestErrorBoundary:
             assert refused(result, 1)
             assert result.stdout == ""
 
+    def test_out_of_memory_exit_1(self, runner, tmp_path):
+        # 800 PB of sample times exceeds even a 2^57-byte address space,
+        # so the allocation is refused at once and nothing is allocated.
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": 0.5}])
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched,
+                                      "--samples", str(10 ** 17)])
+        assert refused(result, 1)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: Unable to allocate")
+
     def test_simulate_phase_overflow_exit_1(self, runner, tmp_path):
         sched = write_json(tmp_path, "s.json",
                            [{"op": "entangle", "duration": 1e308}])

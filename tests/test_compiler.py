@@ -33,6 +33,13 @@ class TestNamedGate:
         assert np.array_equal(named_gate("SWAP_CNOT"), SWAP @ CNOT)
         assert np.array_equal(named_gate("CNOT_SWAP"), CNOT @ SWAP)
 
+    @pytest.mark.parametrize("name,canonical", [
+        ("ctheta(0.5)", "Ctheta(0.5)"), ("CTHETA(0.5)", "Ctheta(0.5)"),
+        ("c(0.5)", "C(0.5)"), (" cTheta(+5E-1) ", "C(0.5)"),
+        ("cnot", "CNOT"), ("Swap_Cnot", "SWAP_CNOT")])
+    def test_names_ignore_case(self, name, canonical):
+        assert np.array_equal(named_gate(name), named_gate(canonical))
+
     def test_unknown_rejected(self):
         with pytest.raises(UnknownGate):
             named_gate("TOFFOLI")
@@ -259,8 +266,12 @@ class TestRefocusedBuilder:
     MAX_OPS = {("two_shot_refocus", 1): 9, ("two_shot_refocus", 2): 9,
                ("general_jprime", 1): 10, ("general_jprime", 2): 13,
                ("zz_refocus", 1): 8, ("zz_refocus", 2): 8}
-    # The SWAP*CNOT shot: three x/y pulses and one virtual Rz in 6 ops.
-    SWAPCNOT_MAX_OPS, SWAPCNOT_MAX_XY = 6, 3
+    # The SWAP*CNOT shot: two x/y pulses and two virtual Rz in 6 ops.
+    SWAPCNOT_MAX_OPS, SWAPCNOT_MAX_XY = 6, 2
+    # x/y pulses per branch; every z rotation is a virtual frame change.
+    XY_PULSES = {"ising_single_shot": 2, "zz_refocus": 2,
+                 "two_shot_refocus": 4, "general_jprime": 4,
+                 "xy_single_shot_swapcnot": 2}
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("j,jp,branch", [
@@ -293,6 +304,31 @@ class TestRefocusedBuilder:
                    for op in ops) <= self.SWAPCNOT_MAX_XY
 
     def test_no_z_conjugation_without_jprime(self):
+        # The fold conjugation is Rz(+-phi) on qubit 2; phi = 0 needs none.
         res = compile_cnot(RotFrameParams(-1.0, 0.2, 0.0), refocus_qubit=2)
         assert not any(isinstance(op, Rotate) and op.axis == "z"
-                       for op in res.schedule.ops)
+                       and op.qubit == 2 for op in res.schedule.ops)
+
+    @pytest.mark.parametrize("prefer", ["auto", "cnot"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_one_xy_pulse_per_qubit_per_layer(self, prefer, q):
+        # A layer is the ops between two Entangles, or after the last one.
+        grid = (-1.7, -0.3, 0.0, 0.3, 1.7)
+        seen = set()
+        for j, jzz, jp in itertools.product(grid, repeat=3):
+            if j == jzz == jp == 0:
+                continue
+            res = compile_cnot(RotFrameParams(j, jzz, jp), prefer=prefer,
+                               refocus_qubit=q)
+            layers = [[]]
+            for op in res.schedule.ops:
+                if isinstance(op, Entangle):
+                    layers.append([])
+                elif isinstance(op, Rotate) and op.axis != "z":
+                    layers[-1].append(op.qubit)
+            for layer in layers:
+                assert layer.count(1) <= 1 and layer.count(2) <= 1
+            assert (sum(map(len, layers))
+                    == self.XY_PULSES[res.branch]), res.branch
+            seen.add(res.branch)
+        assert len(seen) == (5 if prefer == "auto" else 4)
