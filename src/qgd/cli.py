@@ -140,26 +140,27 @@ def compile_cmd(ctx, input_path, prefer):
 @click.option("--input", "input_path", required=True,
               help="Schedule JSON (op list, or a compile result).")
 @click.option("--coupling", "coupling_path", default=None,
-              help="Coupling JSON (not needed for compile-result input).")
-@click.option("--target", default="CNOT", show_default=True,
-              help="Named target gate.")
+              help="Coupling JSON (default: a compile result's params).")
+@click.option("--target", default=None,
+              help="Named target gate (default: a compile result's target, "
+                   "else CNOT).")
 @click.option("--mode", type=click.Choice(
     ["exact", "exact_up_to_phase", "local_class"]),
     default="exact", show_default=True)
 @click.pass_context
 def simulate(ctx, input_path, coupling_path, target, mode):
-    """Simulate a schedule and verify it against a target gate."""
+    """Simulate a schedule and verify it against a target gate. A compile
+    result's params and target are defaults; --coupling and --target win."""
     data = _load_json(input_path)
-    if isinstance(data, dict) and "schedule" in data:
-        schedule_json = data["schedule"]
-        params = hamiltonian.RotFrameParams.from_dict(data.get("params"))
-        target = data.get("target", target)
-    else:
-        schedule_json = data
-        if coupling_path is None:
-            raise ValueError("--coupling required for a bare schedule")
+    result = data if isinstance(data, dict) and "schedule" in data else {}
+    if coupling_path is not None:
         params = _resolve_params(_load_json(coupling_path))
-    schedule = pulses.PulseSchedule.from_json(schedule_json)
+    elif result:
+        params = hamiltonian.RotFrameParams.from_dict(result.get("params"))
+    else:
+        raise ValueError("--coupling required for a bare schedule")
+    target = result.get("target", "CNOT") if target is None else target
+    schedule = pulses.PulseSchedule.from_json(result.get("schedule", data))
     report = pulses.verify_schedule(
         schedule, params, compiler.named_gate(target),
         mode=mode, tol=ctx.obj["tol"], target_name=target)

@@ -1,8 +1,8 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
-whose generator is qmat.coupling_operator of diag(x, y, z); coordinates
-on the 3-torus of entanglers, finite by construction, with their
-principal-cell wrap; and the sampled path type Trajectory, which
-pulses.trajectory fills in from a pulse schedule.
+whose generator is qmat.coupling_operator of diag(x, y, z), and
+coordinates on the 3-torus of entanglers, finite by construction, with
+their principal-cell wrap. pulses.Trajectory is a path of such
+coordinates.
 
 A is qmat._entangler, the package's one closed form of this exponential,
 which hamiltonian.rot_frame_propagator shares. The wrap of a single
@@ -11,7 +11,6 @@ over arrays.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -19,10 +18,7 @@ import numpy as np
 
 from .qmat import _entangler, _finite
 
-__all__ = [
-    "EntanglerCoords", "Trajectory", "wrap_angle",
-    "canonical_entangler",
-]
+__all__ = ["EntanglerCoords", "wrap_angle", "canonical_entangler"]
 
 _TWO_PI = 2 * math.pi
 
@@ -77,43 +73,3 @@ def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
         raise ValueError(f"phase overflows: entangler coordinates "
                          f"{[x, y, z]} are too large")
     return _entangler(d, s, z, 1.0)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled entangler-space path r(t).
-
-    raw holds the continuous (unwrapped) coordinates for plotting;
-    wrapped() gives the principal-cell values.
-    """
-
-    times: np.ndarray
-    raw: np.ndarray  # shape (N, 3)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        r = np.asarray(self.raw, dtype=float)
-        if len(t) != len(r):
-            raise ValueError("times/coords length mismatch")
-        if len(t) and (t[0] != 0.0 or np.any(r[0] != 0.0)):
-            raise ValueError("trajectory must start at t=0, r=(0,0,0)")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "raw", r)
-
-    def wrapped(self) -> np.ndarray:
-        return wrap_angle(self.raw)
-
-    @property
-    def endpoint(self) -> EntanglerCoords:
-        return EntanglerCoords(*map(float, self.raw[-1]))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,x,y,z,x_wrapped,y_wrapped,z_wrapped\n")
-        wrapped = self.wrapped()
-        for t, r, w in zip(self.times, self.raw, wrapped):
-            row = [t, *r, *w]
-            buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        return buf.getvalue()

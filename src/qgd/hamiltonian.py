@@ -4,7 +4,8 @@ the 3 effective rotating-frame parameters (J, J_zz, J').
 
 Both coupling Hamiltonians are qmat.coupling_operator of a 3x3 tensor:
 J_{mu nu} itself in the lab frame, and its rotating-wave part
-[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame. With
+[[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame, built by
+rot_frame_matrix (pulses.trajectory toggles it in the magic basis). With
 (s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
 form of A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, the frame
 of the compiler's wraps; only the lab frame needs an eigendecomposition.
@@ -122,12 +123,6 @@ class RotFrameParams:
             return 1.0, phi
         return -1.0, phi - math.copysign(math.pi, phi)
 
-    @property
-    def tensor(self) -> np.ndarray:
-        """The rotating-frame coupling tensor (module docstring)."""
-        j, jp = self.j, self.j_prime
-        return np.array([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, self.j_zz]])
-
     @classmethod
     def from_dict(cls, d: dict) -> "RotFrameParams":
         if not isinstance(d, dict):
@@ -158,10 +153,11 @@ def reduce_coupling(ct: CouplingTensor) -> RotFrameParams:
 
 
 def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
-    """The effective rotating-frame coupling
-    J (XX + YY) + J' (XY - YX) + J_zz ZZ: diag(J_zz, -J_zz, -J_zz, J_zz)
-    with 2(J + iJ') on the |01><10| entry."""
-    return coupling_operator(p.tensor)
+    """J (XX + YY) + J' (XY - YX) + J_zz ZZ, the coupling_operator of the
+    rotating-frame tensor: diag(J_zz, -J_zz, -J_zz, J_zz) with 2(J + iJ')
+    on the |01><10| entry."""
+    j, jp, jzz = p.j, p.j_prime, p.j_zz
+    return coupling_operator([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, jzz]])
 
 
 def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:

@@ -15,6 +15,9 @@ a time and uses no eigensolver: the Rotates between two Entangles
 multiply into one 2x2 factor per qubit, and each interval applies
 hamiltonian.rot_frame_propagator (a closed form) times that layer's
 a (x) b to the running product; the global phases fold into one scalar.
+trajectory draws a Trajectory, reading each interval's toggled coupling
+off the magic basis, where a (x) b is real orthogonal and XX, YY and ZZ
+are diagonal.
 Verification checks each distinct target once, through
 equivalence.makhlin_invariants, whose memo is keyed by the target's
 content; pulses keeps no memo of its own.
@@ -22,6 +25,7 @@ content; pulses keeps no memo of its own.
 from __future__ import annotations
 
 import cmath
+import io
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -29,15 +33,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import equivalence, qmat
-from .entangler import Trajectory
+from .entangler import EntanglerCoords, wrap_angle
 from .errors import UnsupportedOp
-from .hamiltonian import RotFrameParams, rot_frame_propagator
-from .qmat import ALGEBRA_TOL, SX, SY, SZ, _finite
+from .hamiltonian import RotFrameParams, rot_frame_matrix, rot_frame_propagator
+from .qmat import ALGEBRA_TOL, GEN_DIAGS, MAGIC, _finite
 # perfbench/selftest.py pins pulses.kron until ROADMAP item 1 re-aims it.
 from .qmat import kron  # noqa: F401
 
 __all__ = [
-    "Rotate", "Entangle", "GlobalPhase", "PulseSchedule",
+    "Rotate", "Entangle", "GlobalPhase", "PulseSchedule", "Trajectory",
     "VERIFY_TOL", "VerificationReport",
     "simulate_schedule", "trajectory", "verify_schedule",
 ]
@@ -154,8 +158,12 @@ class PulseSchedule:
 
 # The default tolerance of verify_schedule, compile_cnot and qgd --tol.
 VERIFY_TOL = 1e-9
-_SIGMAS = np.array([SX, SY, SZ])
 
+
+# M = sqrt(2) Q, Q the magic basis: its entries 0, +-1 and +-i are exact,
+# so Re(Q^dag m Q) = Re(M^dag m M) / 2 carries no roundoff of 1/sqrt(2).
+_MAGIC2 = np.rint(math.sqrt(2) * MAGIC)
+_MAGIC2_DAG = _MAGIC2.conj().T
 
 # A 2x2 matrix as the Python scalars (m00, m01, m10, m11).
 _ID2 = (1 + 0j, 0j, 0j, 1 + 0j)
@@ -189,14 +197,6 @@ def _layer(a: tuple, b: tuple) -> np.ndarray:
                      [a2 * b2, a2 * b3, a3 * b2, a3 * b3]], dtype=complex)
 
 
-def _so3(m: tuple) -> np.ndarray:
-    """The 3x3 rotation O[a, b] = tr(sigma^a m sigma^b m^dag) / 2 of the
-    2x2 unitary with entries m."""
-    m = np.array(m, dtype=complex).reshape(2, 2)
-    return np.einsum("aij,jk,bkl,li->ab", _SIGMAS, m, _SIGMAS,
-                     m.conj().T).real / 2
-
-
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     """Product of the schedule's operations, first op applied first.
 
@@ -228,19 +228,62 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     return last if u is None else last @ u
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """Sampled entangler-space path r(t), as trajectory draws it: raw
+    holds the continuous (unwrapped) coordinates, shape (N, 3), N >= 1,
+    for plotting; wrapped() gives the principal-cell values."""
+
+    times: np.ndarray
+    raw: np.ndarray  # shape (N, 3)
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        r = np.asarray(self.raw, dtype=float)
+        if r.ndim != 2 or r.shape[1] != 3 or not len(r):
+            raise ValueError(f"raw of shape {r.shape} is not (N >= 1, 3)")
+        if t.shape != (len(r),):
+            raise ValueError("times/coords length mismatch")
+        if t[0] != 0.0 or np.any(r[0] != 0.0):
+            raise ValueError("trajectory must start at t=0, r=(0,0,0)")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("times must be strictly increasing")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "raw", r)
+
+    def wrapped(self) -> np.ndarray:
+        return wrap_angle(self.raw)
+
+    @property
+    def endpoint(self) -> EntanglerCoords:
+        return EntanglerCoords(*map(float, self.raw[-1]))
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        buf.write("t,x,y,z,x_wrapped,y_wrapped,z_wrapped\n")
+        for t, r, w in zip(self.times, self.raw, self.wrapped()):
+            buf.write(",".join(f"{v:.12g}" for v in (t, *r, *w)) + "\n")
+        return buf.getvalue()
+
+
 def trajectory(p: RotFrameParams, schedule: PulseSchedule,
                samples_per_interval: int = 32) -> Trajectory:
     """Entangler-space path of a schedule under constant couplings.
 
-    Pulses toggle the frame of T = p.tensor (Khaneja, Brockett and Glaser,
-    PRA 63, 032308 (2001)): an interval evolves under O_1^T T O_2, O_q the
-    3x3 rotation of qubit q's pulses since the first interval, qubit 2
-    first turned by phi about z (p.fold) to make T diagonal, and advances
-    (x, y, z) by that diagonal times its duration. Raises UnsupportedOp,
-    naming the interval, when a toggled tensor is off diagonal by more
-    than ALGEBRA_TOL max(r, |J_zz|); ValueError when max(r, |J_zz|) times
-    the total entangling time is not finite, or naming the interval when
-    its samples are too short to advance the running time or when
+    Pulses toggle the frame of the coupling (Khaneja, Brockett and Glaser,
+    PRA 63, 032308 (2001)): an interval evolves under L^dag H L, with
+    H = rot_frame_matrix(p) and L = a (x) b the pulses since the first
+    interval, qubit 2's first turned by phi about z (p.fold). In the magic
+    basis (Zhang et al., PRA 67, 042313 (2003)) L is a real orthogonal o,
+    H a real h, XX, YY and ZZ the diagonals GEN_DIAGS, and every other
+    sigma^m (x) sigma^n zero on the diagonal: o^T h o is diagonal exactly
+    when the toggled tensor t is, and its diagonal d advances (x, y, z) at
+    GEN_DIAGS^T d / 4. Raises UnsupportedOp, naming the interval, when an
+    entry off that diagonal, each +-t_mn +- t_nm, exceeds ALGEBRA_TOL
+    max(r, |J_zz|), which refuses every t off diagonal by more than that
+    and some off by more than half of it; ValueError when max(r, |J_zz|)
+    times the total entangling time is not finite, or naming the interval
+    when its samples are too short to advance the running time or when
     samples_per_interval is not an _exact_int of at least 1.
     """
     samples = _exact_int(samples_per_interval)
@@ -254,6 +297,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
         raise ValueError(f"entangling area {area} is not finite: "
                          "couplings or durations are too large")
 
+    h = (_MAGIC2_DAG @ rot_frame_matrix(p) @ _MAGIC2).real / 2
     frames = {1: _ID2, 2: _rotation_entries("z", p.fold[1])}
     times, points = [0.0], [np.zeros(3)]
     for i, op in enumerate(schedule.ops):
@@ -261,10 +305,10 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
             frames[op.qubit] = _mul2(_rotation_entries(op.axis, op.angle),
                                      frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
-            o1, o2 = map(_so3, frames.values())
-            toggled = o1.T @ p.tensor @ o2
-            rates = np.diag(toggled)
-            if np.max(np.abs(toggled - np.diag(rates))) > ALGEBRA_TOL * scale:
+            o = (_MAGIC2_DAG @ _layer(*frames.values()) @ _MAGIC2).real / 2
+            toggled = o.T @ h @ o
+            d = np.diag(toggled)
+            if np.max(np.abs(toggled - np.diag(d))) > ALGEBRA_TOL * scale:
                 raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"
                                     " it turn the coupling off diagonal")
             steps = op.duration * np.arange(1, samples + 1) / samples
@@ -275,7 +319,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
                     f"{samples} samples is below the float resolution of "
                     f"the time {float(times[-1])!r} and does not advance it")
             times.extend(new_times)
-            points.extend(points[-1] + np.outer(steps, rates))
+            points.extend(points[-1] + np.outer(steps, GEN_DIAGS.T @ d / 4))
     return Trajectory(times=np.array(times), raw=np.array(points))
 
 

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +143,31 @@ class TestCompileSimulateRoundTrip:
         report = json.loads(sim.output)
         assert report["passed"]
         assert report["exact_distance"] < 1e-9
+
+    def _compiled(self, runner, tmp_path):
+        cpl = write_json(tmp_path, "cpl.json", COUPLING_XY_JPRIME)
+        result = runner.invoke(main, ["compile", "--input", cpl])
+        return write_json(tmp_path, "r.json", json.loads(result.output))
+
+    def test_explicit_target_wins_over_the_result(self, runner, tmp_path):
+        path = self._compiled(runner, tmp_path)
+        reports = [json.loads(runner.invoke(
+            main, ["simulate", "--input", path, "--target", "CZ",
+                   "--mode", mode]).output)
+            for mode in ("exact", "local_class")]
+        assert [r["target"] for r in reports] == ["CZ", "CZ"]
+        # A CNOT is not a CZ, but is locally equivalent to one.
+        assert [r["passed"] for r in reports] == [False, True]
+
+    def test_explicit_coupling_wins_over_the_result(self, runner, tmp_path):
+        path = self._compiled(runner, tmp_path)
+        other = write_json(tmp_path, "c.json",
+                           {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        same = write_json(tmp_path, "t.json", COUPLING_XY_JPRIME)
+        passed = [json.loads(runner.invoke(
+            main, ["simulate", "--input", path, "--coupling", cpl]).output
+        )["passed"] for cpl in (other, same)]
+        assert passed == [False, True]
 
     def test_ising_single_entangle(self, runner, tmp_path):
         cpl = write_json(tmp_path, "ising.json",
@@ -589,6 +617,23 @@ class TestReadmeAgreesWithCli:
         src = pathlib.Path(cli.__file__).parent
         modules = {f.stem for f in src.glob("*.py")} - {"__init__"}
         assert listed == modules
+
+    def test_quick_start_runs_and_keeps_its_claims(self):
+        # Warnings are errors; the block's comments claim G1 = 0, G2 = 1,
+        # "general_jprime" and True.
+        block = self.README.split("## Quick start", 1)[1]
+        block = block.split("```python", 1)[1].split("```", 1)[0]
+        src = pathlib.Path(cli.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             block + "print(complex(inv.g1), inv.g2)\n"],
+            capture_output=True, text=True, env=env, check=True)
+        branch, _, passed, invariants = run.stdout.splitlines()
+        g1, g2 = invariants.split()
+        assert (branch, passed) == ("general_jprime", "True")
+        assert abs(complex(g1)) < 1e-12 and abs(float(g2) - 1) < 1e-12
 
     def test_subcommands(self):
         block = self.README.split("## CLI", 1)[1].split("```sh", 1)[1]

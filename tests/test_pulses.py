@@ -9,8 +9,9 @@ from qgd.compiler import CNOT, compile_cnot, named_gate
 from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                        simulate_schedule, trajectory, verify_schedule)
-from qgd.qmat import I2, PAULI, distance, expm_hermitian
+                        Trajectory, simulate_schedule, trajectory,
+                        verify_schedule)
+from qgd.qmat import I2, PAULI, SX, SY, SZ, distance, expm_hermitian
 
 from conftest import haar_unitary
 
@@ -183,7 +184,82 @@ class TestReferenceSequences:
         assert distance(u, CNOT) < 1e-10
 
 
+SIGMAS = np.array([SX, SY, SZ])
+
+
+def toggling_reference(p, s, samples):
+    """The path by the SO(3) toggling frame: the pulses of qubit q since
+    the first interval, qubit 2's first turned by phi about z (p.fold),
+    have the 3x3 rotation O_q[a, b] = tr(sigma^a m sigma^b m^dag) / 2, and
+    an interval advances (x, y, z) at the diagonal of O_1^T T O_2, T the
+    rotating-frame tensor, which must be diagonal."""
+    def so3(m):
+        return np.einsum("aij,jk,bkl,li->ab", SIGMAS, m, SIGMAS,
+                         m.conj().T).real / 2
+
+    tensor = np.array([[p.j, p.j_prime, 0.0], [-p.j_prime, p.j, 0.0],
+                       [0.0, 0.0, p.j_zz]])
+    frames = {1: I2, 2: reference_rotation("z", p.fold[1])}
+    times, points = [0.0], [np.zeros(3)]
+    for op in s.ops:
+        if isinstance(op, Rotate) and len(times) > 1:
+            frames[op.qubit] = (reference_rotation(op.axis, op.angle)
+                                @ frames[op.qubit])
+        elif isinstance(op, Entangle) and op.duration:
+            toggled = so3(frames[1]).T @ tensor @ so3(frames[2])
+            rates = np.diag(toggled)
+            assert np.allclose(toggled, np.diag(rates), rtol=0, atol=1e-12)
+            t0, r0 = times[-1], points[-1]
+            for k in range(1, samples + 1):
+                dt = op.duration * k / samples
+                times.append(t0 + dt)
+                points.append(r0 + rates * dt)
+    return np.array(times), np.array(points)
+
+
 class TestTrajectory:
+    # Drawn under one coupling with J < 0 and J' != 0; compiled, with the
+    # refocusing pulse on qubit 1, on the couplings that pick each branch.
+    # (On qubit 2, the J' = 0 two-shot schedule turns this coupling off
+    # diagonal.)
+    DRAWN = RotFrameParams(-0.9, 0.35, 0.6)
+
+    @pytest.mark.parametrize("branch,params", [
+        ("ising_single_shot", RotFrameParams(0.0, -1.2, 0.0)),
+        ("zz_refocus", RotFrameParams(-0.3, 1.1, 0.2)),
+        ("two_shot_refocus", RotFrameParams(-1.0, 0.4, 0.0)),
+        ("general_jprime", DRAWN),
+        ("xy_single_shot_swapcnot", RotFrameParams(-0.7, 0.0, 0.0)),
+    ])
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_raw_matches_the_so3_toggling_frame(self, branch, params,
+                                                samples):
+        res = compile_cnot(params)
+        assert res.branch == branch
+        traj = trajectory(self.DRAWN, res.schedule,
+                          samples_per_interval=samples)
+        times, raw = toggling_reference(self.DRAWN, res.schedule, samples)
+        assert np.array_equal(traj.times, times)
+        area = math.hypot(0.9, 0.6) * res.schedule.total_entangling_time
+        assert np.max(np.abs(traj.raw - raw)) <= 1e-15 * area
+
+    @pytest.mark.parametrize("times,raw", [
+        ([], np.zeros((0, 3))),
+        ([0.0], [[0.0, 0.0]]),
+        ([0.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0], np.zeros((2, 4))),
+    ])
+    def test_malformed_raw_refused(self, times, raw):
+        # Refused when built, not by a bare IndexError or TypeError from
+        # endpoint later.
+        with pytest.raises(ValueError, match=r"is not \(N >= 1, 3\)"):
+            Trajectory(times=times, raw=raw)
+
+    @pytest.mark.parametrize("times", [[], [0.0, 1.0], [[0.0]]])
+    def test_times_not_one_per_point_refused(self, times):
+        with pytest.raises(ValueError, match="length mismatch"):
+            Trajectory(times=times, raw=np.zeros((1, 3)))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p,duration", [
         (RotFrameParams(1e300, 0.0, 0.0), 1e300),
