@@ -55,7 +55,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 

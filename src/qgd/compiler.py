@@ -17,9 +17,10 @@ constructions:
 
 Each layer, the rotations between two intervals or after the last one,
 holds at most one x/y pulse per qubit; z rotations are virtual frame
-changes (McKay et al., PRA 96, 022330 (2017)). Every emitted schedule is
-re-simulated and verified before it is returned; a miss raises
-VerificationFailed.
+changes (McKay et al., PRA 96, 022330 (2017)). The fixed pulses are built
+once, at import; a compile builds only Rz(+-phi) and one Entangle. Every
+emitted schedule is re-simulated and verified before it is returned; a
+miss raises VerificationFailed.
 """
 from __future__ import annotations
 
@@ -107,6 +108,15 @@ class CompileResult:
         }
 
 
+# The fixed pulses, keyed by their fields: R_axis(+-pi/2), R_axis(pi), and
+# the four closing phases.
+_ROT = {(axis, angle, qubit): Rotate(axis, angle, qubit)
+        for axis in "xyz" for angle in (_PI / 2, -_PI / 2, _PI)
+        for qubit in (1, 2)}
+_PHASE = {angle: GlobalPhase(angle) for s in (1.0, -1.0)
+          for angle in (_PI / 2 + s * _PI / 4, s * _PI / 2)}
+
+
 def _interval(k: int, rate: float) -> float:
     """pi / (k rate), as two divisions so that k rate cannot overflow;
     ZeroCoupling if the coupling is too weak for a finite interval."""
@@ -128,13 +138,14 @@ def _refocused_schedule(p: RotFrameParams,
         a = s * _PI / 2 if q == 1 else -s * _PI / 2
         if r:
             dt, branch = _interval(8, abs(p.j_zz)), "zz_refocus"
-            body = (Entangle(dt), Rotate("z", _PI, q), Entangle(dt))
+            e = Entangle(dt)
+            body = (e, _ROT["z", _PI, q], e)
         else:  # Rz(pi)_q has nothing to flip: one interval does
             dt, branch = _interval(4, abs(p.j_zz)), "ising_single_shot"
-            body = (Entangle(dt), Rotate("z", _PI, q))
-        ops = (Rotate("y", -_PI / 2, 2), *body, Rotate("x", -a, 2),
-               Rotate("z", -a, 2), Rotate("z", a, 1),
-               GlobalPhase(_PI / 2 + s * _PI / 4))
+            body = (Entangle(dt), _ROT["z", _PI, q])
+        ops = (_ROT["y", -_PI / 2, 2], *body, _ROT["x", -a, 2],
+               _ROT["z", -a, 2], _ROT["z", a, 1],
+               _PHASE[_PI / 2 + s * _PI / 4])
         return PulseSchedule(ops=ops), dt, branch
     # XY frame: with J + iJ' = s r e^{i phi} (p.fold), Rz(phi)_2 turns the
     # couplings into (s r, J_zz, 0). Two such intervals of pi/(8r) split by
@@ -142,17 +153,17 @@ def _refocused_schedule(p: RotFrameParams,
     s, phi = p.fold
     a = s * _PI / 2 if q == 1 else -s * _PI / 2
     dt = _interval(8, r)
+    e = Entangle(dt)
     into = (Rotate("z", phi, 2),) if phi else ()
     out = (Rotate("z", -phi, 2),) if phi else ()
     if q == 1:
         # Rx(pi)_1 commutes with Rz(phi)_2: the inner Rz pair cancels.
-        body = (*into, Entangle(dt), Rotate("x", _PI, 1), Entangle(dt), *out)
+        body = (*into, e, _ROT["x", _PI, 1], e, *out)
     else:
-        body = (*into, Entangle(dt), *out, Rotate("x", _PI, 2),
-                *into, Entangle(dt), *out)
-    ops = (Rotate("y", _PI / 2, 1), *body, Rotate("x", -a, 2),
-           Rotate("y", -_PI / 2, 1), Rotate("z", a, 1),
-           GlobalPhase(_PI / 2 + s * _PI / 4))
+        body = (*into, e, *out, _ROT["x", _PI, 2], *into, e, *out)
+    ops = (_ROT["y", _PI / 2, 1], *body, _ROT["x", -a, 2],
+           _ROT["y", -_PI / 2, 1], _ROT["z", a, 1],
+           _PHASE[_PI / 2 + s * _PI / 4])
     branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
     return PulseSchedule(ops=ops), dt, branch
 
@@ -161,9 +172,9 @@ def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     # Single shot to A(+-pi/4, +-pi/4, 0), wrapped into SWAP*CNOT.
     sign = 1.0 if p.j > 0 else -1.0
     dt = _interval(4, abs(p.j))
-    ops = (Rotate("y", -_PI / 2, 2), Entangle(dt),
-           Rotate("z", sign * _PI / 2, 2), Rotate("x", sign * _PI / 2, 1),
-           Rotate("z", sign * _PI / 2, 1), GlobalPhase(sign * _PI / 2))
+    a = sign * _PI / 2
+    ops = (_ROT["y", -_PI / 2, 2], Entangle(dt), _ROT["z", a, 2],
+           _ROT["x", a, 1], _ROT["z", a, 1], _PHASE[a])
     return PulseSchedule(ops=ops), dt
 
 

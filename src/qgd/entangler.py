@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import _entangler, _finite
+from .qmat import _entangler, _entangler_array, _finite
 
 __all__ = ["EntanglerCoords", "wrap_angle", "canonical_entangler"]
 
@@ -72,4 +72,4 @@ def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
     if not all(map(math.isfinite, (d + z, d - z, s + z, s - z))):
         raise ValueError(f"phase overflows: entangler coordinates "
                          f"{[x, y, z]} are too large")
-    return _entangler(d, s, z, 1.0)
+    return _entangler_array(_entangler(d, s, z, 1.0))

@@ -8,7 +8,8 @@ J_{mu nu} itself in the lab frame, and its rotating-wave part
 rot_frame_matrix (pulses.trajectory toggles it in the magic basis). With
 (s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
 form of A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, the frame
-of the compiler's wraps; only the lab frame needs an eigendecomposition.
+of the compiler's wraps (simulation reads its five entries,
+_rot_frame_entries); only the lab frame needs an eigendecomposition.
 
 rwa_infidelity compares the two in the lab frame. The drift
 H0 = -(eps/2)(Z1 + Z2) commutes with the rotating-wave coupling
@@ -160,6 +161,15 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
     return coupling_operator([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, jzz]])
 
 
+def _rot_frame_entries(p: RotFrameParams, t) -> tuple:
+    """rot_frame_propagator(p, t) as qmat._entangler's five entries."""
+    r = math.hypot(p.j, p.j_prime)
+    t = qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
+    s, phi = p.fold
+    return qmat._entangler(0.0, 2 * s * r * t, p.j_zz * t,
+                           cmath.exp(1j * phi))
+
+
 def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     """e^{-i rot_frame_matrix(p) t}: the canonical entangler
     A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, with
@@ -167,11 +177,7 @@ def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     Raises ValueError when t is no number or (|J_zz| + 2r)|t| is not
     finite.
     """
-    r = math.hypot(p.j, p.j_prime)
-    t = qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
-    s, phi = p.fold
-    return qmat._entangler(0.0, 2 * s * r * t, p.j_zz * t,
-                           cmath.exp(1j * phi))
+    return qmat._entangler_array(_rot_frame_entries(p, t))
 
 
 def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:

@@ -9,12 +9,13 @@ one's JSON name and text form, and PulseSchedule refuses any other op.
 Rotation convention: R_a(theta) = e^{-i theta sigma^a / 2}, the unique
 choice under which i Rx(pi) Ry(pi/2) is the standard Hadamard; one
 closed form (cos, sin of theta / 2 per axis) gives every rotation as
-four Python scalars, and rotations compose by their 2x2 product (_mul2)
-in both simulation and trajectories. Simulation runs one pulse layer at
-a time and uses no eigensolver: the Rotates between two Entangles
-multiply into one 2x2 factor per qubit, and each interval applies
-hamiltonian.rot_frame_propagator (a closed form) times that layer's
-a (x) b to the running product; the global phases fold into one scalar.
+four Python scalars, kept by each Rotate, and rotations compose by their
+2x2 product (_mul2) in both simulation and trajectories. Simulation runs
+one pulse layer at a time and uses no eigensolver: the Rotates between
+two Entangles multiply into one 2x2 factor per qubit, and each interval
+applies rot_frame_propagator times that layer's a (x) b, formed in one
+step (_step), to the running product; the global phases fold into one
+scalar.
 trajectory draws a Trajectory, reading each interval's toggled coupling
 off the magic basis, where a (x) b is real orthogonal and XX, YY and ZZ
 are diagonal.
@@ -35,7 +36,7 @@ import numpy as np
 from . import equivalence, qmat
 from .entangler import EntanglerCoords, wrap_angle
 from .errors import UnsupportedOp
-from .hamiltonian import RotFrameParams, rot_frame_matrix, rot_frame_propagator
+from .hamiltonian import RotFrameParams, _rot_frame_entries, rot_frame_matrix
 from .qmat import ALGEBRA_TOL, GEN_DIAGS, MAGIC, _finite
 # perfbench/selftest.py pins pulses.kron until ROADMAP item 1 re-aims it.
 from .qmat import kron  # noqa: F401
@@ -59,7 +60,8 @@ def _exact_int(n) -> int | None:
 
 @dataclass(frozen=True)
 class Rotate:
-    """Instantaneous single-qubit rotation R_axis(angle) on one qubit."""
+    """Instantaneous single-qubit rotation R_axis(angle) on one qubit; its
+    2x2 entries are computed once, when built, as _entries (no field)."""
 
     axis: str
     angle: float
@@ -74,6 +76,8 @@ class Rotate:
         if qubit not in (1, 2):
             raise ValueError(f"bad qubit index {self.qubit!r}")
         object.__setattr__(self, "qubit", qubit)
+        object.__setattr__(self, "_entries",
+                           _rotation_entries(self.axis, self.angle))
 
 
 @dataclass(frozen=True)
@@ -197,29 +201,53 @@ def _layer(a: tuple, b: tuple) -> np.ndarray:
                      [a2 * b2, a2 * b3, a3 * b2, a3 * b3]], dtype=complex)
 
 
+def _step(w: tuple, a: tuple, b: tuple) -> np.ndarray:
+    """E (a (x) b), E the entangler of qmat._entangler's entries w: E has
+    two entries a row, so each row sums two rows (x, y, z, v) of a (x) b."""
+    e00, e03, e11, e12, e21 = w
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    x0, x1, x2, x3 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    y0, y1, y2, y3 = a0 * b2, a0 * b3, a1 * b2, a1 * b3
+    z0, z1, z2, z3 = a2 * b0, a2 * b1, a3 * b0, a3 * b1
+    v0, v1, v2, v3 = a2 * b2, a2 * b3, a3 * b2, a3 * b3
+    return np.array([e00 * x0 + e03 * v0, e00 * x1 + e03 * v1,
+                     e00 * x2 + e03 * v2, e00 * x3 + e03 * v3,
+                     e11 * y0 + e12 * z0, e11 * y1 + e12 * z1,
+                     e11 * y2 + e12 * z2, e11 * y3 + e12 * z3,
+                     e21 * y0 + e11 * z0, e21 * y1 + e11 * z1,
+                     e21 * y2 + e11 * z2, e21 * y3 + e11 * z3,
+                     e03 * x0 + e00 * v0, e03 * x1 + e00 * v1,
+                     e03 * x2 + e00 * v2, e03 * x3 + e00 * v3],
+                    dtype=complex).reshape(4, 4)
+
+
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     """Product of the schedule's operations, first op applied first.
 
     One pulse layer at a time: the Rotates up to each Entangle multiply
     into a 2x2 factor per qubit, a on qubit 1 and b on qubit 2; the
-    interval then applies rot_frame_propagator(p, dt) (a (x) b) to the
-    running product. The Rotates after the last Entangle form the last
-    layer, which also carries the product of the global phases. Raises
+    interval then applies rot_frame_propagator(p, dt) (a (x) b), formed
+    from its five entries, shared by equal durations, to the running
+    product. The Rotates after the last Entangle form the last layer,
+    which also carries the product of the global phases. Raises
     ValueError when an interval's phase overflows (rot_frame_propagator).
     """
     u = None
     a = b = _ID2
     phase = 1 + 0j
+    dt = w = None
     for op in s.ops:
         kind = type(op)  # PulseSchedule admits exactly the _OPS types
         if kind is Rotate:
-            r = _rotation_entries(op.axis, op.angle)
             if op.qubit == 1:
-                a = _mul2(r, a)
+                a = _mul2(op._entries, a)
             else:
-                b = _mul2(r, b)
+                b = _mul2(op._entries, b)
         elif kind is Entangle:
-            step = rot_frame_propagator(p, op.duration) @ _layer(a, b)
+            if op.duration != dt:
+                dt, w = op.duration, _rot_frame_entries(p, op.duration)
+            step = _step(w, a, b)
             u = step if u is None else step @ u
             a = b = _ID2
         else:  # GlobalPhase
@@ -232,7 +260,8 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
 class Trajectory:
     """Sampled entangler-space path r(t), as trajectory draws it: raw
     holds the continuous (unwrapped) coordinates, shape (N, 3), N >= 1,
-    for plotting; wrapped() gives the principal-cell values."""
+    for plotting; wrapped() gives the principal-cell values. Every time
+    and coordinate must be finite."""
 
     times: np.ndarray
     raw: np.ndarray  # shape (N, 3)
@@ -244,6 +273,8 @@ class Trajectory:
             raise ValueError(f"raw of shape {r.shape} is not (N >= 1, 3)")
         if t.shape != (len(r),):
             raise ValueError("times/coords length mismatch")
+        if not (np.isfinite(t).all() and np.isfinite(r).all()):
+            raise ValueError("trajectory times and coords must be finite")
         if t[0] != 0.0 or np.any(r[0] != 0.0):
             raise ValueError("trajectory must start at t=0, r=(0,0,0)")
         if np.any(np.diff(t) <= 0):
@@ -302,8 +333,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     times, points = [0.0], [np.zeros(3)]
     for i, op in enumerate(schedule.ops):
         if isinstance(op, Rotate) and len(times) > 1:
-            frames[op.qubit] = _mul2(_rotation_entries(op.axis, op.angle),
-                                     frames[op.qubit])
+            frames[op.qubit] = _mul2(op._entries, frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
             o = (_MAGIC2_DAG @ _layer(*frames.values()) @ _MAGIC2).real / 2
             toggled = o.T @ h @ o

@@ -6,10 +6,11 @@ coupling operator of a 3x3 tensor, Hermitian matrix exponentials and
 unitary distance metrics, and the number rules of every scalar input
 (_real, _finite).
 Every generator the package evolves under is constant over its interval.
-One closed form, _entangler, serves entangler.canonical_entangler and
-hamiltonian.rot_frame_propagator (A in the fold frame). The general
-exponential here, an eigendecomposition, serves only the lab frame,
-whose Hamiltonian has no such form. There is no time-ordered product.
+One closed form, _entangler, gives the five distinct entries of A, which
+pulses.simulate_schedule applies as they are and _entangler_array lays
+out for canonical_entangler and rot_frame_propagator. The general
+exponential here, an eigendecomposition, serves only the lab frame, whose
+Hamiltonian has no such form. There is no time-ordered product.
 Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
@@ -91,11 +92,12 @@ def _require_finite_phase(rate: float, t) -> float:
     return t
 
 
-def _entangler(d: float, s: float, z: float, tilt: complex) -> np.ndarray:
+def _entangler(d: float, s: float, z: float, tilt: complex) -> tuple:
     """A(x, y, z) = e^{-i(x XX + y YY + z ZZ)} from d = x - y, s = x + y
-    and z, on Python floats, with its (1, 2) entry times the unit tilt and
-    its (2, 1) entry times tilt^*; the caller checks that the phases are
-    finite. XX, YY and ZZ act within span{|00>, |11>} and span{|01>, |10>}:
+    and z, on Python floats, as its entries [0, 0], [0, 3], [1, 1], [1, 2]
+    times the unit tilt and [2, 1] times tilt^*; the caller checks that the
+    phases are finite. XX, YY and ZZ act within span{|00>, |11>} and
+    span{|01>, |10>}:
 
         [0, 0] = [3, 3] = e^{-iz} cos d,  [0, 3] = [3, 0] = -i e^{-iz} sin d
         [1, 1] = [2, 2] = e^{iz} cos s,   [1, 2] = [2, 1] = -i e^{iz} sin s
@@ -106,12 +108,18 @@ def _entangler(d: float, s: float, z: float, tilt: complex) -> np.ndarray:
     cz, sz = math.cos(z), math.sin(z)
     cd, sd = math.cos(d), math.sin(d)
     cs, ss = math.cos(s), math.sin(s)
-    a, b = complex(cz * cd, -sz * cd), complex(-sz * sd, -cz * sd)
-    e, f = complex(cz * cs, sz * cs), complex(sz * ss, -cz * ss)
+    f = complex(sz * ss, -cz * ss)
+    return (complex(cz * cd, -sz * cd), complex(-sz * sd, -cz * sd),
+            complex(cz * cs, sz * cs), f * tilt, f * tilt.conjugate())
+
+
+def _entangler_array(w: tuple) -> np.ndarray:
+    """The 4x4 array of _entangler's entries w."""
+    a, b, e, f, g = w
     return np.array((a, 0j, 0j, b,
-                     0j, e, f * tilt, 0j,
-                     0j, f * tilt.conjugate(), e, 0j,
-                     b, 0j, 0j, a)).reshape(4, 4)
+                     0j, e, f, 0j,
+                     0j, g, e, 0j,
+                     b, 0j, 0j, a), dtype=complex).reshape(4, 4)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -74,6 +74,18 @@ class TestInvariantsCmd:
         result = runner.invoke(main, ["invariants", "--input", str(path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000,  # nested deeper than the parser's stack
+        b"\xff\xfe[[1]]",  # not UTF-8
+    ], ids=["deeply_nested", "not_utf8"])
+    def test_unparsable_file_names_its_path(self, runner, tmp_path,
+                                            content):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        result = runner.invoke(main, ["invariants", "--input", str(path)])
+        assert refused(result, 1)
+        assert result.stderr.startswith(f"error: cannot parse {path}: ")
+
     def test_unknown_gate_exit_7(self, runner):
         result = runner.invoke(main, ["invariants", "--gate", "TOFFOLI"])
         assert result.exit_code == 7

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qgd.compiler import (CNOT, CZ, SWAP, compile_cnot, controlled_phase,
-                          named_gate)
+from qgd.compiler import (_PHASE, _ROT, CNOT, CZ, SWAP, compile_cnot,
+                          controlled_phase, named_gate)
 from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
 from qgd.hamiltonian import RotFrameParams
-from qgd.pulses import Entangle, Rotate, simulate_schedule
+from qgd.pulses import Entangle, GlobalPhase, Rotate, simulate_schedule
 from qgd.qmat import distance
 
 PI = math.pi
@@ -332,3 +332,29 @@ class TestRefocusedBuilder:
                     == self.XY_PULSES[res.branch]), res.branch
             seen.add(res.branch)
         assert len(seen) == (5 if prefer == "auto" else 4)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_fixed_pulses_come_from_the_table(self, q):
+        # Every Rotate but the XY frame's Rz(+-phi)_2, each +-pi/2 or pi,
+        # and every GlobalPhase is the object built once at import; one
+        # Entangle serves both intervals.
+        grid = (-1.7, 0.0, 0.3)
+        seen = set()
+        for prefer in ("auto", "cnot"):
+            for j, jzz, jp in itertools.product(grid, repeat=3):
+                if j == jzz == jp == 0:
+                    continue
+                res = compile_cnot(RotFrameParams(j, jzz, jp), prefer=prefer,
+                                   refocus_qubit=q)
+                seen.add(res.branch)
+                fold = res.branch in ("two_shot_refocus", "general_jprime")
+                ops = res.schedule.ops
+                for op in ops:
+                    if isinstance(op, GlobalPhase):
+                        assert _PHASE[op.angle] is op
+                    elif isinstance(op, Rotate) and not (
+                            fold and op.axis == "z" and op.qubit == 2):
+                        assert _ROT[op.axis, op.angle, op.qubit] is op
+                intervals = {id(op) for op in ops if isinstance(op, Entangle)}
+                assert len(intervals) == 1, res.branch
+        assert len(seen) == 5

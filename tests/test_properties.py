@@ -207,9 +207,11 @@ def test_canonical_entangler_matches_expm(x, y, z):
                      expm_hermitian(h)) < CLOSED_FORM
 
 
+# One Entangle object placed twice in a schedule, as the compiler does.
+_SHARED_ENTANGLE = Entangle(0.45)
 # Deterministic layer shapes the Hypothesis search need not hit: no
-# interval, Rotates after the last interval, zero-length intervals, and
-# nothing but global phases.
+# interval, Rotates after the last interval, zero-length intervals,
+# nothing but global phases, and intervals of one duration.
 _LAYER_CASES = {
     "no_entangle": (Rotate("x", 0.3, 1), Rotate("y", -1.2, 2),
                     GlobalPhase(0.4), Rotate("z", 2.0, 1),
@@ -221,6 +223,14 @@ _LAYER_CASES = {
                       Entangle(0.0), Entangle(0.3), Entangle(0.0)),
     "only_global_phase": (GlobalPhase(0.3), GlobalPhase(-2.0),
                           GlobalPhase(6.5)),
+    # Four intervals of one duration share their propagator entries; the
+    # layers between them differ.
+    "equal_durations": (Rotate("y", 0.4, 1), Entangle(0.45),
+                        Rotate("x", -1.7, 2), Rotate("z", 0.8, 1),
+                        Entangle(0.45), Rotate("y", 2.3, 2),
+                        GlobalPhase(0.2), _SHARED_ENTANGLE,
+                        Rotate("x", 0.6, 1), _SHARED_ENTANGLE,
+                        Rotate("z", -0.9, 2)),
 }
 
 

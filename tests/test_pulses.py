@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from qgd.compiler import CNOT, compile_cnot, named_gate
 from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
-                        Trajectory, simulate_schedule, trajectory,
-                        verify_schedule)
+                        Trajectory, _rotation_entries, simulate_schedule,
+                        trajectory, verify_schedule)
 from qgd.qmat import I2, PAULI, SX, SY, SZ, distance, expm_hermitian
 
 from conftest import haar_unitary
@@ -166,6 +168,24 @@ class TestOpSet:
         again = PulseSchedule.from_json(json.loads(json.dumps(s.to_json())))
         assert again == s
 
+    def test_rotate_entries_are_no_field(self):
+        # Computed once when built; asdict, JSON, ==, hash and repr see
+        # only axis, angle and qubit, and a pickle keeps the entries.
+        op = Rotate("y", 0.7, 2)
+        assert op._entries == _rotation_entries("y", 0.7)
+        assert dataclasses.asdict(op) == {"axis": "y", "angle": 0.7,
+                                          "qubit": 2}
+        assert PulseSchedule((op,)).to_json() == [
+            {"op": "rotate", "axis": "y", "angle": 0.7, "qubit": 2}]
+        assert repr(op) == "Rotate(axis='y', angle=0.7, qubit=2)"
+        twin = Rotate("y", 0.7, 2)
+        assert op == twin and hash(op) == hash(twin)
+        back = pickle.loads(pickle.dumps(op))
+        assert back == op and back._entries == op._entries
+        turned = dataclasses.replace(op, angle=-1.9)
+        assert turned._entries == _rotation_entries("y", -1.9)
+        assert turned != op
+
 
 class TestReferenceSequences:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -253,6 +273,17 @@ class TestTrajectory:
         # Refused when built, not by a bare IndexError or TypeError from
         # endpoint later.
         with pytest.raises(ValueError, match=r"is not \(N >= 1, 3\)"):
+            Trajectory(times=times, raw=raw)
+
+    @pytest.mark.parametrize("times,raw", [
+        ([0.0, math.nan], [[0, 0, 0], [1, 1, 1]]),
+        ([0.0, math.inf], [[0, 0, 0], [1, 1, 1]]),
+        ([0.0, 1.0], [[0, 0, 0], [math.inf, math.nan, 1]]),
+        ([0.0, 1.0], [[0, 0, 0], [0, -math.inf, 0]]),
+    ])
+    def test_non_finite_values_refused(self, times, raw):
+        # Refused when built, not by a RuntimeWarning from to_csv later.
+        with pytest.raises(ValueError, match="must be finite"):
             Trajectory(times=times, raw=raw)
 
     @pytest.mark.parametrize("times", [[], [0.0, 1.0], [[0.0]]])
