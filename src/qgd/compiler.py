@@ -33,8 +33,8 @@ import numpy as np
 from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
 from .pulses import (VERIFY_TOL, Entangle, GlobalPhase, PulseSchedule,
-                     Rotate, VerificationReport, _exact_int,
-                     verify_schedule)
+                     Rotate, VerificationReport, verify_schedule)
+from .qmat import _exact_int
 
 __all__ = ["CompileResult", "compile_cnot", "named_gate"]
 

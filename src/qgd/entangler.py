@@ -1,13 +1,11 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
 whose generator is qmat.coupling_operator of diag(x, y, z), and
 coordinates on the 3-torus of entanglers, finite by construction, with
-their principal-cell wrap. pulses.Trajectory is a path of such
-coordinates.
+their principal-cell wrap, on Python floats. pulses.Trajectory is a path
+of such coordinates.
 
 A is qmat._entangler, the package's one closed form of this exponential,
-which hamiltonian.rot_frame_propagator shares. The wrap of a single
-coordinate or phase runs on Python floats; wrap_angle is the same formula
-over arrays.
+which hamiltonian.rot_frame_propagator shares.
 """
 from __future__ import annotations
 
@@ -18,18 +16,13 @@ import numpy as np
 
 from .qmat import _entangler, _entangler_array, _finite
 
-__all__ = ["EntanglerCoords", "wrap_angle", "canonical_entangler"]
+__all__ = ["EntanglerCoords", "canonical_entangler"]
 
 _TWO_PI = 2 * math.pi
 
 
-def wrap_angle(a):
-    """Wrap into the principal cell (-pi, pi]."""
-    return a - _TWO_PI * np.ceil((a - math.pi) / _TWO_PI)
-
-
 def _wrap(a: float) -> float:
-    """wrap_angle of one finite Python float, on Python floats."""
+    """One finite Python float wrapped into the principal cell (-pi, pi]."""
     return a - _TWO_PI * math.ceil((a - math.pi) / _TWO_PI)
 
 

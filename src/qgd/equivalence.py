@@ -30,8 +30,8 @@ import numpy as np
 
 from .entangler import EntanglerCoords, _wrap, canonical_entangler
 from .errors import NotUnitary
-from .qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, SX, SY, SZ, _as_4x4,
-                   kron, require_unitary)
+from .qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, SX, SY, SZ, _MAGIC2,
+                   _MAGIC2_DAG, _as_4x4, kron, require_unitary)
 
 __all__ = [
     "MAGIC", "MakhlinInvariants", "KakFactors",
@@ -48,13 +48,12 @@ _PHASE_INVERSE = _PHASE_SYSTEM.T / 4
 # The quaternion basis of SU(2): q = (q0, q1, q2, q3) stands for
 # q0 I - i (q1 X + q2 Y + q3 Z), a unit q for an element of SU(2).
 _QUATERNIONS = np.array([I2, -1j * SX, -1j * SY, -1j * SZ])
-# Row 4j + k: the magic-basis form of sigma_j (x) sigma_k, a signed
-# permutation matrix (rounded to it), raveled and over 4. These 16 real
-# matrices are orthogonal with norm^2 4, so for o = Q^dag (a (x) b) Q,
-# _ASSOC @ o.ravel() is the outer product a b^T of the quaternions.
-_ASSOC = np.rint(np.array([(MAGIC_DAG @ np.kron(p, q) @ MAGIC).real.ravel()
-                           for p in _QUATERNIONS
-                           for q in _QUATERNIONS])) / 4
+# Row 4j + k: the magic-basis form of sigma_j (x) sigma_k, an exact signed
+# permutation matrix, raveled and over 4. These 16 real matrices are
+# orthogonal with norm^2 4, so for o = Q^dag (a (x) b) Q, _ASSOC @ o.ravel()
+# is the outer product a b^T of the quaternions.
+_ASSOC = np.array([(_MAGIC2_DAG @ np.kron(p, q) @ _MAGIC2).real.ravel() / 2
+                   for p in _QUATERNIONS for q in _QUATERNIONS]) / 4
 
 # Distinct inputs whose invariants makhlin_invariants keeps.
 _MEMO_SIZE = 32

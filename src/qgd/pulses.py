@@ -14,11 +14,10 @@ four Python scalars, kept by each Rotate, and rotations compose by their
 one pulse layer at a time and uses no eigensolver: the Rotates between
 two Entangles multiply into one 2x2 factor per qubit, and each interval
 applies rot_frame_propagator times that layer's a (x) b, formed in one
-step (_step), to the running product; the global phases fold into one
-scalar.
+step (qmat._step), to the running product; the global phases fold into
+one scalar.
 trajectory draws a Trajectory, reading each interval's toggled coupling
-off the magic basis, where a (x) b is real orthogonal and XX, YY and ZZ
-are diagonal.
+off qmat's magic basis.
 Verification checks each distinct target once, through
 equivalence.makhlin_invariants, whose memo is keyed by the target's
 content; pulses keeps no memo of its own.
@@ -28,16 +27,16 @@ from __future__ import annotations
 import cmath
 import io
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import equivalence, qmat
-from .entangler import EntanglerCoords, wrap_angle
+from .entangler import EntanglerCoords, _wrap
 from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, _rot_frame_entries, rot_frame_matrix
-from .qmat import ALGEBRA_TOL, GEN_DIAGS, MAGIC, _finite
+from .qmat import (ALGEBRA_TOL, GEN_DIAGS, _ID2, _ID_W, _MAGIC2, _MAGIC2_DAG,
+                   _exact_int, _finite, _step)
 # perfbench/selftest.py pins pulses.kron until ROADMAP item 1 re-aims it.
 from .qmat import kron  # noqa: F401
 
@@ -46,16 +45,6 @@ __all__ = [
     "VERIFY_TOL", "VerificationReport",
     "simulate_schedule", "trajectory", "verify_schedule",
 ]
-
-
-def _exact_int(n) -> int | None:
-    """n as a Python int if it is an integer other than a bool (numpy
-    integers included); None otherwise."""
-    if type(n) is int:  # the common case skips the ABC check
-        return n
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        return None
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -70,8 +59,9 @@ class Rotate:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"bad axis {self.axis!r}")
+        # + 0.0 turns a negative zero into 0.0, for the JSON and text forms.
         object.__setattr__(self, "angle",
-                           _finite("rotation angle", self.angle))
+                           _finite("rotation angle", self.angle) + 0.0)
         qubit = _exact_int(self.qubit)
         if qubit not in (1, 2):
             raise ValueError(f"bad qubit index {self.qubit!r}")
@@ -87,7 +77,7 @@ class Entangle:
     duration: float
 
     def __post_init__(self):
-        duration = _finite("duration", self.duration)
+        duration = _finite("duration", self.duration) + 0.0
         if duration < 0:
             raise ValueError(f"duration {duration} is negative")
         object.__setattr__(self, "duration", duration)
@@ -100,7 +90,8 @@ class GlobalPhase:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", _finite("phase angle", self.angle))
+        object.__setattr__(self, "angle",
+                           _finite("phase angle", self.angle) + 0.0)
 
 
 # The op set: each kind's JSON name and right-to-left text form, which
@@ -164,15 +155,6 @@ class PulseSchedule:
 VERIFY_TOL = 1e-9
 
 
-# M = sqrt(2) Q, Q the magic basis: its entries 0, +-1 and +-i are exact,
-# so Re(Q^dag m Q) = Re(M^dag m M) / 2 carries no roundoff of 1/sqrt(2).
-_MAGIC2 = np.rint(math.sqrt(2) * MAGIC)
-_MAGIC2_DAG = _MAGIC2.conj().T
-
-# A 2x2 matrix as the Python scalars (m00, m01, m10, m11).
-_ID2 = (1 + 0j, 0j, 0j, 1 + 0j)
-
-
 def _rotation_entries(axis: str, angle: float) -> tuple:
     """R_axis(angle) = cos(angle / 2) I - i sin(angle / 2) sigma^axis."""
     c, s = math.cos(angle / 2), math.sin(angle / 2)
@@ -189,37 +171,6 @@ def _mul2(r: tuple, m: tuple) -> tuple:
     m0, m1, m2, m3 = m
     return (r0 * m0 + r1 * m2, r0 * m1 + r1 * m3,
             r2 * m0 + r3 * m2, r2 * m1 + r3 * m3)
-
-
-def _layer(a: tuple, b: tuple) -> np.ndarray:
-    """a (x) b as a 4x4 array, qubit 1's factor a on the left."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array([[a0 * b0, a0 * b1, a1 * b0, a1 * b1],
-                     [a0 * b2, a0 * b3, a1 * b2, a1 * b3],
-                     [a2 * b0, a2 * b1, a3 * b0, a3 * b1],
-                     [a2 * b2, a2 * b3, a3 * b2, a3 * b3]], dtype=complex)
-
-
-def _step(w: tuple, a: tuple, b: tuple) -> np.ndarray:
-    """E (a (x) b), E the entangler of qmat._entangler's entries w: E has
-    two entries a row, so each row sums two rows (x, y, z, v) of a (x) b."""
-    e00, e03, e11, e12, e21 = w
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    x0, x1, x2, x3 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    y0, y1, y2, y3 = a0 * b2, a0 * b3, a1 * b2, a1 * b3
-    z0, z1, z2, z3 = a2 * b0, a2 * b1, a3 * b0, a3 * b1
-    v0, v1, v2, v3 = a2 * b2, a2 * b3, a3 * b2, a3 * b3
-    return np.array([e00 * x0 + e03 * v0, e00 * x1 + e03 * v1,
-                     e00 * x2 + e03 * v2, e00 * x3 + e03 * v3,
-                     e11 * y0 + e12 * z0, e11 * y1 + e12 * z1,
-                     e11 * y2 + e12 * z2, e11 * y3 + e12 * z3,
-                     e21 * y0 + e11 * z0, e21 * y1 + e11 * z1,
-                     e21 * y2 + e11 * z2, e21 * y3 + e11 * z3,
-                     e03 * x0 + e00 * v0, e03 * x1 + e00 * v1,
-                     e03 * x2 + e00 * v2, e03 * x3 + e00 * v3],
-                    dtype=complex).reshape(4, 4)
 
 
 def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
@@ -252,7 +203,7 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
             a = b = _ID2
         else:  # GlobalPhase
             phase *= cmath.exp(1j * op.angle)
-    last = _layer([phase * x for x in a], b)
+    last = _step(_ID_W, [phase * x for x in a], b)
     return last if u is None else last @ u
 
 
@@ -283,7 +234,7 @@ class Trajectory:
         object.__setattr__(self, "raw", r)
 
     def wrapped(self) -> np.ndarray:
-        return wrap_angle(self.raw)
+        return np.array([[_wrap(v) for v in r] for r in self.raw.tolist()])
 
     @property
     def endpoint(self) -> EntanglerCoords:
@@ -335,7 +286,8 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
         if isinstance(op, Rotate) and len(times) > 1:
             frames[op.qubit] = _mul2(op._entries, frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
-            o = (_MAGIC2_DAG @ _layer(*frames.values()) @ _MAGIC2).real / 2
+            layer = _step(_ID_W, *frames.values())
+            o = (_MAGIC2_DAG @ layer @ _MAGIC2).real / 2
             toggled = o.T @ h @ o
             d = np.diag(toggled)
             if np.max(np.abs(toggled - np.diag(d))) > ALGEBRA_TOL * scale:

@@ -1,14 +1,14 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
-Pauli operators, Kronecker products, the magic (Bell) basis with the
-diagonals of XX, YY and ZZ in it (GEN_DIAGS, exactly +-1), the two-qubit
-coupling operator of a 3x3 tensor, Hermitian matrix exponentials and
-unitary distance metrics, and the number rules of every scalar input
-(_real, _finite).
+Pauli operators, Kronecker products, the magic (Bell) basis, exact as
+_MAGIC2 = sqrt(2) Q, with the diagonals of XX, YY and ZZ in it (GEN_DIAGS,
+exactly +-1), the two-qubit coupling operator of a 3x3 tensor, Hermitian
+matrix exponentials and unitary distance metrics, and the number rules of
+every scalar input (_real, _finite, _exact_int).
 Every generator the package evolves under is constant over its interval.
-One closed form, _entangler, gives the five distinct entries of A, which
-pulses.simulate_schedule applies as they are and _entangler_array lays
-out for canonical_entangler and rot_frame_propagator. The general
+One closed form, _entangler, gives the five distinct entries of A; _step
+forms E (a (x) b) from them and a layer's 2x2 entries (with _ID_W, a (x) b
+alone), and _entangler_array lays them out as a 4x4 array. The general
 exponential here, an eigendecomposition, serves only the lab frame, whose
 Hamiltonian has no such form. There is no time-ordered product.
 Everything here is a pure function of its arguments.
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NonHermitianInput, NotUnitary
 
 __all__ = [
-    "I2", "I4", "SX", "SY", "SZ", "PAULI", "PAULI_PAIRS",
+    "I2", "I4", "SX", "SY", "SZ", "PAULI_PAIRS",
     "MAGIC", "MAGIC_DAG", "GEN_DIAGS",
     "kron", "coupling_operator", "require_hermitian", "require_unitary",
     "expm_hermitian", "distance",
@@ -39,25 +39,28 @@ I4 = np.eye(4, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = {"x": SX, "y": SY, "z": SZ}
 # PAULI_PAIRS[m, n] = sigma^m (x) sigma^n, m, n indexing x, y, z.
 PAULI_PAIRS = np.array([[np.kron(a, b) for b in (SX, SY, SZ)]
                         for a in (SX, SY, SZ)])
 
-# Magic (Bell) basis: local rotations become real orthogonal matrices here.
-MAGIC = (1 / math.sqrt(2)) * np.array([
+# Magic (Bell) basis Q = _MAGIC2 / sqrt(2): local rotations become real
+# orthogonal matrices here. _MAGIC2's entries 0, +-1 and +-i are exact, so
+# Re(Q^dag m Q) = Re(_MAGIC2^dag m _MAGIC2) / 2 carries no roundoff of
+# 1/sqrt(2).
+_MAGIC2 = np.array([
     [1, 0, 0, 1j],
     [0, 1j, 1, 0],
     [0, 1j, -1, 0],
     [1, 0, 0, -1j],
 ], dtype=complex)
+_MAGIC2_DAG = _MAGIC2.conj().T
+MAGIC = (1 / math.sqrt(2)) * _MAGIC2
 MAGIC_DAG = MAGIC.conj().T
 # GEN_DIAGS[:, k]: the diagonal of PAULI_PAIRS[k, k] (XX, YY, ZZ) in the
-# magic basis, where all three are diagonal; every entry is exactly +-1
-# (rounded from the computed diagonal, which is +-1 to roundoff).
-GEN_DIAGS = np.rint(np.stack([
-    np.real(np.diag(MAGIC_DAG @ PAULI_PAIRS[k, k] @ MAGIC))
-    for k in range(3)], axis=1))
+# magic basis, where all three are diagonal; every entry is exactly +-1.
+GEN_DIAGS = np.stack([
+    np.diag(_MAGIC2_DAG @ PAULI_PAIRS[k, k] @ _MAGIC2).real / 2
+    for k in range(3)], axis=1)
 
 
 def _real(what: str, value) -> float:
@@ -79,6 +82,16 @@ def _finite(what: str, value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not a finite number")
     return x
+
+
+def _exact_int(n) -> int | None:
+    """n as a Python int if it is an integer other than a bool (numpy
+    integers included); None otherwise."""
+    if type(n) is int:  # the common case skips the ABC check
+        return n
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        return None
+    return int(n)
 
 
 def _require_finite_phase(rate: float, t) -> float:
@@ -111,6 +124,34 @@ def _entangler(d: float, s: float, z: float, tilt: complex) -> tuple:
     f = complex(sz * ss, -cz * ss)
     return (complex(cz * cd, -sz * cd), complex(-sz * sd, -cz * sd),
             complex(cz * cs, sz * cs), f * tilt, f * tilt.conjugate())
+
+
+# A 2x2 matrix as the Python scalars (m00, m01, m10, m11), and A's five
+# entries as _entangler returns them: the identities of each.
+_ID2 = (1 + 0j, 0j, 0j, 1 + 0j)
+_ID_W = (1, 0, 1, 0, 0)
+
+
+def _step(w: tuple, a: tuple, b: tuple) -> np.ndarray:
+    """E (a (x) b) for E of _entangler's entries w and the 2x2 entries a
+    and b, qubit 1's factor a on the left: E has two entries a row, so each
+    row sums two rows (x, y, z, v) of a (x) b."""
+    e00, e03, e11, e12, e21 = w
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    x0, x1, x2, x3 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    y0, y1, y2, y3 = a0 * b2, a0 * b3, a1 * b2, a1 * b3
+    z0, z1, z2, z3 = a2 * b0, a2 * b1, a3 * b0, a3 * b1
+    v0, v1, v2, v3 = a2 * b2, a2 * b3, a3 * b2, a3 * b3
+    return np.array([e00 * x0 + e03 * v0, e00 * x1 + e03 * v1,
+                     e00 * x2 + e03 * v2, e00 * x3 + e03 * v3,
+                     e11 * y0 + e12 * z0, e11 * y1 + e12 * z1,
+                     e11 * y2 + e12 * z2, e11 * y3 + e12 * z3,
+                     e21 * y0 + e11 * z0, e21 * y1 + e11 * z1,
+                     e21 * y2 + e11 * z2, e21 * y3 + e11 * z3,
+                     e03 * x0 + e00 * v0, e03 * x1 + e00 * v1,
+                     e03 * x2 + e00 * v2, e03 * x3 + e00 * v3],
+                    dtype=complex).reshape(4, 4)
 
 
 def _entangler_array(w: tuple) -> np.ndarray:

@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qgd
 from qgd import cli
 from qgd.cli import main
 from qgd.equivalence import kak_decompose
@@ -652,3 +655,16 @@ class TestReadmeAgreesWithCli:
         block = block.split("```", 1)[0]
         listed = set(re.findall(r"^qgd ([\w-]+)", block, re.MULTILINE))
         assert listed == set(cli.main.commands)
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(qgd.__path__)))
+def test_every_exported_name_resolves(name):
+    # A stale __all__ entry breaks import * and hides the name from
+    # anything that walks __all__ with getattr(module, name, None).
+    module = importlib.import_module(f"qgd.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from qgd.{name} import *", namespace)
+    assert set(exported) <= set(namespace)

@@ -47,6 +47,17 @@ def test_magic_basis_constants():
     assoc = equivalence._ASSOC
     assert set(np.unique(assoc)) <= {-0.25, 0.0, 0.25}
     assert np.array_equal(4 * assoc @ assoc.T, np.eye(16))
+    # Both are read off the exact sqrt(2) Q: bit for bit the formulas over
+    # Q, rounded to the nearest integer, that they replace.
+    gen = np.rint(np.stack([
+        np.real(np.diag(qmat.MAGIC_DAG @ qmat.PAULI_PAIRS[k, k] @ qmat.MAGIC))
+        for k in range(3)], axis=1))
+    assert gen.tobytes() == qmat.GEN_DIAGS.tobytes()
+    quaternions = equivalence._QUATERNIONS
+    rounded = np.rint(np.array([
+        (qmat.MAGIC_DAG @ np.kron(p, q) @ qmat.MAGIC).real.ravel()
+        for p in quaternions for q in quaternions])) / 4
+    assert rounded.tobytes() == assoc.tobytes()
 
 
 class TestMakhlinInvariants:

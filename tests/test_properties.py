@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qgd import cli
 from qgd.compiler import (CNOT, SWAP, compile_cnot, controlled_phase,
                           named_gate)
-from qgd.entangler import EntanglerCoords, canonical_entangler, wrap_angle
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import (_det4, _joint_orthogonal_eigenbasis,
                              _so4_factors, kak_decompose,
                              locally_equivalent, makhlin_invariants,
@@ -30,8 +30,8 @@ from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
                              rot_frame_propagator, rwa_infidelity)
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         simulate_schedule, trajectory)
-from qgd.qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, PAULI, PAULI_PAIRS,
-                      SX, SY, SZ, distance, expm_hermitian, kron)
+from qgd.qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, PAULI_PAIRS, SX, SY,
+                      SZ, distance, expm_hermitian, kron)
 
 from conftest import haar_unitary, random_su2
 
@@ -148,6 +148,9 @@ def _reference_generator(p: RotFrameParams) -> np.ndarray:
     return (p.j * (np.kron(SX, SX) + np.kron(SY, SY))
             + p.j_prime * (np.kron(SX, SY) - np.kron(SY, SX))
             + p.j_zz * np.kron(SZ, SZ))
+
+
+PAULI = {"x": SX, "y": SY, "z": SZ}
 
 
 def _reference_simulate(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
@@ -406,7 +409,8 @@ def _reference_kak_angles(u) -> np.ndarray:
     theta = np.angle(d) / 2
     if np.linalg.det((ub @ basis) * np.exp(-1j * theta)).real < 0:
         theta[0] += math.pi
-    return wrap_angle(np.linalg.solve(_ROUNDOFF_SYSTEM, theta))
+    a = np.linalg.solve(_ROUNDOFF_SYSTEM, theta)
+    return a - 2 * math.pi * np.ceil((a - math.pi) / (2 * math.pi))
 
 
 def _reference_kron_factor_local(u) -> tuple:

@@ -7,23 +7,33 @@ import numpy as np
 import pytest
 
 from qgd import equivalence
-from qgd.compiler import CNOT, compile_cnot, named_gate
+from qgd.compiler import CNOT, _ROT, compile_cnot, named_gate
+from qgd.entangler import canonical_entangler
+from qgd.equivalence import makhlin_invariants
 from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         Trajectory, _rotation_entries, simulate_schedule,
                         trajectory, verify_schedule)
-from qgd.qmat import I2, PAULI, SX, SY, SZ, distance, expm_hermitian
+from qgd.qmat import I2, SX, SY, SZ, _ID_W, _step, distance, expm_hermitian
 
-from conftest import haar_unitary
+from conftest import haar_unitary, random_su2
 
 PI = math.pi
+PAULI = {"x": SX, "y": SY, "z": SZ}
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def reference_rotation(axis, angle):
     """R_axis(angle) = e^{-i angle sigma^axis / 2} by the eigensolver."""
     return expm_hermitian(PAULI[axis] / 2, angle)
+
+
+def kron_entries(a, b):
+    """a (x) b of 2x2 entries, qubit 1's a on the left, as nested lists
+    of the Python-scalar products a[2r + c] * b[2s + d]."""
+    return [[a[2 * r + c] * b[2 * s + d] for c in (0, 1) for d in (0, 1)]
+            for r in (0, 1) for s in (0, 1)]
 
 
 def simulate_ops(*ops):
@@ -152,6 +162,22 @@ class TestOpSet:
             '"qubit": 1}, {"op": "entangle", "duration": 0.125}, '
             '{"op": "phase", "angle": -0.7853981633974483}]')
 
+    def test_negative_zero_is_stored_as_zero(self):
+        # No -0.0 reaches the JSON or text form, and the op simulates as
+        # the one built from 0.0, to the byte.
+        ops = (Rotate("x", -0.0, 1), Rotate("z", -0.0, 2), Entangle(-0.0),
+               GlobalPhase(-0.0))
+        zero = PulseSchedule((Rotate("x", 0.0, 1), Rotate("z", 0.0, 2),
+                              Entangle(0.0), GlobalPhase(0.0)))
+        s = PulseSchedule.from_json(json.loads(json.dumps(
+            PulseSchedule(ops).to_json())))
+        p = RotFrameParams(0.9, -0.4, 0.3)
+        for sched in (PulseSchedule(ops), s):
+            assert "-0.0" not in json.dumps(sched.to_json())
+            assert "-0.0" not in sched.pretty()
+            assert (simulate_schedule(sched, p).tobytes()
+                    == simulate_schedule(zero, p).tobytes())
+
     @pytest.mark.parametrize("op", ["junk", 1.5, None, Entangle])
     def test_foreign_op_rejected(self, op):
         with pytest.raises(UnsupportedOp):
@@ -185,6 +211,29 @@ class TestOpSet:
         turned = dataclasses.replace(op, angle=-1.9)
         assert turned._entries == _rotation_entries("y", -1.9)
         assert turned != op
+
+
+class TestLayer:
+    """qmat._step with the identity's entries _ID_W is a (x) b: it forms
+    the layer after the last interval and each trajectory frame."""
+
+    @staticmethod
+    def check(a, b):
+        layer = _step(_ID_W, a, b)
+        assert layer.tolist() == kron_entries(a, b)
+        # numpy's complex product rounds differently, by a few 1e-16.
+        ref = np.kron(np.reshape(a, (2, 2)), np.reshape(b, (2, 2)))
+        assert np.max(np.abs(layer - ref)) < 1e-15
+
+    def test_random_su2_pairs(self, rng):
+        for _ in range(500):
+            self.check(random_su2(rng).ravel().tolist(),
+                       random_su2(rng).ravel().tolist())
+
+    def test_every_pair_of_compiler_pulses(self):
+        for r in _ROT.values():
+            for s in _ROT.values():
+                self.check(r._entries, s._entries)
 
 
 class TestReferenceSequences:
@@ -327,6 +376,94 @@ class TestTrajectory:
         traj = trajectory(RotFrameParams(1.0, 0.0, 0.0), s,
                           samples_per_interval=4)
         assert len(traj.times) == 9 and traj.times[1] > 0
+
+    def test_straight_line_in_xy_plane(self):
+        g, t = 0.7, 1.1
+        p = RotFrameParams(g, g, 0.0)
+        traj = trajectory(p, PulseSchedule((Entangle(t),)),
+                          samples_per_interval=10)
+        assert np.allclose(traj.raw[-1], [g * t, g * t, g * t])
+        assert np.allclose(traj.raw[:, 0], traj.raw[:, 1])
+
+    def test_refocused_two_shot_endpoint(self, rng):
+        g = 1.0
+        jzz = rng.uniform(-1, 1)
+        p = RotFrameParams(g, jzz, 0.0)
+        dt = PI / (8 * g)
+        sched = PulseSchedule((Entangle(dt), Rotate("x", PI, 1), Entangle(dt)))
+        traj = trajectory(p, sched)
+        assert np.allclose(traj.raw[-1], [PI / 4, 0, 0], atol=1e-12)
+
+    def test_empty_schedule(self):
+        traj = trajectory(RotFrameParams(1, 0, 0), PulseSchedule(()))
+        assert len(traj.times) == 1
+        assert traj.times[0] == 0.0
+        assert np.array_equal(traj.raw[0], np.zeros(3))
+
+    def test_endpoint_matches_full_simulation_class(self, rng):
+        p = RotFrameParams(0.9, -0.4, 0.0)
+        sched = PulseSchedule((Entangle(0.31), Rotate("x", PI, 2),
+                               Entangle(0.52), Rotate("y", PI, 1),
+                               Entangle(0.17)))
+        traj = trajectory(p, sched)
+        a = canonical_entangler(traj.endpoint)
+        u = simulate_schedule(sched, p)
+        gu = makhlin_invariants(u)
+        ga = makhlin_invariants(a)
+        assert abs(gu.g1 - ga.g1) + abs(gu.g2 - ga.g2) < 1e-9
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, "3", None, True])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        # Exactly an integer of at least 1: no float, string, None or bool.
+        with pytest.raises(ValueError, match="samples_per_interval"):
+            trajectory(RotFrameParams(1, 0, 0),
+                       PulseSchedule((Entangle(0.5),)),
+                       samples_per_interval=samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        sched = PulseSchedule((Entangle(0.5),))
+        traj = trajectory(RotFrameParams(1, 0, 0), sched,
+                          samples_per_interval=np.int64(3))
+        again = trajectory(RotFrameParams(1, 0, 0), sched,
+                           samples_per_interval=3)
+        assert np.array_equal(traj.times, again.times)
+        assert np.array_equal(traj.raw, again.raw)
+
+    def test_rejects_non_refocusing_rotation(self):
+        # Rx(pi/2)_1 between two intervals turns YY into YZ; before the
+        # first interval it only dresses the path.
+        sched = PulseSchedule((Entangle(0.3), Rotate("x", PI / 2, 1),
+                               Entangle(0.3)))
+        with pytest.raises(UnsupportedOp, match="op 2"):
+            trajectory(RotFrameParams(1, 0, 0), sched)
+        traj = trajectory(RotFrameParams(1, 0, 0),
+                          PulseSchedule(sched.ops[1:]))
+        assert np.allclose(traj.raw[-1], [0.3, 0.3, 0.0])
+
+    def test_phase_ops_ignored(self):
+        traj = trajectory(RotFrameParams(1, 0, 0),
+                          PulseSchedule((GlobalPhase(0.4), Entangle(0.5))))
+        assert np.allclose(traj.raw[-1], [0.5, 0.5, 0.0])
+
+    def test_csv_format(self):
+        traj = trajectory(RotFrameParams(1.0, 1.0, 0.0),
+                          PulseSchedule((Entangle(0.2),)),
+                          samples_per_interval=2)
+        lines = traj.to_csv().strip().split("\n")
+        assert lines[0] == "t,x,y,z,x_wrapped,y_wrapped,z_wrapped"
+        assert len(lines) == 4
+        assert lines[1] == "0,0,0,0,0,0,0"
+
+    def test_wrapped_is_the_numpy_principal_cell_bit_for_bit(self, rng):
+        edges = [PI, -PI, 2 * PI, -2 * PI, 6 * PI, -4 * PI, 3 * PI / 2,
+                 1e15, -1e15, 1e300, -1e300, np.nextafter(PI, 4),
+                 np.nextafter(-PI, -4), np.nextafter(PI, 0),
+                 np.nextafter(-PI, 0)]
+        x = np.concatenate([edges, rng.uniform(-50, 50, 300 - len(edges))])
+        raw = np.vstack([np.zeros(3), x.reshape(-1, 3)])
+        traj = Trajectory(times=np.arange(len(raw), dtype=float), raw=raw)
+        ref = raw - 2 * PI * np.ceil((raw - PI) / (2 * PI))
+        assert traj.wrapped().tobytes() == ref.tobytes()
 
 
 class TestVerifySchedule:
