@@ -64,15 +64,10 @@ CLASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MakhlinInvariants:
-    """The pair (G1, G2); G1 is generally complex, G2 real.
-
-    g2_imag_residual is the magnitude of the (analytically zero)
-    imaginary part of the computed G2, kept as a numerical health check.
-    """
+    """The pair (G1, G2); G1 is generally complex, G2 real."""
 
     g1: complex
     g2: float
-    g2_imag_residual: float = 0.0
 
     def distance(self, other: "MakhlinInvariants") -> float:
         """|G1 - G1'| + |G2 - G2'|; zero iff the two local classes agree."""
@@ -110,8 +105,7 @@ def _invariants(raw: bytes) -> tuple:
         raise NotUnitary(
             f"G2 imaginary residual {residual:.3e} exceeds 1e-10; "
             "input is not unitary enough")
-    inv = MakhlinInvariants(g1=g1, g2=g2.real, g2_imag_residual=residual)
-    return inv, ub, det
+    return MakhlinInvariants(g1=g1, g2=g2.real), ub, det
 
 
 def _det4(r):
@@ -134,7 +128,7 @@ def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
             < CLASS_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KakFactors:
     """U = e^{i phase} (u_post1 x u_post2) A(coords) (u_pre1 x u_pre2),
     with each local factor in SU(2) and coords in the principal cell.

@@ -54,7 +54,7 @@ def _number(d: dict, key: str) -> float:
     return qmat._finite(f"coupling JSON {key!r}", d[key])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingTensor:
     """3x3 real tensor J_{mu nu}, mu/nu in {x,y,z}, angular-frequency units.
 
@@ -92,16 +92,11 @@ class CouplingTensor:
 
 @dataclass(frozen=True)
 class RotFrameParams:
-    """Effective rotating-frame couplings (J, J_zz, J').
-
-    discarded_weight is the sum of squares of the tensor combinations the
-    rotating-wave average drops; it is diagnostic only.
-    """
+    """Effective rotating-frame couplings (J, J_zz, J')."""
 
     j: float
     j_zz: float
     j_prime: float
-    discarded_weight: float = 0.0
 
     def __post_init__(self):
         # Python floats: numpy scalars would warn on overflow below.
@@ -139,18 +134,12 @@ def reduce_coupling(ct: CouplingTensor) -> RotFrameParams:
     """Rotating-wave reduction of the full tensor to (J, J_zz, J').
 
     J = (Jxx + Jyy)/2, J' = (Jxy - Jyx)/2, J_zz passes through; every
-    other combination time-averages to zero in the rotating frame and is
-    reported via discarded_weight.
+    other combination time-averages to zero in the rotating frame.
     """
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = ct.j.tolist()
+    (xx, xy, _), (yx, yy, _), (_, _, zz) = ct.j.tolist()
     # On Python floats. Halves first: J and J' stay finite whenever the
-    # entries are. Squares as x * x, which overflows to inf, where x ** 2
-    # would raise OverflowError: an overflowing weight reads inf.
-    a = (xx - yy) / 2
-    b = (xy + yx) / 2
-    dropped = (a * a + b * b) + (xz * xz + yz * yz + zx * zx + zy * zy)
-    return RotFrameParams(j=xx / 2 + yy / 2, j_zz=zz, j_prime=xy / 2 - yx / 2,
-                          discarded_weight=dropped)
+    # entries are.
+    return RotFrameParams(j=xx / 2 + yy / 2, j_zz=zz, j_prime=xy / 2 - yx / 2)
 
 
 def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:

@@ -207,7 +207,7 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     return last if u is None else last @ u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled entangler-space path r(t), as trajectory draws it: raw
     holds the continuous (unwrapped) coordinates, shape (N, 3), N >= 1,

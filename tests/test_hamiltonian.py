@@ -39,7 +39,6 @@ class TestReduceCoupling:
     def test_heisenberg(self):
         p = reduce_coupling(CouplingTensor(np.eye(3) * 0.7))
         assert (p.j, p.j_zz, p.j_prime) == (0.7, 0.7, 0.0)
-        assert p.discarded_weight == 0.0
 
     def test_ising(self):
         p = reduce_coupling(tensor(zz=0.4))
@@ -60,38 +59,32 @@ class TestReduceCoupling:
         assert math.isclose(pc.j_zz, 2 * pa.j_zz + 3 * pb.j_zz,
                             abs_tol=1e-14)
 
-    def test_discarded_weight_diagnostic(self):
-        p = reduce_coupling(tensor(xz=1.0, zy=2.0))
-        assert (p.j, p.j_zz, p.j_prime) == (0.0, 0.0, 0.0)
-        assert math.isclose(p.discarded_weight, 5.0)
-
     def test_matches_numpy_formula(self, rng):
         # The Python-float reduction against the numpy one it replaced:
         # same operations in the same order, so bit-identical.
         for _ in range(200):
             j = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
             p = reduce_coupling(CouplingTensor(j))
-            dropped = (((j[0, 0] - j[1, 1]) / 2) ** 2
-                       + ((j[0, 1] + j[1, 0]) / 2) ** 2)
-            dropped += (j[0, 2] ** 2 + j[1, 2] ** 2 + j[2, 0] ** 2
-                        + j[2, 1] ** 2)
-            assert (p.j, p.j_zz, p.j_prime, p.discarded_weight) == (
+            assert (p.j, p.j_zz, p.j_prime) == (
                 j[0, 0] / 2 + j[1, 1] / 2, j[2, 2],
-                j[0, 1] / 2 - j[1, 0] / 2, dropped)
+                j[0, 1] / 2 - j[1, 0] / 2)
 
-    def test_overflowing_weight_reads_inf(self):
-        # Python-float squares are written x * x, which overflows to inf;
-        # x ** 2 would raise OverflowError. J, J_zz and J' stay finite.
+    def test_huge_entries_reduce_finite_without_warning(self):
+        # Entries far beyond any physical coupling reduce on Python
+        # floats: no numpy warning, and finite J, J_zz and J'.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = reduce_coupling(CouplingTensor(np.full((3, 3), 1e300)))
-        assert p.discarded_weight == math.inf
         assert (p.j, p.j_zz, p.j_prime) == (1e300, 1e300, 0.0)
 
     def test_json_round_trip(self):
-        ct = tensor(xx=1.0, yy=0.5, zz=-0.25, xy=0.1)
+        ct = tensor(xx=1.0, yy=0.5, zz=-0.25, xy=0.1, xz=0.3, zy=-0.7)
         again = CouplingTensor.from_dict(ct.to_dict())
         assert np.array_equal(ct.j, again.j)
+        # The reduced couplings read back equal: they hold only J, J_zz
+        # and J', whatever the dropped off-RWA entries were.
+        p = reduce_coupling(ct)
+        assert RotFrameParams.from_dict(p.to_dict()) == p
 
     def test_json_missing_key_rejected(self):
         with pytest.raises(ValueError):

@@ -47,11 +47,19 @@ coupling = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda m: -m))
 @PROPERTY
 @given(j=coupling, j_zz=coupling, j_prime=coupling,
        prefer=st.sampled_from(["auto", "cnot"]),
-       refocus_qubit=st.sampled_from([1, 2]))
+       refocus_qubit=st.sampled_from([1, 2]),
+       off=st.one_of(st.none(), magnitude))
 def test_every_compiled_schedule_is_exact_and_round_trips(
-        j, j_zz, j_prime, prefer, refocus_qubit):
+        j, j_zz, j_prime, prefer, refocus_qubit, off):
     assume(j or j_zz or j_prime)
     p = RotFrameParams(j, j_zz, j_prime)
+    if off is not None:
+        # The same couplings reduced from a tensor whose off-RWA entries
+        # Jxz, Jyz, Jzx and Jzy drop out.
+        p = reduce_coupling(CouplingTensor([[j, j_prime, off],
+                                            [-j_prime, j, -off],
+                                            [2 * off, off, j_zz]]))
+        assert p == RotFrameParams(j, j_zz, j_prime)
     res = compile_cnot(p, prefer=prefer, refocus_qubit=refocus_qubit)
     assert res.verification.exact_distance < EXACT
     if res.branch != "xy_single_shot_swapcnot":
@@ -63,8 +71,23 @@ def test_every_compiled_schedule_is_exact_and_round_trips(
             abs(j_zz) > r)
     u = simulate_schedule(res.schedule, p)
     assert distance(u, named_gate(res.target_name)) < EXACT
-    text = json.dumps(res.schedule.to_json())
-    assert PulseSchedule.from_json(json.loads(text)) == res.schedule
+    back = json.loads(json.dumps(res.to_dict()))
+    assert PulseSchedule.from_json(back["schedule"]) == res.schedule
+    assert RotFrameParams.from_dict(back["params"]) == res.params == p
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CouplingTensor(np.eye(3)),
+    lambda: kak_decompose(CNOT),
+    lambda: trajectory(RotFrameParams(1.0, 0.0, 0.0),
+                       PulseSchedule((Entangle(0.5),))),
+], ids=["CouplingTensor", "KakFactors", "Trajectory"])
+def test_array_value_types_compare_and_hash_by_identity(make):
+    # Their numpy fields have no truth value under ==, so these types
+    # compare and hash by identity rather than raise.
+    x, copy = make(), make()
+    assert x == x and x != copy
+    assert len({x, x, copy}) == 2
 
 
 @PROPERTY
