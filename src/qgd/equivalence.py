@@ -6,9 +6,10 @@ makhlin_invariants checks a gate (unitarity, then the G2 residual) and
 memoizes, for the last 32 distinct inputs by content (the C-order bytes
 of the 4x4 complex array), the invariants together with the gate's
 magic-basis form ub = Q^dag u Q, read-only, and det ub; locally_equivalent,
-kak_decompose and pulses.verify_schedule check gates through it, so each
-content is checked and brought into the magic basis once, and a failing
-check is not memoized. Determinants are Laplace expansions on Python
+kak_decompose and pulses.verify_schedule's target check gates through it,
+so each content is checked and brought into the magic basis once, and a
+failing check is not memoized; its kernel _makhlin takes verify_schedule's
+simulated product unchecked. Determinants are Laplace expansions on Python
 scalars (_det4); no LU factorization runs. KAK takes the memo's ub one
 Newton-Schulz step towards U(4) and forms m = ub^T ub; it takes one eigh
 of Re m, one of Im m per near-degenerate cluster of Re m, one of Re m
@@ -89,8 +90,14 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _invariants(raw: bytes) -> tuple:
     """(makhlin_invariants, ub, det ub) of the 4x4 complex array with
-    C-order bytes raw: ub = Q^dag u Q is read-only."""
-    u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4))
+    C-order bytes raw, checked: ub = Q^dag u Q is read-only."""
+    return _makhlin(
+        require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4)))
+
+
+def _makhlin(u: np.ndarray) -> tuple:
+    """_invariants of a complex 4x4 array trusted to be unitary; it still
+    checks the G2 residual."""
     ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
     ub.flags.writeable = False

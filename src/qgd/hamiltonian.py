@@ -18,7 +18,8 @@ rotating-wave evolution seen from the lab is e^{-i H0 T} times
 rot_frame_propagator. H0 is diagonal and zero on {|01>, |10>}, so that
 product only rephases the propagator's two corner entries, and the frame
 change, being unitary, leaves the distance unchanged: the lab-frame
-comparison is exact and costs two scalar multiplies.
+comparison is exact and costs two scalar multiplies. rwa_infidelity checks
+its arguments; qmat's kernels then trust the matrices built from them.
 
 Basis ordering |00>, |01>, |10>, |11> with qubit 1 the left tensor
 factor; |0> is the lower eigenstate of -(eps/2) sigma^z.
@@ -177,17 +178,23 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
     Raises ValueError unless eps is positive and finite and so is
     eps + sum |J_{mu nu}|.
     """
+    return _lab_frame(ct, eps)[0]
+
+
+def _lab_frame(ct: CouplingTensor, eps) -> tuple:
+    """(lab_frame_hamiltonian(ct, eps), sum |J_mn|): Hermitian bit for bit."""
     eps = qmat._real("eps", eps)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     # Summed on Python floats: an overflow is inf, not a numpy warning.
-    if not math.isfinite(eps + sum(map(abs, ct.j.ravel().tolist()))):
+    j_sum = sum(map(abs, ct.j.ravel().tolist()))
+    if not math.isfinite(eps + j_sum):
         raise ValueError("coupling tensor too large: eps + sum |J| overflows")
     # The drift diag(-eps, 0, 0, eps): both qubits tuned to eps.
     h = coupling_operator(ct.j)
     h[0, 0] -= eps
     h[3, 3] += eps
-    return h
+    return h, j_sum
 
 
 def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
@@ -212,14 +219,16 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     t_final = qmat._real("t_final", t_final)
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
-    u_lab = qmat.expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
-    u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
-    rate = max(float(eps), sum(map(abs, ct.j.ravel().tolist())))
-    if rate * t_final > 2.0 ** 32:
+    h, j_sum = _lab_frame(ct, eps)
+    u_lab = qmat._expm_eigh(h, t_final)
+    a, b, e, f, g = _rot_frame_entries(reduce_coupling(ct), t_final)
+    if max(float(eps), j_sum) * t_final > 2.0 ** 32:
         raise ValueError(f"t_final {t_final!r} is too long: "
                          "max(eps, sum |J|) * t_final exceeds 2^32, where "
                          "its phase roundoff exceeds 1e-6 rad")
     drift = cmath.exp(1j * (eps * t_final))  # e^{-i H0 T} on |00>
-    u_rwa[0, 0] *= drift
-    u_rwa[3, 3] *= drift.conjugate()
-    return qmat.distance(u_lab, u_rwa, up_to_global_phase=True)
+    # rot_frame_propagator's array, the drift in its corners.
+    u_rwa = np.array((a * drift, 0j, 0j, b, 0j, e, f, 0j,
+                      0j, g, e, 0j, b, 0j, 0j, a * drift.conjugate()),
+                     dtype=complex).reshape(4, 4)
+    return qmat._phase_distance(u_lab, u_rwa)

@@ -20,7 +20,8 @@ trajectory draws a Trajectory, reading each interval's toggled coupling
 off qmat's magic basis.
 Verification checks each distinct target once, through
 equivalence.makhlin_invariants, whose memo is keyed by the target's
-content; pulses keeps no memo of its own.
+content; pulses keeps no memo of its own. The simulated product, unitary
+by construction, goes unchecked to qmat's and equivalence's kernels.
 """
 from __future__ import annotations
 
@@ -348,11 +349,12 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     limit = _finite("tolerance", tol)  # a Python float: the flags are bools
     if not 0 < limit:
         raise ValueError(f"tolerance {tol!r} must be positive and finite")
+    target = qmat._as_4x4(target)
     target_inv = equivalence.makhlin_invariants(target)
-    u = simulate_schedule(s, p)
+    u = simulate_schedule(s, p)  # unitary: unchecked and not memoized
     d_exact = qmat.distance(u, target)
-    d_phase = qmat.distance(u, target, up_to_global_phase=True)
-    d_inv = equivalence.makhlin_invariants(u).distance(target_inv)
+    d_phase = qmat._phase_distance(u, target)
+    d_inv = equivalence._makhlin(u)[0].distance(target_inv)
     return VerificationReport(
         target_name=target_name, mode=mode, exact_distance=d_exact,
         phase_distance=d_phase, invariant_distance=d_inv,

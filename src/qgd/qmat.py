@@ -11,6 +11,8 @@ forms E (a (x) b) from them and a layer's 2x2 entries (with _ID_W, a (x) b
 alone), and _entangler_array lays them out as a 4x4 array. The general
 exponential here, an eigendecomposition, serves only the lab frame, whose
 Hamiltonian has no such form. There is no time-ordered product.
+The public functions check their input (numeric dtype, shape, symmetry);
+their kernels, _expm_eigh and _phase_distance, trust what the package built.
 Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
@@ -178,9 +180,22 @@ def coupling_operator(t) -> np.ndarray:
     return (np.asarray(t, dtype=float).reshape(9) @ pairs).reshape(4, 4)
 
 
+def _numeric(m, what: str) -> np.ndarray:
+    """m as a complex array, if of a numeric dtype; ValueError if not."""
+    try:
+        m = np.asarray(m)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected a {what} matrix: {exc}") from exc
+    if m.dtype.kind not in "biufc":
+        raise ValueError(f"expected a {what} matrix of numbers, not {m.dtype}")
+    return m.astype(complex, copy=False)
+
+
 def require_hermitian(h: np.ndarray) -> np.ndarray:
-    """h as a complex array, if finite and Hermitian within ALGEBRA_TOL."""
-    h = np.asarray(h, dtype=complex)
+    """h as a complex square matrix, if finite and Hermitian to ALGEBRA_TOL."""
+    h = _numeric(h, "square")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
     # One reduction, as in require_unitary: a nan or inf entry makes its
     # own or its mirror's deviation nan or inf, which fails the < test.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -193,10 +208,7 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
 
 def _as_4x4(u) -> np.ndarray:
     """u as a complex 4x4 array; ValueError for anything else."""
-    try:
-        u = np.asarray(u, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"expected a 4x4 matrix: {exc}") from exc
+    u = _numeric(u, "4x4")
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
     return u
@@ -223,11 +235,15 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
     The general exponential, for the lab-frame Hamiltonian only: the
     rotating-frame and entangler propagators are closed forms. Exactly
-    unitary up to eigensolver accuracy; raises NonHermitianInput
-    if the symmetry check fails and ValueError if t is no number or the
-    largest phase, spectral radius times |t|, is not finite.
+    unitary up to eigensolver accuracy; NonHermitianInput if the symmetry
+    check fails, ValueError if h is no square numeric matrix, t no number
+    or the largest phase, spectral radius times |t|, not finite.
     """
-    h = require_hermitian(h)
+    return _expm_eigh(require_hermitian(h), t)
+
+
+def _expm_eigh(h: np.ndarray, t) -> np.ndarray:
+    """expm_hermitian of a Hermitian complex array h, unchecked; checks t."""
     w, v = np.linalg.eigh(h)
     w_list = w.tolist()  # sorted
     t = _require_finite_phase(max(-w_list[0], w_list[-1]), t)
@@ -244,11 +260,17 @@ def distance(u: np.ndarray, v: np.ndarray,
     t = tr(u^dag v), and is evaluated there directly (the equivalent
     sqrt(2n - 2|t|) loses half the digits to cancellation near zero).
     """
-    u = _as_4x4(u)
-    v = _as_4x4(v)
+    u, v = _as_4x4(u), _as_4x4(v)
     if up_to_global_phase:
-        overlap = complex(np.vdot(u, v))  # tr(u^dag v)
-        if overlap != 0:
-            v = v * (overlap.conjugate() / abs(overlap))
+        return _phase_distance(u, v)
+    d = u - v
+    return math.sqrt(np.vdot(d, d).real)
+
+
+def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """distance(u, v, True) of two complex 4x4 arrays, unchecked."""
+    overlap = complex(np.vdot(u, v))  # tr(u^dag v)
+    if overlap != 0:
+        v = v * (overlap.conjugate() / abs(overlap))
     d = u - v
     return math.sqrt(np.vdot(d, d).real)

@@ -396,6 +396,32 @@ def test_entry_points_refuse_non_4x4(entry, bad, shape):
         assert f"shape {shape}" in str(exc.value)
 
 
+_STRINGS = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+            ["0", "0", "0", "1"], ["0", "0", "1", "0"]]
+
+
+@pytest.mark.parametrize("entry", [qmat.expm_hermitian, makhlin_invariants,
+                                   kak_decompose, _verify_target,
+                                   _distance_either_side],
+                         ids=["expm", "makhlin", "kak", "verify_schedule",
+                              "distance"])
+@pytest.mark.parametrize("bad, dtype", [
+    (_STRINGS, "<U1"), ([row[:2] for row in _STRINGS[:2]], "<U1"),
+    (None, "object"), (np.array(CNOT, dtype=object), "object"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, None], [0, 0, 1, 0]],
+     "object"), (np.zeros((4, 4), dtype="M8[s]"), r"datetime64\[s\]")],
+    ids=["strings", "strings2x2", "none", "object_gate", "none_entry",
+         "datetime"])
+def test_entry_points_refuse_non_numbers(entry, bad, dtype):
+    # One dtype check admits bool, int, uint, float and complex entries;
+    # numpy would otherwise parse "1" as 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"expected a (4x4|square) "
+                           rf"matrix of numbers, not {dtype}"):
+            entry(bad)
+
+
 def _residual_failing_gate():
     """A Haar gate plus 1e-10 noise: unitary within UNITARY_TOL, but with
     a G2 imaginary residual above 1e-10."""

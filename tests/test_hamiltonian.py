@@ -10,8 +10,8 @@ from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
                              lab_frame_hamiltonian, reduce_coupling,
                              rot_frame_matrix, rot_frame_propagator,
                              rwa_infidelity)
-from qgd.qmat import (I2, SX, SY, SZ, expm_hermitian, kron,
-                      require_hermitian)
+from qgd import qmat
+from qgd.qmat import I2, SX, SY, SZ, distance, expm_hermitian, kron
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -283,9 +283,14 @@ class TestLabFrameGenerator:
             assert np.max(np.abs(moved - coupling)) < 1e-14
 
     def test_hermitian(self, rng):
-        for _ in range(10):
-            ct = CouplingTensor(rng.normal(size=(3, 3)) * 0.01)
-            require_hermitian(lab_frame_hamiltonian(ct, 1.0))
+        # rwa_infidelity exponentiates it unchecked: mirrored entries are
+        # the same sums of the same products, at every magnitude.
+        for _ in range(200):
+            j = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-300, 306,
+                                                              size=(3, 3))
+            eps = 10.0 ** rng.uniform(-300, 306)
+            h = lab_frame_hamiltonian(CouplingTensor(j), eps)
+            assert np.array_equal(h, h.conj().T)
 
     def test_invalid_params_rejected(self):
         for eps in (-1.0, 0.0, math.nan, math.inf):
@@ -339,6 +344,35 @@ class TestRwaInfidelity:
             vals.append(rwa_infidelity(CouplingTensor(base * g), 1.0,
                                        math.pi / (8 * g)))
         assert vals[1] < vals[0]
+
+    def test_equals_the_checked_public_path(self, rng):
+        # The same computation through the public, checking functions,
+        # bit for bit.
+        for _ in range(300):
+            ct = CouplingTensor(rng.normal(size=(3, 3))
+                                * 10.0 ** rng.uniform(-6, 0))
+            eps = 10.0 ** rng.uniform(-1, 1)
+            t_final = 10.0 ** rng.uniform(-2, 3)
+            u_lab = expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
+            u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
+            drift = cmath.exp(1j * (eps * t_final))
+            u_rwa[0, 0] *= drift
+            u_rwa[3, 3] *= drift.conjugate()
+            expected = distance(u_lab, u_rwa, up_to_global_phase=True)
+            assert (rwa_infidelity(ct, eps, t_final).hex()
+                    == expected.hex())
+
+    def test_skips_the_hermiticity_recheck(self, monkeypatch):
+        def refuse(h):
+            raise AssertionError("require_hermitian called")
+
+        monkeypatch.setattr(qmat, "require_hermitian", refuse)
+        with pytest.raises(AssertionError):
+            expm_hermitian(np.eye(4))
+        ct = CouplingTensor(np.array([[1.0, 0.4, 0.3],
+                                      [0.2, 0.8, -0.5],
+                                      [0.6, -0.3, 0.9]]) * 1e-2)
+        assert rwa_infidelity(ct, 1.0, math.pi / 8e-2) > 0
 
     def test_rejects_bad_args(self):
         zero = CouplingTensor(np.zeros((3, 3)))

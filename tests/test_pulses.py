@@ -585,3 +585,53 @@ class TestTargetMemo:
                                     mode=mode)
                     == verify_schedule(cold.schedule, params,
                                        named_gate(name).tolist(), mode=mode))
+
+
+def random_schedule(rng, n_ops=6):
+    ops = []
+    for kind in rng.integers(0, 3, size=n_ops):
+        if kind == 0:
+            ops.append(Rotate(str(rng.choice(["x", "y", "z"])),
+                              float(rng.normal() * 3),
+                              int(rng.integers(1, 3))))
+        elif kind == 1:
+            ops.append(Entangle(float(rng.uniform(0, 3))))
+        else:
+            ops.append(GlobalPhase(float(rng.normal())))
+    return PulseSchedule(tuple(ops))
+
+
+class TestVerificationDistances:
+    """verify_schedule skips the checks on its own simulated product; its
+    distances are still those of the public functions, and it leaves no
+    memo entry behind."""
+
+    @pytest.mark.parametrize("mode",
+                             ["exact", "exact_up_to_phase", "local_class"])
+    def test_match_the_public_functions_bit_for_bit(self, rng, mode):
+        for k in range(60):
+            sched = random_schedule(rng)
+            p = RotFrameParams(*map(float, rng.normal(size=3)))
+            target = (haar_unitary(rng) if k % 2
+                      else simulate_schedule(sched, p))
+            rep = verify_schedule(sched, p, target, mode=mode)
+            u = simulate_schedule(sched, p)
+            assert rep.exact_distance.hex() == distance(u, target).hex()
+            assert (rep.phase_distance.hex()
+                    == distance(u, target, up_to_global_phase=True).hex())
+            assert (rep.invariant_distance.hex()
+                    == makhlin_invariants(u).distance(
+                        makhlin_invariants(target)).hex())
+
+    def test_simulated_products_are_not_memoized(self, rng):
+        memo = equivalence._invariants
+        memo.cache_clear()
+        p = RotFrameParams(0.8, -0.3, 0.1)
+        verify_schedule(random_schedule(rng), p, CNOT)
+        before = memo.cache_info()
+        for _ in range(50):
+            verify_schedule(random_schedule(rng), p, CNOT)
+        after = memo.cache_info()
+        assert after.currsize == before.currsize == 1
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 50

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -73,6 +74,21 @@ class TestExpmHermitian:
     def test_non_number_time_rejected(self, t):
         with pytest.raises(ValueError, match="t .* not a finite number"):
             expm_hermitian(kron(SZ, SZ), t)
+
+    @pytest.mark.parametrize("h, shape", [
+        (np.ones((2, 2, 2)), "(2, 2, 2)"), (np.ones(3), "(3,)"),
+        (5.0, "()"), (np.ones((2, 3)), "(2, 3)")],
+        ids=["3d", "1d", "scalar", "non_square"])
+    def test_non_square_matrix_rejected(self, h, shape):
+        with pytest.raises(ValueError, match="expected a square matrix, "
+                                            f"got shape {re.escape(shape)}"):
+            expm_hermitian(h)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32,
+                                       np.complex64])
+    def test_every_numeric_dtype_accepted(self, dtype):
+        u = expm_hermitian(np.eye(2, dtype=dtype), math.pi)
+        assert np.allclose(u, -I2, atol=1e-14)
 
 
 class TestNumberRule:
