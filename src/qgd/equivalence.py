@@ -4,13 +4,15 @@ equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 
 makhlin_invariants checks a gate (unitarity, then the G2 residual) and
 memoizes, for the last 32 distinct inputs by content (the C-order bytes
-of the 4x4 complex array), the invariants together with the gate's
-magic-basis form ub = Q^dag u Q, read-only, and det ub; locally_equivalent,
-kak_decompose and pulses.verify_schedule's target check gates through it,
-so each content is checked and brought into the magic basis once, and a
-failing check is not memoized; its kernel _makhlin takes verify_schedule's
-simulated product unchecked. Determinants are Laplace expansions on Python
-scalars (_det4); no LU factorization runs. KAK takes the memo's ub one
+of the 4x4 complex array), the invariants together with the checked gate
+u, read-only, and det u; locally_equivalent, kak_decompose and
+pulses.verify_schedule's target check gate through it, so each content is
+checked once, and a failing check is not memoized. Its kernel _makhlin
+needs no magic basis: Q Q^T = -Y (x) Y, so the traces of m = ub^T ub,
+ub = Q^dag u Q, are those of m' = u^T (Y (x) Y) u (Y (x) Y), one product,
+and det ub = det u; it also takes a product the package simulated,
+unchecked. Determinants are Laplace expansions on Python scalars (_det4);
+no LU factorization runs. KAK forms ub from the memo's u, takes it one
 Newton-Schulz step towards U(4) and forms m = ub^T ub; it takes one eigh
 of Re m, one of Im m per near-degenerate cluster of Re m, one of Re m
 per cluster Im m leaves coupled, and so on. It maps the magic-basis
@@ -56,6 +58,11 @@ _QUATERNIONS = np.array([I2, -1j * SX, -1j * SY, -1j * SZ])
 _ASSOC = np.array([(_MAGIC2_DAG @ np.kron(p, q) @ _MAGIC2).real.ravel() / 2
                    for p in _QUATERNIONS for q in _QUATERNIONS]) / 4
 
+# (Y (x) Y) u (Y (x) Y) = _YY_SIGNS * u[::-1, ::-1]: Y (x) Y is the
+# antidiagonal (-1, 1, 1, -1), so each entry is the mirrored one, signed.
+# Complex, as u is: a real factor would be cast on every call.
+_YY_SIGNS = np.outer([-1, 1, 1, -1], [-1, 1, 1, -1]).astype(complex)
+
 # Distinct inputs whose invariants makhlin_invariants keeps.
 _MEMO_SIZE = 32
 
@@ -75,7 +82,9 @@ class MakhlinInvariants:
         return abs(self.g1 - other.g1) + abs(self.g2 - other.g2)
 
     def to_dict(self) -> dict:
-        return {"G1": [self.g1.real, self.g1.imag], "G2": self.g2}
+        # + 0.0 turns a negative zero into 0.0, for the JSON form.
+        return {"G1": [self.g1.real + 0.0, self.g1.imag + 0.0],
+                "G2": self.g2 + 0.0}
 
 
 def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
@@ -89,30 +98,38 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _invariants(raw: bytes) -> tuple:
-    """(makhlin_invariants, ub, det ub) of the 4x4 complex array with
-    C-order bytes raw, checked: ub = Q^dag u Q is read-only."""
-    return _makhlin(
-        require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4)))
+    """(makhlin_invariants, u, det u) of the 4x4 complex array u with
+    C-order bytes raw, checked: u is read-only."""
+    u = require_unitary(np.frombuffer(raw, dtype=complex).reshape(4, 4))
+    invariants, det = _makhlin(u)
+    return invariants, u, det
 
 
 def _makhlin(u: np.ndarray) -> tuple:
-    """_invariants of a complex 4x4 array trusted to be unitary; it still
-    checks the G2 residual."""
-    ub = MAGIC_DAG @ u @ MAGIC
-    m = ub.T @ ub
-    ub.flags.writeable = False
+    """(makhlin_invariants, det u) of a complex 4x4 array trusted to be
+    unitary; it still checks the G2 residual.
+
+    Q Q^T = -Y (x) Y, so m = ub^T ub is similar to m' = u^T (Y (x) Y) u
+    (Y (x) Y): tr m = tr m', tr m^2 = tr m'^2, and det ub = det u
+    (Zhang, Vala, Sastry and Whaley, PRA 67, 042313 (2003))."""
     # Python complex scalars from here: cheaper than numpy scalars.
-    det = _det4(ub.tolist())
-    tr = complex(m.trace())
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), \
+        (m30, m31, m32, m33) = (u.T @ (_YY_SIGNS * u[::-1, ::-1])).tolist()
+    det = _det4(u.tolist())
+    tr = m00 + m11 + m22 + m33
     tr2 = tr * tr
+    # tr m'^2; m' is not symmetric.
+    sq = (m00 * m00 + m11 * m11 + m22 * m22 + m33 * m33
+          + 2 * (m01 * m10 + m02 * m20 + m03 * m30
+                 + m12 * m21 + m13 * m31 + m23 * m32))
     g1 = tr2 / (16 * det)
-    g2 = (tr2 - complex((m * m).sum())) / (4 * det)  # tr(m^2), m symmetric
+    g2 = (tr2 - sq) / (4 * det)
     residual = abs(g2.imag)
     if residual > 1e-10:
         raise NotUnitary(
             f"G2 imaginary residual {residual:.3e} exceeds 1e-10; "
             "input is not unitary enough")
-    return MakhlinInvariants(g1=g1, g2=g2.real), ub, det
+    return MakhlinInvariants(g1=g1, g2=g2.real), det
 
 
 def _det4(r):
@@ -161,11 +178,14 @@ class KakFactors:
                 @ kron(*self.u_pre))
 
     def to_dict(self) -> dict:
+        # + 0.0 turns a negative zero into 0.0, for the JSON form.
         def c2(m):
-            return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
+            return [[[z.real + 0.0, z.imag + 0.0] for z in row]
+                    for row in np.asarray(m)]
         return {
-            "phase": self.phase,
-            "coords": [self.coords.x, self.coords.y, self.coords.z],
+            "phase": self.phase + 0.0,
+            "coords": [self.coords.x + 0.0, self.coords.y + 0.0,
+                       self.coords.z + 0.0],
             "u_post": [c2(self.u_post[0]), c2(self.u_post[1])],
             "u_pre": [c2(self.u_pre[0]), c2(self.u_pre[1])],
         }
@@ -231,11 +251,12 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     orthogonal frame; the eigenphases fix the entangler coordinates and
     global phase, the frames fix the local rotations. The input is
     checked, and refused, by the invariants memo, whose record for the
-    content also holds U_B and det U_B.
+    content also holds the checked gate U and det U = det U_B.
     """
-    _, ub, det_ub = _invariants(_as_4x4(u).tobytes())
-    # One Newton-Schulz step, on a copy, squares the deviation
-    # ub^dag ub - I, which require_unitary bounds by 1e-9.
+    _, u, det_ub = _invariants(_as_4x4(u).tobytes())
+    ub = MAGIC_DAG @ u @ MAGIC
+    # One Newton-Schulz step squares the deviation ub^dag ub - I, which
+    # require_unitary bounds by 1e-9.
     ub = 1.5 * ub - 0.5 * (ub @ (ub.conj().T @ ub))
     m = ub.T @ ub
     # Flipping a column leaves the diagonal of basis^T m basis unchanged.

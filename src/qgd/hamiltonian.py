@@ -55,6 +55,19 @@ def _number(d: dict, key: str) -> float:
     return qmat._finite(f"coupling JSON {key!r}", d[key])
 
 
+def _float_copy(j) -> np.ndarray | None:
+    """A float copy of j if it is a 3x3 array of bools, integers or reals
+    that float64 holds without overflow; None otherwise."""
+    try:
+        a = np.asarray(j)
+    except (TypeError, ValueError):
+        return None  # ragged, say
+    if (a.shape != (3, 3) or a.dtype.kind not in "biuf"
+            or a.dtype.itemsize > 8):
+        return None
+    return a.astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingTensor:
     """3x3 real tensor J_{mu nu}, mu/nu in {x,y,z}, angular-frequency units.
@@ -67,13 +80,19 @@ class CouplingTensor:
     j: np.ndarray
 
     def __post_init__(self):
-        # As objects: numpy would read "0.5" as 0.5 and a complex entry
-        # as a bare TypeError.
-        j = np.asarray(self.j, dtype=object)
-        if j.shape != (3, 3):
-            raise ValueError("coupling tensor must be 3x3")
-        j = np.array([qmat._finite(what, x) for what, x
-                      in zip(_ENTRY_LABELS, j.ravel().tolist())]).reshape(3, 3)
+        j = _float_copy(self.j)
+        # The sum is finite if every entry is; the rare overflow of finite
+        # entries only takes the path below, which accepts them.
+        if j is None or not math.isfinite(sum(j.ravel().tolist())):
+            # Entry by entry, which names the first bad one. As objects:
+            # numpy would read "0.5" as 0.5 and a complex entry as a bare
+            # TypeError.
+            j = np.asarray(self.j, dtype=object)
+            if j.shape != (3, 3):
+                raise ValueError("coupling tensor must be 3x3")
+            j = np.array([qmat._finite(what, x) for what, x in
+                          zip(_ENTRY_LABELS, j.ravel().tolist())]
+                         ).reshape(3, 3)
         j.setflags(write=False)
         object.__setattr__(self, "j", j)
 

@@ -18,10 +18,12 @@ step (qmat._step), to the running product; the global phases fold into
 one scalar.
 trajectory draws a Trajectory, reading each interval's toggled coupling
 off qmat's magic basis.
-Verification checks each distinct target once, through
-equivalence.makhlin_invariants, whose memo is keyed by the target's
-content; pulses keeps no memo of its own. The simulated product, unitary
-by construction, goes unchecked to qmat's and equivalence's kernels.
+verify_schedule checks its mode and tolerance, and each distinct target
+once, through equivalence.makhlin_invariants, whose memo is keyed by the
+target's content; pulses keeps no memo of its own. It then runs one
+kernel, _verify, which compiler.compile_cnot calls directly on targets it
+checked at import: the simulated product, unitary by construction, goes
+unchecked to qmat's distance kernels and to equivalence._makhlin.
 """
 from __future__ import annotations
 
@@ -346,13 +348,30 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     """
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
-    limit = _finite("tolerance", tol)  # a Python float: the flags are bools
+    limit = _tolerance(tol)
+    target = qmat._as_4x4(target)
+    return _verify(s, p, target, equivalence.makhlin_invariants(target),
+                   mode, limit, target_name)
+
+
+def _tolerance(tol) -> float:
+    """tol as a Python float, if positive and finite; ValueError if not.
+    A Python float, so that the pass flags are bools."""
+    limit = _finite("tolerance", tol)
     if not 0 < limit:
         raise ValueError(f"tolerance {tol!r} must be positive and finite")
-    target = qmat._as_4x4(target)
-    target_inv = equivalence.makhlin_invariants(target)
-    u = simulate_schedule(s, p)  # unitary: unchecked and not memoized
-    d_exact = qmat.distance(u, target)
+    return limit
+
+
+def _verify(s: PulseSchedule, p: RotFrameParams, target: np.ndarray,
+            target_inv: equivalence.MakhlinInvariants, mode: str,
+            limit: float, target_name: str) -> VerificationReport:
+    """verify_schedule's report, for a checked complex 4x4 target with
+    invariants target_inv, a valid mode and a _tolerance limit; the
+    simulated product, unitary by construction, goes unchecked to the
+    distance and invariant kernels."""
+    u = simulate_schedule(s, p)
+    d_exact = qmat._distance(u, target)
     d_phase = qmat._phase_distance(u, target)
     d_inv = equivalence._makhlin(u)[0].distance(target_inv)
     return VerificationReport(

@@ -12,7 +12,8 @@ alone), and _entangler_array lays them out as a 4x4 array. The general
 exponential here, an eigendecomposition, serves only the lab frame, whose
 Hamiltonian has no such form. There is no time-ordered product.
 The public functions check their input (numeric dtype, shape, symmetry);
-their kernels, _expm_eigh and _phase_distance, trust what the package built.
+their kernels, _expm_eigh, _distance and _phase_distance, trust what the
+package built.
 Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
@@ -263,6 +264,11 @@ def distance(u: np.ndarray, v: np.ndarray,
     u, v = _as_4x4(u), _as_4x4(v)
     if up_to_global_phase:
         return _phase_distance(u, v)
+    return _distance(u, v)
+
+
+def _distance(u: np.ndarray, v: np.ndarray) -> float:
+    """distance(u, v) of two complex 4x4 arrays, unchecked."""
     d = u - v
     return math.sqrt(np.vdot(d, d).real)
 
@@ -272,5 +278,4 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     overlap = complex(np.vdot(u, v))  # tr(u^dag v)
     if overlap != 0:
         v = v * (overlap.conjugate() / abs(overlap))
-    d = u - v
-    return math.sqrt(np.vdot(d, d).real)
+    return _distance(u, v)

@@ -116,6 +116,14 @@ class TestInvariantsCmd:
         assert refused(result, 1)
 
 
+@pytest.mark.parametrize("command", ["invariants", "kak"])
+@pytest.mark.parametrize("gate", ["I", "CNOT", "CZ", "SWAP"])
+def test_json_carries_no_negative_zero(runner, command, gate):
+    result = runner.invoke(main, [command, "--gate", gate])
+    assert result.exit_code == 0
+    assert not re.search(r"-0\.0(?![0-9e])", result.output)
+
+
 class TestKakCmd:
     def test_cnot_class(self, runner):
         result = runner.invoke(main, ["kak", "--gate", "CNOT"])

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from qgd import compiler
 from qgd.compiler import (_PHASE, _ROT, CNOT, CZ, SWAP, compile_cnot,
                           controlled_phase, named_gate)
 from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
 from qgd.hamiltonian import RotFrameParams
-from qgd.pulses import Entangle, GlobalPhase, Rotate, simulate_schedule
+from qgd.equivalence import makhlin_invariants
+from qgd.pulses import (Entangle, GlobalPhase, Rotate, simulate_schedule,
+                        verify_schedule)
 from qgd.qmat import distance
 
 PI = math.pi
@@ -215,6 +218,33 @@ class TestCompileBranches:
         for p in (RotFrameParams(1.0, 1e308, 0.0), RotFrameParams(1, 0, 0)):
             with pytest.raises(ValueError, match="tolerance"):
                 compile_cnot(p, tol=tol)
+
+    def test_zero_coupling_comes_before_a_bad_tol(self):
+        # The interval is refused before the tolerance is read.
+        with pytest.raises(ZeroCoupling):
+            compile_cnot(RotFrameParams(1e-320, 0.0, 0.0), tol=math.nan)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.5])
+    def test_report_equals_verify_schedule(self, tol):
+        # compile_cnot verifies through the kernel against targets checked
+        # at import; the public path gives the same report.
+        values = (-1.3, 0.0, 0.4, 2.0)
+        for j, jzz, jp in itertools.product(values, repeat=3):
+            if j == jzz == jp == 0:
+                continue
+            p = RotFrameParams(j, jzz, jp)
+            for prefer, q in itertools.product(("auto", "cnot"), (1, 2)):
+                res = compile_cnot(p, prefer=prefer, refocus_qubit=q,
+                                   tol=tol)
+                assert res.verification == verify_schedule(
+                    res.schedule, p, named_gate(res.target_name), tol=tol,
+                    target_name=res.target_name)
+
+    def test_targets_checked_at_import(self):
+        for name, (gate, inv) in compiler._TARGETS.items():
+            assert np.array_equal(gate, named_gate(name))
+            assert not gate.flags.writeable
+            assert inv == makhlin_invariants(named_gate(name))
 
     def test_failed_verification_is_typed(self):
         with pytest.raises(VerificationFailed):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -98,6 +99,75 @@ class TestMakhlinInvariants:
             makhlin_invariants(np.ones((4, 4), dtype=complex))
 
 
+def _magic_basis_invariants(u):
+    """(G1, G2) by their definition: m = ub^T ub, ub = Q^dag u Q."""
+    ub = qmat.MAGIC_DAG @ u @ qmat.MAGIC
+    m = ub.T @ ub
+    det = np.prod(np.linalg.eigvals(ub))
+    tr = np.trace(m)
+    return tr**2 / (16 * det), (tr**2 - np.trace(m @ m)) / (4 * det)
+
+
+class TestMakhlinKernel:
+    """_makhlin reads the invariants off m' = u^T (Y (x) Y) u (Y (x) Y),
+    with no magic basis."""
+
+    def test_magic_basis_times_its_transpose_is_minus_yy(self):
+        # Q Q^T = -Y (x) Y; exact on the exact sqrt(2) Q, and within the
+        # rounding of 1/sqrt(2) on Q itself.
+        yy = np.kron(qmat.SY, qmat.SY)
+        assert np.array_equal(qmat._MAGIC2 @ qmat._MAGIC2.T, -2 * yy)
+        assert np.abs(qmat.MAGIC @ qmat.MAGIC.T + yy).max() <= 2.3e-16
+        # The signed mirror the kernel takes is (Y (x) Y) u (Y (x) Y).
+        u = np.arange(16.0).reshape(4, 4) + 1j
+        assert np.array_equal(equivalence._YY_SIGNS * u[::-1, ::-1],
+                              yy @ u @ yy)
+
+    def test_matches_the_magic_basis_definition(self, rng):
+        gates = [haar_unitary(rng) for _ in range(1000)]
+        gates += [np.eye(4), CNOT, CZ, SWAP]
+        gates += [controlled_phase(t) for t in np.linspace(-PI, PI, 9)]
+        gates += [canonical_entangler(EntanglerCoords(x, x, 0.0))
+                  for x in np.linspace(-PI / 2, PI / 2, 9)]
+        for u in gates:
+            inv, det = equivalence._makhlin(u)
+            g1, g2 = _magic_basis_invariants(u)
+            assert abs(inv.g1 - g1) < 1e-14
+            assert abs(inv.g2 - g2) < 1e-14
+            assert abs(det - np.prod(np.linalg.eigvals(u))) < 1e-14
+
+    def test_refuses_noisy_gates_as_the_magic_basis_form(self):
+        # Noise of 10^-10.5 to 10^-9.5 puts the G2 residual around its
+        # 1e-10 bound. The magic-basis form the kernel replaced: G2 from
+        # m = ub^T ub, symmetric, with det ub by Laplace expansion.
+        rng = np.random.default_rng(20031)
+        refused = 0
+        for _ in range(400):
+            u = haar_unitary(rng) + 10 ** rng.uniform(-10.5, -9.5) * (
+                rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            ub = qmat.MAGIC_DAG @ u @ qmat.MAGIC
+            m = ub.T @ ub
+            tr2 = complex(m.trace()) ** 2
+            g2 = ((tr2 - complex((m * m).sum()))
+                  / (4 * equivalence._det4(ub.tolist())))
+            expected = abs(g2.imag) > 1e-10
+            try:
+                equivalence._makhlin(u)
+            except NotUnitary as exc:
+                assert expected
+                # The residual is G2's roundoff-sized imaginary part: the
+                # two forms may print it one unit apart in the last digit.
+                residual, = re.fullmatch(
+                    r"G2 imaginary residual (\S+) exceeds 1e-10; "
+                    "input is not unitary enough", str(exc)).groups()
+                assert math.isclose(float(residual), abs(g2.imag),
+                                    rel_tol=2e-3)
+                refused += 1
+            else:
+                assert not expected
+        assert 0 < refused < 400
+
+
 class TestInvariantsMemo:
     """makhlin_invariants computes each distinct input content once."""
 
@@ -135,10 +205,10 @@ class TestInvariantsMemo:
         assert makhlin_invariants(CNOT.copy()) is inv
         with pytest.raises(dataclasses.FrozenInstanceError):
             inv.g2 = 0.0
-        # So is the magic-basis form kept beside them.
-        _, ub, _ = equivalence._invariants(CNOT.tobytes())
+        # So is the checked gate kept beside them.
+        _, gate, _ = equivalence._invariants(CNOT.tobytes())
         with pytest.raises(ValueError, match="read-only"):
-            ub[0, 0] = 0.0
+            gate[0, 0] = 0.0
 
     def test_kak_after_invariants_is_one_hit(self, rng):
         u = haar_unitary(rng)

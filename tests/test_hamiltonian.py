@@ -127,6 +127,36 @@ class TestCouplingTensor:
         assert np.array_equal(ct.j, np.diag([1.0, 1.0, 0.0]))
         assert ct.j.dtype == float
 
+    def test_every_real_input_gives_the_same_entries(self):
+        ints = [[1, 0, 2], [0, 3, 0], [4, 0, 1]]
+        expected = np.array(ints, dtype=float)
+        for src in (ints, [[float(x) for x in row] for row in ints],
+                    np.array(ints), np.array(ints, dtype=np.uint8),
+                    np.array(ints, dtype=np.float32), expected.copy()):
+            ct = CouplingTensor(src)
+            assert ct.j.dtype == float
+            assert np.array_equal(ct.j, expected)
+        bools = [[True, False, True], [False, False, True],
+                 [True, True, False]]
+        for src in (bools, np.array(bools)):
+            assert np.array_equal(CouplingTensor(src).j,
+                                  np.array(bools, dtype=float))
+        # float32 entries are widened exactly.
+        third = np.full((3, 3), 1 / 3, dtype=np.float32)
+        assert np.array_equal(CouplingTensor(third).j,
+                              [[float(x) for x in row] for row in third])
+
+    @pytest.mark.parametrize("dtype", [int, np.float32, float])
+    def test_input_mutated_afterwards_leaves_the_tensor(self, dtype):
+        src = np.arange(9, dtype=dtype).reshape(3, 3)
+        ct = CouplingTensor(src)
+        src[1, 1] = 100
+        assert np.array_equal(ct.j, np.arange(9.0).reshape(3, 3))
+
+    def test_finite_entries_with_an_overflowing_sum_accepted(self):
+        ct = CouplingTensor(np.full((3, 3), 1e308))
+        assert np.array_equal(ct.j, np.full((3, 3), 1e308))
+
     @pytest.mark.parametrize("bad", [np.eye(2), [[1.0, 0.0], [0.0]],
                                      np.zeros((3, 3, 1)), "diag"])
     def test_wrong_shape_rejected(self, bad):
