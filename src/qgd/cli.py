@@ -99,9 +99,7 @@ def _resolve_params(data: dict) -> hamiltonian.RotFrameParams:
 @click.pass_context
 def main(ctx, tol):
     """Two-qubit gate synthesis toolkit for weakly coupled qubits."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    ctx.obj = {"tol": tol}
+    ctx.obj = {"tol": pulses._tolerance(tol)}
 
 
 @main.command()

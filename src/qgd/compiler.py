@@ -21,7 +21,8 @@ changes (McKay et al., PRA 96, 022330 (2017)). The fixed pulses are built
 once, at import; a compile builds only Rz(+-phi) and one Entangle. Every
 emitted schedule is re-simulated and verified before it is returned, by
 pulses' verification kernel, against CNOT or SWAP*CNOT and their Makhlin
-invariants, checked once, at import; a miss raises VerificationFailed.
+invariants, checked once, at import, by equivalence's invariants memo; a
+miss raises VerificationFailed.
 """
 from __future__ import annotations
 
@@ -31,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import _makhlin
+from .equivalence import _invariants
 from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
 from .pulses import (VERIFY_TOL, Entangle, GlobalPhase, PulseSchedule,
                      Rotate, VerificationReport, _tolerance, _verify)
-from .qmat import _exact_int, require_unitary
+from .qmat import _exact_int
 # perfbench/selftest.py pins compiler.verify_schedule until ROADMAP item 1
 # re-aims it.
 from .pulses import verify_schedule  # noqa: F401
@@ -113,16 +114,10 @@ class CompileResult:
         }
 
 
-def _target(name: str) -> tuple:
-    """(gate, its Makhlin invariants) of a named gate, checked: the gate
-    is a read-only copy."""
-    gate = require_unitary(_NAMED_GATES[name].copy())
-    gate.setflags(write=False)
-    return gate, _makhlin(gate)[0]
-
-
-# compile_cnot's two targets, checked once, at import.
-_TARGETS = {name: _target(name) for name in ("CNOT", "SWAP_CNOT")}
+# compile_cnot's two targets, (gate, invariants), checked once, at import,
+# by the invariants memo's record, whose gate is read-only.
+_TARGETS = {name: _invariants(_NAMED_GATES[name].tobytes())[1::-1]
+            for name in ("CNOT", "SWAP_CNOT")}
 
 # The fixed pulses, keyed by their fields: R_axis(+-pi/2), R_axis(pi), and
 # the four closing phases.

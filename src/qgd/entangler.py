@@ -1,8 +1,8 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
 whose generator is qmat.coupling_operator of diag(x, y, z), and
-coordinates on the 3-torus of entanglers, finite by construction, with
-their principal-cell wrap, on Python floats. pulses.Trajectory is a path
-of such coordinates.
+coordinates on the 3-torus of entanglers, finite Python floats by
+construction. pulses.Trajectory is a path of such coordinates, and holds
+their principal-cell wrap.
 
 A is qmat._entangler, the package's one closed form of this exponential,
 which hamiltonian.rot_frame_propagator shares.
@@ -17,14 +17,6 @@ import numpy as np
 from .qmat import _entangler, _entangler_array, _finite
 
 __all__ = ["EntanglerCoords", "canonical_entangler"]
-
-_TWO_PI = 2 * math.pi
-
-
-def _wrap(a: float) -> float:
-    """One finite Python float wrapped into the principal cell (-pi, pi]."""
-    return a - _TWO_PI * math.ceil((a - math.pi) / _TWO_PI)
-
 
 @dataclass(frozen=True)
 class EntanglerCoords:
@@ -46,9 +38,6 @@ class EntanglerCoords:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-    def wrapped(self) -> "EntanglerCoords":
-        return EntanglerCoords(_wrap(self.x), _wrap(self.y), _wrap(self.z))
 
 
 def canonical_entangler(c: EntanglerCoords) -> np.ndarray:

@@ -5,21 +5,22 @@ equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 makhlin_invariants checks a gate (unitarity, then the G2 residual) and
 memoizes, for the last 32 distinct inputs by content (the C-order bytes
 of the 4x4 complex array), the invariants together with the checked gate
-u, read-only, and det u; locally_equivalent, kak_decompose and
-pulses.verify_schedule's target check gate through it, so each content is
-checked once, and a failing check is not memoized. Its kernel _makhlin
-needs no magic basis: Q Q^T = -Y (x) Y, so the traces of m = ub^T ub,
-ub = Q^dag u Q, are those of m' = u^T (Y (x) Y) u (Y (x) Y), one product,
-and det ub = det u; it also takes a product the package simulated,
-unchecked. Determinants are Laplace expansions on Python scalars (_det4);
-no LU factorization runs. KAK forms ub from the memo's u, takes it one
-Newton-Schulz step towards U(4) and forms m = ub^T ub; it takes one eigh
-of Re m, one of Im m per near-degenerate cluster of Re m, one of Re m
-per cluster Im m leaves coupled, and so on. It maps the magic-basis
-eigenphases to the coordinates and phase by one constant matrix, the
-exact inverse of a +-1 Hadamard system, and reads each local pair
-a (x) b off its real orthogonal magic-basis form by one constant real
-map (_ASSOC) to the quaternion product a b^T; its wraps and the
+u, read-only, and det u; locally_equivalent, kak_decompose,
+pulses.verify_schedule's target check and compiler's two targets gate
+through it, so each content is checked once, and a failing check is not
+memoized. Its kernel _makhlin needs no magic basis: Q Q^T = -Y (x) Y, so
+the traces of m = ub^T ub, ub = Q^dag u Q, are those of
+m' = u^T (Y (x) Y) u (Y (x) Y), one product, and det ub = det u; it also
+takes a product the package simulated, unchecked. Determinants are
+Laplace expansions on Python scalars (_det4); no LU factorization runs.
+KAK forms ub from the memo's u, takes it one Newton-Schulz step towards
+U(4) and forms m = ub^T ub; it takes one eigh of Re m, one of Im m per
+near-degenerate cluster of Re m, one of Re m per cluster Im m leaves
+coupled, and so on. It maps the magic-basis eigenphases to the
+coordinates and phase by one constant matrix, the exact inverse of a +-1
+Hadamard system, which puts them within 3pi/4 of 0 with no wrap, and
+reads each local pair a (x) b off its real orthogonal magic-basis form by
+one constant real map (_ASSOC) to the quaternion product a b^T. The
 Weyl-chamber moves run on Python floats.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangler import EntanglerCoords, _wrap, canonical_entangler
+from .entangler import EntanglerCoords, canonical_entangler
 from .errors import NotUnitary
 from .qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, SX, SY, SZ, _MAGIC2,
                    _MAGIC2_DAG, _as_4x4, kron, require_unitary)
@@ -155,7 +156,8 @@ def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
 @dataclass(frozen=True, eq=False)
 class KakFactors:
     """U = e^{i phase} (u_post1 x u_post2) A(coords) (u_pre1 x u_pre2),
-    with each local factor in SU(2) and coords in the principal cell.
+    with each local factor in SU(2). Each coordinate lies within 3pi/4 of
+    0 and the phase in [-pi/2, 3pi/4], inside the principal cell (-pi, pi].
 
     A local pair (a, b) is fixed up to the common sign (-a, -b), which
     leaves a (x) b unchanged. Convention: written as a0 I - i (a1 X +
@@ -275,12 +277,10 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     post1, post2 = _so4_factors(k1.real)
     pre1, pre2 = _so4_factors(basis.T)
 
-    # Wrapping coordinates into the principal cell is exact (period 2*pi)
-    # but the phase must be rewrapped too.
-    return KakFactors(phase=_wrap(phase),
-                      u_post=(post1, post2),
-                      coords=EntanglerCoords(_wrap(x), _wrap(y), _wrap(z)),
-                      u_pre=(pre1, pre2))
+    # theta lies in [-pi/2, pi/2], theta[0] in [-pi/2, 3pi/2]: so |x|, |y|,
+    # |z| <= 3pi/4 and phase in [-pi/2, 3pi/4], inside (-pi, pi] unwrapped.
+    return KakFactors(phase=phase, u_post=(post1, post2),
+                      coords=EntanglerCoords(x, y, z), u_pre=(pre1, pre2))
 
 
 _QUARTER = math.pi / 4

@@ -238,16 +238,14 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     t_final = qmat._real("t_final", t_final)
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
+    eps = qmat._real("eps", eps)
     h, j_sum = _lab_frame(ct, eps)
     u_lab = qmat._expm_eigh(h, t_final)
-    a, b, e, f, g = _rot_frame_entries(reduce_coupling(ct), t_final)
-    if max(float(eps), j_sum) * t_final > 2.0 ** 32:
+    w = _rot_frame_entries(reduce_coupling(ct), t_final)
+    if max(eps, j_sum) * t_final > 2.0 ** 32:
         raise ValueError(f"t_final {t_final!r} is too long: "
                          "max(eps, sum |J|) * t_final exceeds 2^32, where "
                          "its phase roundoff exceeds 1e-6 rad")
-    drift = cmath.exp(1j * (eps * t_final))  # e^{-i H0 T} on |00>
-    # rot_frame_propagator's array, the drift in its corners.
-    u_rwa = np.array((a * drift, 0j, 0j, b, 0j, e, f, 0j,
-                      0j, g, e, 0j, b, 0j, 0j, a * drift.conjugate()),
-                     dtype=complex).reshape(4, 4)
+    # rot_frame_propagator's array, e^{-i H0 T} on |00> in its corners.
+    u_rwa = qmat._entangler_array(w, cmath.exp(1j * (eps * t_final)))
     return qmat._phase_distance(u_lab, u_rwa)

@@ -19,11 +19,12 @@ one scalar.
 trajectory draws a Trajectory, reading each interval's toggled coupling
 off qmat's magic basis.
 verify_schedule checks its mode and tolerance, and each distinct target
-once, through equivalence.makhlin_invariants, whose memo is keyed by the
-target's content; pulses keeps no memo of its own. It then runs one
-kernel, _verify, which compiler.compile_cnot calls directly on targets it
-checked at import: the simulated product, unitary by construction, goes
-unchecked to qmat's distance kernels and to equivalence._makhlin.
+once, through the invariants memo of equivalence.makhlin_invariants,
+keyed by the target's content; pulses keeps no memo of its own. It then
+runs one kernel, _verify, which compiler.compile_cnot calls directly on
+targets checked at import: the simulated product, unitary by
+construction, goes unchecked to qmat's distance kernels and to
+equivalence._makhlin.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import equivalence, qmat
-from .entangler import EntanglerCoords, _wrap
+from .entangler import EntanglerCoords
 from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, _rot_frame_entries, rot_frame_matrix
 from .qmat import (ALGEBRA_TOL, GEN_DIAGS, _ID2, _ID_W, _MAGIC2, _MAGIC2_DAG,
@@ -237,7 +238,12 @@ class Trajectory:
         object.__setattr__(self, "raw", r)
 
     def wrapped(self) -> np.ndarray:
-        return np.array([[_wrap(v) for v in r] for r in self.raw.tolist()])
+        """raw wrapped into the principal cell (-pi, pi], period 2 pi."""
+        w = self.raw - 2 * math.pi * np.ceil((self.raw - math.pi)
+                                             / (2 * math.pi))
+        # Near an odd multiple of pi the rounded quotient can fall one
+        # short, leaving w an ulp above pi: take that period back.
+        return np.where(w > math.pi, w - 2 * math.pi, w)
 
     @property
     def endpoint(self) -> EntanglerCoords:
@@ -341,17 +347,18 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     local-class distances from the target; the pass flag follows mode.
     tol must be positive and finite.
 
-    The target is checked, before simulation, by makhlin_invariants,
-    whose memo is keyed by content (the bytes of the 4x4 complex array):
-    each distinct target is checked once, one mutated in place anew, and
-    a failing check is not memoized and raises on every call.
+    The target is checked, before simulation, by the invariants memo of
+    makhlin_invariants, keyed by content (the bytes of the 4x4 complex
+    array), whose record holds the checked gate: each distinct target is
+    checked once, one mutated in place anew, and a failing check is not
+    memoized and raises on every call.
     """
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
     limit = _tolerance(tol)
-    target = qmat._as_4x4(target)
-    return _verify(s, p, target, equivalence.makhlin_invariants(target),
-                   mode, limit, target_name)
+    target_inv, target, _ = equivalence._invariants(
+        qmat._as_4x4(target).tobytes())
+    return _verify(s, p, target, target_inv, mode, limit, target_name)
 
 
 def _tolerance(tol) -> float:

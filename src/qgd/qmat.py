@@ -157,13 +157,17 @@ def _step(w: tuple, a: tuple, b: tuple) -> np.ndarray:
                     dtype=complex).reshape(4, 4)
 
 
-def _entangler_array(w: tuple) -> np.ndarray:
-    """The 4x4 array of _entangler's entries w."""
+def _entangler_array(w: tuple, corner: complex = 1.0) -> np.ndarray:
+    """The 4x4 array of _entangler's entries w, its [0, 0] entry times
+    corner and its [3, 3] entry times corner^*."""
     a, b, e, f, g = w
+    d = a
+    if corner != 1.0:  # times 1 + 0j could flip the sign of a zero
+        a, d = a * corner, a * corner.conjugate()
     return np.array((a, 0j, 0j, b,
                      0j, e, f, 0j,
                      0j, g, e, 0j,
-                     b, 0j, 0j, a), dtype=complex).reshape(4, 4)
+                     b, 0j, 0j, d), dtype=complex).reshape(4, 4)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qgd.entangler import EntanglerCoords, _wrap, canonical_entangler
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import locally_equivalent
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.qmat import distance, expm_hermitian
@@ -84,13 +84,6 @@ class TestCanonicalEntangler:
 
 
 class TestCoordsWrap:
-    def test_principal_cell(self):
-        assert _wrap(PI) == PI
-        assert _wrap(-PI) == PI
-        assert abs(_wrap(3 * PI / 2) + PI / 2) < 1e-14
-        c = EntanglerCoords(2 * PI + 0.1, -2 * PI - 0.1, 0.0).wrapped()
-        assert np.allclose(c.as_array(), [0.1, -0.1, 0.0])
-
     def test_coords_are_finite_python_floats(self):
         c = EntanglerCoords(np.float64(0.1), 1, np.int64(-2))
         assert [type(v) for v in (c.x, c.y, c.z)] == [float] * 3
@@ -100,7 +93,7 @@ class TestCoordsWrap:
     @pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan,
                                      "0.1", 1j])
     def test_non_finite_coordinate_refused_before_any_wrap(self, axis, bad):
-        # No nan from as_array() and no numpy warning from wrapped(): the
+        # No nan from as_array() and no numpy warning later: the
         # coordinate is refused when the point is built.
         xyz = {"x": 0.3, "y": 0.2, "z": 0.1, axis: bad}
         with warnings.catch_warnings():
@@ -108,4 +101,4 @@ class TestCoordsWrap:
             with pytest.raises(ValueError,
                                match=f"entangler coordinate {axis} .* is not "
                                      "a finite number"):
-                EntanglerCoords(**xyz).wrapped()
+                EntanglerCoords(**xyz)

@@ -292,6 +292,26 @@ class TestKakDecompose:
                 assert -PI < v <= PI
             assert -PI < f.phase <= PI
 
+    def test_coords_within_three_quarter_pi(self, rng):
+        # kak_decompose does not wrap: theta_k = angle(d_k) / 2, with pi
+        # added to theta_0 on a det flip, puts |x|, |y|, |z| <= 3pi/4 and
+        # the phase in [-pi/2, 3pi/4], inside (-pi, pi].
+        grid = np.linspace(-PI, PI, 9)[1:]
+        gates = [haar_unitary(rng) for _ in range(5000)]
+        gates += [np.eye(4, dtype=complex), CNOT, CZ, SWAP, SWAP @ CNOT]
+        gates += [controlled_phase(t) for t in
+                  [*np.geomspace(1e-9, 1e-1, 9), *np.linspace(0.2, PI, 15)]]
+        gates += [_dressed(rng, canonical_entangler(EntanglerCoords(x, y, z)))
+                  for x in grid for y in grid for z in grid]
+        phases = []
+        for u in gates:
+            f = kak_decompose(u)
+            assert max(map(abs, f.coords.as_array())) <= 3 * PI / 4
+            assert -PI / 2 <= f.phase <= 3 * PI / 4
+            phases.append(f.phase)
+        # The det-flip branch (theta_0 + pi) is taken.
+        assert max(phases[:5000]) > PI / 2
+
     @pytest.mark.parametrize("gate", [np.eye(4, dtype=complex), CNOT, CZ,
                                       SWAP, SWAP @ CNOT])
     def test_degenerate_inputs(self, gate):

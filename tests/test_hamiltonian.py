@@ -437,6 +437,18 @@ class TestRwaInfidelity:
             with pytest.raises(ValueError, match="phase overflows"):
                 rwa_infidelity(ct, 1e300, 1e10)
 
+    @pytest.mark.parametrize("eps", [1.0, np.float64(1.0), np.float32(1.0),
+                                     1, np.int64(1)])
+    def test_eps_of_any_real_type_gives_the_float_result(self, eps):
+        # The drift phase eps T is taken on the converted eps: a float32
+        # eps times T would round in float32 (0.027230581569994982).
+        ct = CouplingTensor(np.array([[1.0, 0.4, 0.3],
+                                      [0.2, 0.8, -0.5],
+                                      [0.6, -0.3, 0.9]]) * 1e-2)
+        t_final = math.pi / 8 / 1e-2
+        assert (rwa_infidelity(ct, eps, t_final).hex()
+                == rwa_infidelity(ct, 1.0, t_final).hex())
+
     def test_refuses_horizon_beyond_coupling_phase_resolution(self):
         # eps T = 1e9 is well inside 2^32, but sum |J| T is ~5e15.
         ct = CouplingTensor(np.array([[1.0, 0.4, 0.3],

@@ -454,16 +454,27 @@ class TestTrajectory:
         assert len(lines) == 4
         assert lines[1] == "0,0,0,0,0,0,0"
 
-    def test_wrapped_is_the_numpy_principal_cell_bit_for_bit(self, rng):
-        edges = [PI, -PI, 2 * PI, -2 * PI, 6 * PI, -4 * PI, 3 * PI / 2,
-                 1e15, -1e15, 1e300, -1e300, np.nextafter(PI, 4),
-                 np.nextafter(-PI, -4), np.nextafter(PI, 0),
-                 np.nextafter(-PI, 0)]
-        x = np.concatenate([edges, rng.uniform(-50, 50, 300 - len(edges))])
+    def test_wrapped_lies_in_the_principal_cell(self, rng):
+        # The cell (-pi, pi] and a whole number of periods apart from raw,
+        # also an ulp either side of each odd multiple of pi up to 201 pi.
+        odd = PI * np.arange(-201, 202, 2)
+        edges = np.concatenate([
+            [PI, -PI, 2 * PI, -2 * PI, 6 * PI, -4 * PI, 3 * PI / 2,
+             1e15, -1e15, 1e300, -1e300],
+            odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)])
+        n = 3 * (len(edges) // 3 + 100)
+        x = np.concatenate([edges, rng.uniform(-50, 50, n - len(edges))])
         raw = np.vstack([np.zeros(3), x.reshape(-1, 3)])
         traj = Trajectory(times=np.arange(len(raw), dtype=float), raw=raw)
-        ref = raw - 2 * PI * np.ceil((raw - PI) / (2 * PI))
-        assert traj.wrapped().tobytes() == ref.tobytes()
+        w = traj.wrapped()
+        assert w.shape == raw.shape
+        assert np.all((-PI < w) & (w <= PI))
+        periods = (raw - w) / (2 * PI)
+        assert np.all(np.abs(periods - np.round(periods))
+                      <= 1e-12 * np.maximum(1.0, np.abs(periods)))
+        edge = Trajectory(times=[0.0, 1.0],
+                          raw=[[0.0, 0.0, 0.0], [PI, -PI, 3 * PI / 2]])
+        assert edge.wrapped()[1].tolist() == [PI, PI, -PI / 2]
 
 
 class TestVerifySchedule:
