@@ -4,9 +4,9 @@ Re-exports the public names of: error types with exit codes (errors),
 the 4x4 matrix algebra (qmat), coupling reduction and the frame
 Hamiltonians (hamiltonian), the entangler A(x,y,z) and its coordinates
 (entangler), Makhlin invariants and KAK (equivalence), pulse schedules,
-simulation, the Trajectory type, trajectories and verification (pulses),
-and the CNOT compiler (compiler). qgd.cli holds the command-line front
-end.
+simulation, trajectories as unwrapped Trajectory paths, and verification
+(pulses), and the CNOT compiler (compiler). qgd.cli holds the
+command-line front end.
 """
 from .errors import (NonHermitianInput, NotUnitary, QgdError, UnknownGate,
                      UnsupportedOp, VerificationFailed, ZeroCoupling)

@@ -174,7 +174,7 @@ def simulate(ctx, input_path, coupling_path, target, mode):
 @click.option("--samples", type=click.IntRange(min=1), default=32,
               show_default=True, help="Samples per entangling interval.")
 def trajectory(coupling_path, schedule_path, samples):
-    """Emit the entangler-space trajectory of a schedule as CSV."""
+    """Emit a schedule's unwrapped entangler-space path as CSV: t,x,y,z."""
     params = _resolve_params(_load_json(coupling_path))
     schedule = pulses.PulseSchedule.from_json(_load_json(schedule_path))
     traj = pulses.trajectory(params, schedule, samples_per_interval=samples)

@@ -37,7 +37,7 @@ from .errors import UnknownGate, VerificationFailed, ZeroCoupling
 from .hamiltonian import RotFrameParams
 from .pulses import (VERIFY_TOL, Entangle, GlobalPhase, PulseSchedule,
                      Rotate, VerificationReport, _tolerance, _verify)
-from .qmat import _exact_int
+from .qmat import _exact_int, _require_type
 # perfbench/selftest.py pins compiler.verify_schedule until ROADMAP item 1
 # re-aims it.
 from .pulses import verify_schedule  # noqa: F401
@@ -202,6 +202,7 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     re-simulated and must match its target within tol, which must be
     positive and finite.
     """
+    _require_type(p, RotFrameParams)
     if prefer not in ("auto", "cnot"):
         raise ValueError(f"bad prefer {prefer!r}")
     if p.j == 0 and p.j_zz == 0 and p.j_prime == 0:

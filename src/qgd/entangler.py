@@ -1,8 +1,7 @@
 """The canonical entangler family A(x,y,z) = e^{-i(x XX + y YY + z ZZ)},
 whose generator is qmat.coupling_operator of diag(x, y, z), and
 coordinates on the 3-torus of entanglers, finite Python floats by
-construction. pulses.Trajectory is a path of such coordinates, and holds
-their principal-cell wrap.
+construction. pulses.Trajectory is an unwrapped path of such coordinates.
 
 A is qmat._entangler, the package's one closed form of this exponential,
 which hamiltonian.rot_frame_propagator shares.
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import _entangler, _entangler_array, _finite
+from .qmat import _entangler, _entangler_array, _finite, _require_type
 
 __all__ = ["EntanglerCoords", "canonical_entangler"]
 
@@ -46,8 +45,7 @@ def canonical_entangler(c: EntanglerCoords) -> np.ndarray:
     EntanglerCoords, and when a magic-basis phase +-x +-y +-z (the
     eigenphases of A) is not finite.
     """
-    if not isinstance(c, EntanglerCoords):
-        raise ValueError(f"expected EntanglerCoords, got {c!r}")
+    _require_type(c, EntanglerCoords)
     x, y, z = c.x, c.y, c.z
     d, s = x - y, x + y
     # On Python floats: an overflowing phase is inf here, not a warning.

@@ -35,7 +35,8 @@ import numpy as np
 from .entangler import EntanglerCoords, canonical_entangler
 from .errors import NotUnitary
 from .qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, SX, SY, SZ, _MAGIC2,
-                   _MAGIC2_DAG, _as_4x4, kron, require_unitary)
+                   _MAGIC2_DAG, _as_4x4, _require_type, kron,
+                   require_unitary)
 
 __all__ = [
     "MAGIC", "MakhlinInvariants", "KakFactors",
@@ -157,7 +158,7 @@ def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
 class KakFactors:
     """U = e^{i phase} (u_post1 x u_post2) A(coords) (u_pre1 x u_pre2),
     with each local factor in SU(2). Each coordinate lies within 3pi/4 of
-    0 and the phase in [-pi/2, 3pi/4], inside the principal cell (-pi, pi].
+    0 and the phase in [-pi/2, 3pi/4].
 
     A local pair (a, b) is fixed up to the common sign (-a, -b), which
     leaves a (x) b unchanged. Convention: written as a0 I - i (a1 X +
@@ -278,7 +279,7 @@ def kak_decompose(u: np.ndarray) -> KakFactors:
     pre1, pre2 = _so4_factors(basis.T)
 
     # theta lies in [-pi/2, pi/2], theta[0] in [-pi/2, 3pi/2]: so |x|, |y|,
-    # |z| <= 3pi/4 and phase in [-pi/2, 3pi/4], inside (-pi, pi] unwrapped.
+    # |z| <= 3pi/4 and phase in [-pi/2, 3pi/4], with no wrap.
     return KakFactors(phase=phase, u_post=(post1, post2),
                       coords=EntanglerCoords(x, y, z), u_pre=(pre1, pre2))
 
@@ -298,8 +299,7 @@ def weyl_canonicalize(c: EntanglerCoords) -> EntanglerCoords:
     sign flips, and coordinate permutations. Raises ValueError for
     anything but an EntanglerCoords (whose coordinates are finite).
     """
-    if not isinstance(c, EntanglerCoords):
-        raise ValueError(f"expected EntanglerCoords, got {c!r}")
+    _require_type(c, EntanglerCoords)
     v = []
     for a in (c.x, c.y, c.z):
         # Reduce to [-pi/4, pi/4], preferring +pi/4 on the edge.

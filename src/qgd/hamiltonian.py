@@ -156,6 +156,7 @@ def reduce_coupling(ct: CouplingTensor) -> RotFrameParams:
     J = (Jxx + Jyy)/2, J' = (Jxy - Jyx)/2, J_zz passes through; every
     other combination time-averages to zero in the rotating frame.
     """
+    qmat._require_type(ct, CouplingTensor)
     (xx, xy, _), (yx, yy, _), (_, _, zz) = ct.j.tolist()
     # On Python floats. Halves first: J and J' stay finite whenever the
     # entries are.
@@ -166,6 +167,7 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
     """J (XX + YY) + J' (XY - YX) + J_zz ZZ, the coupling_operator of the
     rotating-frame tensor: diag(J_zz, -J_zz, -J_zz, J_zz) with 2(J + iJ')
     on the |01><10| entry."""
+    qmat._require_type(p, RotFrameParams)
     j, jp, jzz = p.j, p.j_prime, p.j_zz
     return coupling_operator([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, jzz]])
 
@@ -186,6 +188,7 @@ def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     Raises ValueError when t is no number or (|J_zz| + 2r)|t| is not
     finite.
     """
+    qmat._require_type(p, RotFrameParams)
     return qmat._entangler_array(_rot_frame_entries(p, t))
 
 
@@ -202,6 +205,7 @@ def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
 
 def _lab_frame(ct: CouplingTensor, eps) -> tuple:
     """(lab_frame_hamiltonian(ct, eps), sum |J_mn|): Hermitian bit for bit."""
+    qmat._require_type(ct, CouplingTensor)
     eps = qmat._real("eps", eps)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")

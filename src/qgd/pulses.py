@@ -16,8 +16,8 @@ two Entangles multiply into one 2x2 factor per qubit, and each interval
 applies rot_frame_propagator times that layer's a (x) b, formed in one
 step (qmat._step), to the running product; the global phases fold into
 one scalar.
-trajectory draws a Trajectory, reading each interval's toggled coupling
-off qmat's magic basis.
+trajectory draws a Trajectory, its path continuous (never reduced mod
+2 pi), reading each interval's toggled coupling off qmat's magic basis.
 verify_schedule checks its mode and tolerance, and each distinct target
 once, through the invariants memo of equivalence.makhlin_invariants,
 keyed by the target's content; pulses keeps no memo of its own. It then
@@ -29,18 +29,17 @@ equivalence._makhlin.
 from __future__ import annotations
 
 import cmath
-import io
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import equivalence, qmat
-from .entangler import EntanglerCoords
 from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, _rot_frame_entries, rot_frame_matrix
 from .qmat import (ALGEBRA_TOL, GEN_DIAGS, _ID2, _ID_W, _MAGIC2, _MAGIC2_DAG,
-                   _exact_int, _finite, _step)
+                   _exact_int, _finite, _require_type, _step)
 # perfbench/selftest.py pins pulses.kron until ROADMAP item 1 re-aims it.
 from .qmat import kron  # noqa: F401
 
@@ -115,6 +114,7 @@ class PulseSchedule:
     ops: tuple
 
     def __post_init__(self):
+        _require_type(self.ops, Iterable)
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if type(op) not in _OPS:
@@ -188,6 +188,8 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     which also carries the product of the global phases. Raises
     ValueError when an interval's phase overflows (rot_frame_propagator).
     """
+    _require_type(s, PulseSchedule)
+    _require_type(p, RotFrameParams)
     u = None
     a = b = _ID2
     phase = 1 + 0j
@@ -214,9 +216,9 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled entangler-space path r(t), as trajectory draws it: raw
-    holds the continuous (unwrapped) coordinates, shape (N, 3), N >= 1,
-    for plotting; wrapped() gives the principal-cell values. Every time
-    and coordinate must be finite."""
+    holds the continuous coordinates, never reduced mod 2 pi, shape
+    (N, 3), N >= 1, which to_csv prints as t,x,y,z. Every time and
+    coordinate must be finite."""
 
     times: np.ndarray
     raw: np.ndarray  # shape (N, 3)
@@ -237,24 +239,10 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "raw", r)
 
-    def wrapped(self) -> np.ndarray:
-        """raw wrapped into the principal cell (-pi, pi], period 2 pi."""
-        w = self.raw - 2 * math.pi * np.ceil((self.raw - math.pi)
-                                             / (2 * math.pi))
-        # Near an odd multiple of pi the rounded quotient can fall one
-        # short, leaving w an ulp above pi: take that period back.
-        return np.where(w > math.pi, w - 2 * math.pi, w)
-
-    @property
-    def endpoint(self) -> EntanglerCoords:
-        return EntanglerCoords(*map(float, self.raw[-1]))
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,x,y,z,x_wrapped,y_wrapped,z_wrapped\n")
-        for t, r, w in zip(self.times, self.raw, self.wrapped()):
-            buf.write(",".join(f"{v:.12g}" for v in (t, *r, *w)) + "\n")
-        return buf.getvalue()
+        rows = np.column_stack([self.times, self.raw]).tolist()
+        return "t,x,y,z\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
 
 
 def trajectory(p: RotFrameParams, schedule: PulseSchedule,
@@ -277,6 +265,8 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     when its samples are too short to advance the running time or when
     samples_per_interval is not an _exact_int of at least 1.
     """
+    _require_type(p, RotFrameParams)
+    _require_type(schedule, PulseSchedule)
     samples = _exact_int(samples_per_interval)
     if samples is None or samples < 1:
         raise ValueError(f"samples_per_interval {samples_per_interval!r} "

@@ -4,7 +4,8 @@ Pauli operators, Kronecker products, the magic (Bell) basis, exact as
 _MAGIC2 = sqrt(2) Q, with the diagonals of XX, YY and ZZ in it (GEN_DIAGS,
 exactly +-1), the two-qubit coupling operator of a 3x3 tensor, Hermitian
 matrix exponentials and unitary distance metrics, and the number rules of
-every scalar input (_real, _finite, _exact_int).
+every scalar input (_real, _finite, _exact_int) and the type rule of the
+package's value arguments (_require_type).
 Every generator the package evolves under is constant over its interval.
 One closed form, _entangler, gives the five distinct entries of A; _step
 forms E (a (x) b) from them and a layer's 2x2 entries (with _ID_W, a (x) b
@@ -95,6 +96,13 @@ def _exact_int(n) -> int | None:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         return None
     return int(n)
+
+
+def _require_type(value, cls) -> None:
+    """ValueError naming cls unless value is an instance of it: the
+    boundary check of each public function's package-typed arguments."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected {cls.__name__}, got {value!r}")
 
 
 def _require_finite_phase(rate: float, t) -> float:

@@ -244,7 +244,7 @@ class TestTrajectoryCmd:
                                       "--schedule", sched, "--samples", "4"])
         assert result.exit_code == 0
         lines = result.output.strip().split("\n")
-        assert lines[0] == "t,x,y,z,x_wrapped,y_wrapped,z_wrapped"
+        assert lines[0] == "t,x,y,z"
         assert len(lines) == 6
         last = [float(v) for v in lines[-1].split(",")]
         assert abs(last[1] - last[2]) < 1e-12  # x = y plane
@@ -300,7 +300,7 @@ class TestTrajectoryCmd:
         sched = write_json(tmp_path, "s.json", [])
         result = runner.invoke(main, ["trajectory", "--coupling", cpl,
                                       "--schedule", sched])
-        assert result.output.strip().split("\n")[1:] == ["0,0,0,0,0,0,0"]
+        assert result.output.strip().split("\n")[1:] == ["0,0,0,0"]
 
     def test_overflowing_area_exit_1(self, runner, tmp_path):
         cpl = write_json(tmp_path, "c.json",

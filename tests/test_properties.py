@@ -108,7 +108,8 @@ def test_every_compiled_schedule_is_drawn_in_class_at_each_interval(
         prefix = simulate_schedule(PulseSchedule(ops[:i + 1]), p)
         point = EntanglerCoords(*traj.raw[samples * n])
         assert locally_equivalent(canonical_entangler(point), prefix)
-    assert locally_equivalent(canonical_entangler(traj.endpoint),
+    end = EntanglerCoords(*traj.raw[-1])
+    assert locally_equivalent(canonical_entangler(end),
                               named_gate(res.target_name))
 
 

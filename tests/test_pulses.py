@@ -8,7 +8,7 @@ import pytest
 
 from qgd import equivalence
 from qgd.compiler import CNOT, _ROT, compile_cnot, named_gate
-from qgd.entangler import canonical_entangler
+from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import makhlin_invariants
 from qgd.errors import NotUnitary, UnsupportedOp
 from qgd.hamiltonian import RotFrameParams
@@ -406,7 +406,7 @@ class TestTrajectory:
                                Entangle(0.52), Rotate("y", PI, 1),
                                Entangle(0.17)))
         traj = trajectory(p, sched)
-        a = canonical_entangler(traj.endpoint)
+        a = canonical_entangler(EntanglerCoords(*traj.raw[-1]))
         u = simulate_schedule(sched, p)
         gu = makhlin_invariants(u)
         ga = makhlin_invariants(a)
@@ -450,31 +450,9 @@ class TestTrajectory:
                           PulseSchedule((Entangle(0.2),)),
                           samples_per_interval=2)
         lines = traj.to_csv().strip().split("\n")
-        assert lines[0] == "t,x,y,z,x_wrapped,y_wrapped,z_wrapped"
+        assert lines[0] == "t,x,y,z"
         assert len(lines) == 4
-        assert lines[1] == "0,0,0,0,0,0,0"
-
-    def test_wrapped_lies_in_the_principal_cell(self, rng):
-        # The cell (-pi, pi] and a whole number of periods apart from raw,
-        # also an ulp either side of each odd multiple of pi up to 201 pi.
-        odd = PI * np.arange(-201, 202, 2)
-        edges = np.concatenate([
-            [PI, -PI, 2 * PI, -2 * PI, 6 * PI, -4 * PI, 3 * PI / 2,
-             1e15, -1e15, 1e300, -1e300],
-            odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)])
-        n = 3 * (len(edges) // 3 + 100)
-        x = np.concatenate([edges, rng.uniform(-50, 50, n - len(edges))])
-        raw = np.vstack([np.zeros(3), x.reshape(-1, 3)])
-        traj = Trajectory(times=np.arange(len(raw), dtype=float), raw=raw)
-        w = traj.wrapped()
-        assert w.shape == raw.shape
-        assert np.all((-PI < w) & (w <= PI))
-        periods = (raw - w) / (2 * PI)
-        assert np.all(np.abs(periods - np.round(periods))
-                      <= 1e-12 * np.maximum(1.0, np.abs(periods)))
-        edge = Trajectory(times=[0.0, 1.0],
-                          raw=[[0.0, 0.0, 0.0], [PI, -PI, 3 * PI / 2]])
-        assert edge.wrapped()[1].tolist() == [PI, PI, -PI / 2]
+        assert lines[1] == "0,0,0,0"
 
 
 class TestVerifySchedule:

@@ -113,6 +113,54 @@ class TestNumberRule:
                 rule("width", value)
 
 
+def _public_calls():
+    """A pytest.param(type name, call, id=function) for each public entry
+    point given a value of the wrong type where a package type belongs."""
+    from qgd.compiler import CNOT, compile_cnot
+    from qgd.entangler import canonical_entangler
+    from qgd.equivalence import weyl_canonicalize
+    from qgd.hamiltonian import (RotFrameParams, lab_frame_hamiltonian,
+                                 reduce_coupling, rot_frame_matrix,
+                                 rot_frame_propagator, rwa_infidelity)
+    from qgd.pulses import (Entangle, PulseSchedule, simulate_schedule,
+                            trajectory, verify_schedule)
+    p = RotFrameParams(1.0, 0.2, 0.1)
+    s = PulseSchedule((Entangle(0.5),))
+    tensor = {"Jxx": 1.0, "Jyy": 1.0}
+    calls = {
+        "compile_cnot": ("RotFrameParams", lambda: compile_cnot({"J": 1})),
+        "simulate_schedule": ("RotFrameParams",
+                              lambda: simulate_schedule(s, None)),
+        "verify_schedule": ("PulseSchedule", lambda: verify_schedule(
+            [Entangle(0.5)], p, CNOT)),
+        "trajectory": ("RotFrameParams", lambda: trajectory(None, s)),
+        "rwa_infidelity": ("CouplingTensor",
+                           lambda: rwa_infidelity(tensor, 1.0, 1.0)),
+        "reduce_coupling": ("CouplingTensor",
+                            lambda: reduce_coupling(tensor)),
+        "rot_frame_matrix": ("RotFrameParams",
+                             lambda: rot_frame_matrix(None)),
+        "rot_frame_propagator": ("RotFrameParams",
+                                 lambda: rot_frame_propagator(None, 1.0)),
+        "lab_frame_hamiltonian": ("CouplingTensor",
+                                  lambda: lab_frame_hamiltonian(tensor, 1.0)),
+        "canonical_entangler": ("EntanglerCoords",
+                                lambda: canonical_entangler((0.1, 0.2, 0.3))),
+        "weyl_canonicalize": ("EntanglerCoords",
+                              lambda: weyl_canonicalize(None)),
+        "PulseSchedule": ("Iterable", lambda: PulseSchedule(5)),
+    }
+    return [pytest.param(*v, id=k) for k, v in calls.items()]
+
+
+@pytest.mark.parametrize("expected,call", _public_calls())
+def test_wrong_argument_type_refused_by_name(expected, call):
+    # _require_type's ValueError, never an AttributeError or TypeError
+    # from the first attribute the function reads.
+    with pytest.raises(ValueError, match=f"^expected {expected}, got "):
+        call()
+
+
 class TestRequireHermitian:
     def test_hermitian_passes(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
