@@ -6,14 +6,17 @@ constructions:
   * xy_single_shot_swapcnot -- J' = J_zz = 0 under prefer="auto"; one
     interval of pi/(4|J|) producing SWAP*CNOT (circuit-equivalent to
     CNOT with no overhead).
-  * the refocused CNOT, for every other coupling: a local frame puts the
-    stronger of r = |J + iJ'| and |J_zz| on XX, and a pi pulse between
-    two intervals of pi/(8 max(r, |J_zz|)) cancels the rest. Its total
-    entangling time pi/(4 max(r, |J_zz|)) is the least any CNOT takes.
-    The XY frame (r >= |J_zz|) is labelled two_shot_refocus for J' = 0
-    and general_jprime otherwise; the ZZ frame (|J_zz| > r) zz_refocus,
-    or ising_single_shot for r = 0, where one interval of pi/(4|J_zz|)
-    does.
+  * the refocused CNOT, for every other coupling: Rz(phi)_2 folds the
+    couplings into s r (XX + YY) + J_zz ZZ, r = |J + iJ'| (p.fold), and a
+    pi pulse between two intervals of pi/(8 max(r, |J_zz|)) keeps only
+    the stronger part; its total entangling time pi/(4 max(r, |J_zz|)) is
+    the least any CNOT takes. The XY frame (r >= |J_zz|), labelled
+    two_shot_refocus for J' = 0 and general_jprime otherwise, keeps XX
+    with Rx(pi)_q. The ZZ frame (|J_zz| > r, r = 0 included), labelled
+    zz_refocus, keeps ZZ with the echo Rx(pi)_q Ry(pi)_other, which also
+    flips any local z field: its CNOT is blind to an idle neighbour's ZZ,
+    a residual detuning or a frequency drift (dynamical decoupling;
+    Viola, Knill and Lloyd, PRL 82, 2417 (1999)).
 
 Each layer, the rotations between two intervals or after the last one,
 holds at most one x/y pulse per qubit; z rotations are virtual frame
@@ -120,12 +123,13 @@ _TARGETS = {name: _invariants(_NAMED_GATES[name].tobytes())[1::-1]
             for name in ("CNOT", "SWAP_CNOT")}
 
 # The fixed pulses, keyed by their fields: R_axis(+-pi/2), R_axis(pi), and
-# the four closing phases.
+# the six closing phases.
 _ROT = {(axis, angle, qubit): Rotate(axis, angle, qubit)
         for axis in "xyz" for angle in (_PI / 2, -_PI / 2, _PI)
         for qubit in (1, 2)}
 _PHASE = {angle: GlobalPhase(angle) for s in (1.0, -1.0)
-          for angle in (_PI / 2 + s * _PI / 4, s * _PI / 2)}
+          for angle in (_PI / 2 + s * _PI / 4, s * _PI / 4 - _PI / 2,
+                        s * _PI / 2)}
 
 
 def _interval(k: int, rate: float) -> float:
@@ -140,43 +144,38 @@ def _interval(k: int, rate: float) -> float:
 
 def _refocused_schedule(p: RotFrameParams,
                         q: int) -> tuple[PulseSchedule, float, str]:
-    # The schedule, its interval and its branch label; q refocuses.
+    # The schedule, its interval and its branch label; q refocuses. In the
+    # fold frame, two intervals E split by the pi pulse P give
+    # E P E = P e^{-2i K dt}, K the part of the coupling that P keeps.
     r = math.hypot(p.j, p.j_prime)
-    if r < abs(p.j_zz):
-        # ZZ frame: Ry(-pi/2) on both qubits puts ZZ on XX and turns the
-        # pi pulse Rx(pi)_q into Rz(pi)_q, which flips all of the XY part.
-        s = 1.0 if p.j_zz > 0 else -1.0
-        a = s * _PI / 2 if q == 1 else -s * _PI / 2
-        if r:
-            dt, branch = _interval(8, abs(p.j_zz)), "zz_refocus"
-            e = Entangle(dt)
-            body = (e, _ROT["z", _PI, q], e)
-        else:  # Rz(pi)_q has nothing to flip: one interval does
-            dt, branch = _interval(4, abs(p.j_zz)), "ising_single_shot"
-            body = (Entangle(dt), _ROT["z", _PI, q])
-        ops = (_ROT["y", -_PI / 2, 2], *body, _ROT["x", -a, 2],
-               _ROT["z", -a, 2], _ROT["z", a, 1],
-               _PHASE[_PI / 2 + s * _PI / 4])
-        return PulseSchedule(ops=ops), dt, branch
-    # XY frame: with J + iJ' = s r e^{i phi} (p.fold), Rz(phi)_2 turns the
-    # couplings into (s r, J_zz, 0). Two such intervals of pi/(8r) split by
-    # Rx(pi) cancel the J_zz area and land on A(s pi/4, 0, 0).
     s, phi = p.fold
+    zz = r < abs(p.j_zz)
+    if zz:
+        s = 1.0 if p.j_zz > 0 else -1.0
     a = s * _PI / 2 if q == 1 else -s * _PI / 2
-    dt = _interval(8, r)
-    e = Entangle(dt)
     into = (Rotate("z", phi, 2),) if phi else ()
     out = (Rotate("z", -phi, 2),) if phi else ()
-    if q == 1:
-        # Rx(pi)_1 commutes with Rz(phi)_2: the inner Rz pair cancels.
-        body = (*into, e, _ROT["x", _PI, 1], e, *out)
+    if zz:
+        # K = J_zz ZZ: A(0, 0, s pi/4), turned into CNOT by Ry(-pi/2)_2
+        # and a closing layer that also undoes P.
+        dt, branch = _interval(8, abs(p.j_zz)), "zz_refocus"
+        echo = (_ROT["x", _PI, q], _ROT["y", _PI, 3 - q])
+        head = _ROT["y", -_PI / 2, 2]
+        tail = (_ROT["x", -a, 2], _ROT["z", a, 2], _ROT["y", _PI, 1],
+                _ROT["z", a, 1], _PHASE[s * _PI / 4 - _PI / 2])
+    else:  # K = s r XX: A(s pi/4, 0, 0)
+        dt = _interval(8, r)
+        branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
+        echo = (_ROT["x", _PI, q],)
+        head = _ROT["y", _PI / 2, 1]
+        tail = (_ROT["x", -a, 2], _ROT["y", -_PI / 2, 1], _ROT["z", a, 1],
+                _PHASE[_PI / 2 + s * _PI / 4])
+    e = Entangle(dt)
+    if q == 1 and not zz:  # Rx(pi)_1 commutes with Rz(phi)_2
+        body = (*into, e, *echo, e, *out)
     else:
-        body = (*into, e, *out, _ROT["x", _PI, 2], *into, e, *out)
-    ops = (_ROT["y", _PI / 2, 1], *body, _ROT["x", -a, 2],
-           _ROT["y", -_PI / 2, 1], _ROT["z", a, 1],
-           _PHASE[_PI / 2 + s * _PI / 4])
-    branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
-    return PulseSchedule(ops=ops), dt, branch
+        body = (*into, e, *out, *echo, *into, e, *out)
+    return PulseSchedule(ops=(head, *body, *tail)), dt, branch
 
 
 def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
@@ -196,9 +195,10 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
 
     prefer="auto" emits the single-shot SWAP*CNOT when J_zz = J' = 0 and
     J != 0, and a CNOT otherwise; prefer="cnot" always emits a CNOT.
-    refocus_qubit picks the qubit of the refocusing pi pulse: Rx(pi) in
-    the XY frame, Rz(pi) in the ZZ frame; like Rotate.qubit it must be
-    the integer 1 or 2, never a bool, on every branch. The schedule is
+    refocus_qubit picks the qubit q of the refocusing pi pulse: the lone
+    Rx(pi)_q in the XY frame, and in the ZZ frame the x half of the echo,
+    Ry(pi) going to the other qubit. Like Rotate.qubit it must be the
+    integer 1 or 2, never a bool, on every branch. The schedule is
     re-simulated and must match its target within tol, which must be
     positive and finite.
     """

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import coupling_operator
 
 __all__ = [
     "CouplingTensor", "RotFrameParams",
@@ -169,7 +168,8 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
     on the |01><10| entry."""
     qmat._require_type(p, RotFrameParams)
     j, jp, jzz = p.j, p.j_prime, p.j_zz
-    return coupling_operator([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, jzz]])
+    return qmat._coupling_operator(
+        np.array([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, jzz]]))
 
 
 def _rot_frame_entries(p: RotFrameParams, t) -> tuple:
@@ -214,7 +214,7 @@ def _lab_frame(ct: CouplingTensor, eps) -> tuple:
     if not math.isfinite(eps + j_sum):
         raise ValueError("coupling tensor too large: eps + sum |J| overflows")
     # The drift diag(-eps, 0, 0, eps): both qubits tuned to eps.
-    h = coupling_operator(ct.j)
+    h = qmat._coupling_operator(ct.j)
     h[0, 0] -= eps
     h[3, 3] += eps
     return h, j_sum

@@ -218,14 +218,14 @@ class Trajectory:
     """Sampled entangler-space path r(t), as trajectory draws it: raw
     holds the continuous coordinates, never reduced mod 2 pi, shape
     (N, 3), N >= 1, which to_csv prints as t,x,y,z. Every time and
-    coordinate must be finite."""
+    coordinate must be a finite real number; ValueError if not."""
 
     times: np.ndarray
     raw: np.ndarray  # shape (N, 3)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        r = np.asarray(self.raw, dtype=float)
+        t = qmat._numeric(self.times, "real trajectory", kinds="biuf")
+        r = qmat._numeric(self.raw, "real trajectory", kinds="biuf")
         if r.ndim != 2 or r.shape[1] != 3 or not len(r):
             raise ValueError(f"raw of shape {r.shape} is not (N >= 1, 3)")
         if t.shape != (len(r),):

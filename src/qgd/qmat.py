@@ -13,8 +13,8 @@ alone), and _entangler_array lays them out as a 4x4 array. The general
 exponential here, an eigendecomposition, serves only the lab frame, whose
 Hamiltonian has no such form. There is no time-ordered product.
 The public functions check their input (numeric dtype, shape, symmetry);
-their kernels, _expm_eigh, _distance and _phase_distance, trust what the
-package built.
+their kernels, _coupling_operator, _expm_eigh, _distance and
+_phase_distance, trust what the package built.
 Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
@@ -179,29 +179,41 @@ def _entangler_array(w: tuple, corner: complex = 1.0) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with qubit 1 as the left factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with qubit 1 as the left factor; ValueError
+    unless both are numeric arrays."""
+    return np.kron(_numeric(a, "Kronecker factor"),
+                   _numeric(b, "Kronecker factor"))
 
 
 def coupling_operator(t) -> np.ndarray:
-    """sum_{mn} t[m, n] sigma_1^m sigma_2^n for a real 3x3 tensor t.
+    """sum_{mn} t[m, n] sigma_1^m sigma_2^n for a real 3x3 tensor t;
+    ValueError for a complex, non-numeric or non-3x3 one.
 
     Every two-qubit coupling Hamiltonian and entangler generator of the
     package is this contraction of some tensor.
     """
-    pairs = PAULI_PAIRS.reshape(9, 16)
-    return (np.asarray(t, dtype=float).reshape(9) @ pairs).reshape(4, 4)
+    t = _numeric(t, "real 3x3", kinds="biuf")
+    if t.shape != (3, 3):
+        raise ValueError(f"expected a real 3x3 matrix, got shape {t.shape}")
+    return _coupling_operator(t)
 
 
-def _numeric(m, what: str) -> np.ndarray:
-    """m as a complex array, if of a numeric dtype; ValueError if not."""
+def _coupling_operator(t: np.ndarray) -> np.ndarray:
+    """coupling_operator of a real 3x3 array, unchecked."""
+    return (t.reshape(9) @ PAULI_PAIRS.reshape(9, 16)).reshape(4, 4)
+
+
+def _numeric(m, what: str, kinds: str = "biufc") -> np.ndarray:
+    """m as a complex array, if of a dtype kind in kinds (by default any
+    numeric one), or as a float array if kinds holds no "c"; ValueError
+    if not."""
     try:
         m = np.asarray(m)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"expected a {what} matrix: {exc}") from exc
-    if m.dtype.kind not in "biufc":
+    if m.dtype.kind not in kinds:
         raise ValueError(f"expected a {what} matrix of numbers, not {m.dtype}")
-    return m.astype(complex, copy=False)
+    return m.astype(complex if "c" in kinds else float, copy=False)
 
 
 def require_hermitian(h: np.ndarray) -> np.ndarray:

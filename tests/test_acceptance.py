@@ -53,7 +53,7 @@ def test_ising_sequence_exactness():
         p = RotFrameParams(0.0, jzz, 0.0)
         for q in (1, 2):
             sched, _, branch = _refocused_schedule(p, q)
-            assert branch == "ising_single_shot"
+            assert branch == "zz_refocus"
             worst = max(worst, distance(simulate_schedule(sched, p), CNOT))
     report(f"Ising sequence exact CNOT, both branches, both refocus qubits "
            f"(max {worst:.2e})", worst < 1e-10)

@@ -192,14 +192,15 @@ class TestCompileSimulateRoundTrip:
         )["passed"] for cpl in (other, same)]
         assert passed == [False, True]
 
-    def test_ising_single_entangle(self, runner, tmp_path):
+    def test_ising_takes_the_zz_echo(self, runner, tmp_path):
+        # r = 0 is the ZZ frame: two intervals split by its echo.
         cpl = write_json(tmp_path, "ising.json",
                          {"J": 0.0, "Jzz": 1.0, "Jprime": 0.0})
         result = runner.invoke(main, ["compile", "--input", cpl])
         out = json.loads(result.output)
-        assert out["branch"] == "ising_single_shot"
+        assert out["branch"] == "zz_refocus"
         assert len([op for op in out["schedule"]
-                    if op["op"] == "entangle"]) == 1
+                    if op["op"] == "entangle"]) == 2
 
     def test_zero_coupling_exit_3(self, runner, tmp_path):
         cpl = write_json(tmp_path, "zero.json",
@@ -273,7 +274,7 @@ class TestTrajectoryCmd:
         {"J": -1.0, "Jzz": 0.4, "Jprime": 0.0},   # two_shot_refocus
         {"J": 0.8, "Jzz": -0.3, "Jprime": -1.1},  # general_jprime
         {"J": 0.2, "Jzz": -1.0, "Jprime": 0.3},   # zz_refocus
-        {"J": 0.0, "Jzz": 0.7, "Jprime": 0.0},    # ising_single_shot
+        {"J": 0.0, "Jzz": 0.7, "Jprime": 0.0},    # zz_refocus at r = 0
     ])
     def test_every_compiled_schedule_is_drawn(self, runner, tmp_path,
                                               coupling, prefer,

@@ -8,7 +8,7 @@ from qgd import compiler
 from qgd.compiler import (_PHASE, _ROT, CNOT, CZ, SWAP, compile_cnot,
                           controlled_phase, named_gate)
 from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
-from qgd.hamiltonian import RotFrameParams
+from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
 from qgd.equivalence import makhlin_invariants
 from qgd.pulses import (Entangle, GlobalPhase, Rotate, simulate_schedule,
                         verify_schedule)
@@ -65,16 +65,18 @@ class TestNamedGate:
 
 
 class TestCompileBranches:
-    def test_ising_single_shot(self):
+    def test_ising_is_the_zz_frame_at_r_zero(self):
+        # r = 0 takes the ZZ frame's echo: two intervals of pi/(8 J_zz),
+        # with no fold rotation to conjugate them.
         g = 0.9
         for q in (1, 2):
             res = compile_cnot(RotFrameParams(0.0, g, 0.0), refocus_qubit=q)
-            assert res.branch == "ising_single_shot"
-            assert res.delta_t == res.schedule.total_entangling_time
-            assert math.isclose(res.delta_t, PI / (4 * g))
+            assert res.branch == "zz_refocus"
+            assert 2 * res.delta_t == res.schedule.total_entangling_time
+            assert math.isclose(res.delta_t, PI / (8 * g))
             assert res.verification.pass_exact
             assert res.target_name == "CNOT"
-            assert len(res.schedule.ops) == 7
+            assert len(res.schedule.ops) == 10
 
     def test_two_shot_refocus(self):
         g = 1.0
@@ -172,7 +174,7 @@ class TestCompileBranches:
         (-1.0, 0.4, 0.0),   # two_shot_refocus
         (0.8, -0.3, 1.1),   # general_jprime
         (0.2, -1.0, 0.3),   # zz_refocus
-        (0.0, 0.7, 0.0)])   # ising_single_shot
+        (0.0, 0.7, 0.0)])   # zz_refocus at r = 0
     @pytest.mark.parametrize("qubit", [True, False, 1.0, 2.0, np.float64(1.0),
                                        "1", None, 0, 3, -1])
     def test_refocus_qubit_checked_on_every_branch(self, qubit, params,
@@ -287,19 +289,21 @@ class TestCompileBranches:
 
 
 class TestRefocusedBuilder:
-    """One construction for every CNOT: the J' = 0 two-shot sequence,
-    conjugated by Rz(phi)_2 when phi = arg(+-(J + iJ')) != 0, in the frame
-    that puts the stronger of |J + iJ'| and |J_zz| on XX."""
+    """One construction for every CNOT: two intervals conjugated by
+    Rz(phi)_2 when phi = arg(+-(J + iJ')) != 0, split by a pi pulse that
+    keeps the stronger of |J + iJ'| and |J_zz|: Rx(pi)_q keeps XX, and the
+    echo Rx(pi)_q Ry(pi)_other keeps ZZ."""
 
     # Ops emitted by the separate two-shot and general builders this one
-    # replaced, and by the ZZ frame; it may emit fewer, never more.
+    # replaced, and by the ZZ frame's echo, conjugated like general_jprime
+    # on qubit 2; it may emit fewer, never more.
     MAX_OPS = {("two_shot_refocus", 1): 9, ("two_shot_refocus", 2): 9,
                ("general_jprime", 1): 10, ("general_jprime", 2): 13,
-               ("zz_refocus", 1): 8, ("zz_refocus", 2): 8}
+               ("zz_refocus", 1): 14, ("zz_refocus", 2): 14}
     # The SWAP*CNOT shot: two x/y pulses and two virtual Rz in 6 ops.
     SWAPCNOT_MAX_OPS, SWAPCNOT_MAX_XY = 6, 2
     # x/y pulses per branch; every z rotation is a virtual frame change.
-    XY_PULSES = {"ising_single_shot": 2, "zz_refocus": 2,
+    XY_PULSES = {"zz_refocus": 5,
                  "two_shot_refocus": 4, "general_jprime": 4,
                  "xy_single_shot_swapcnot": 2}
 
@@ -361,12 +365,12 @@ class TestRefocusedBuilder:
             assert (sum(map(len, layers))
                     == self.XY_PULSES[res.branch]), res.branch
             seen.add(res.branch)
-        assert len(seen) == (5 if prefer == "auto" else 4)
+        assert len(seen) == (4 if prefer == "auto" else 3)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_fixed_pulses_come_from_the_table(self, q):
-        # Every Rotate but the XY frame's Rz(+-phi)_2, each +-pi/2 or pi,
-        # and every GlobalPhase is the object built once at import; one
+        # Every Rotate but the fold's Rz(+-phi)_2, each +-pi/2 or pi, and
+        # every GlobalPhase is the object built once at import; one
         # Entangle serves both intervals.
         grid = (-1.7, 0.0, 0.3)
         seen = set()
@@ -377,7 +381,7 @@ class TestRefocusedBuilder:
                 res = compile_cnot(RotFrameParams(j, jzz, jp), prefer=prefer,
                                    refocus_qubit=q)
                 seen.add(res.branch)
-                fold = res.branch in ("two_shot_refocus", "general_jprime")
+                fold = res.branch != "xy_single_shot_swapcnot"
                 ops = res.schedule.ops
                 for op in ops:
                     if isinstance(op, GlobalPhase):
@@ -387,4 +391,76 @@ class TestRefocusedBuilder:
                         assert _ROT[op.axis, op.angle, op.qubit] is op
                 intervals = {id(op) for op in ops if isinstance(op, Entangle)}
                 assert len(intervals) == 1, res.branch
-        assert len(seen) == 5
+        assert len(seen) == 4
+
+
+PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+         "y": np.array([[0, -1j], [1j, 0]]),
+         "z": np.diag([1.0 + 0j, -1.0])}
+I2 = np.eye(2, dtype=complex)
+
+
+def field_propagators(schedule, p, fields):
+    """The schedule's product, one per field f of the stack fields, with
+    H = rot_frame_matrix(p) + f during each interval: exp by eigh, and
+    each Rotate as cos(angle / 2) I - i sin(angle / 2) sigma."""
+    w, v = np.linalg.eigh(rot_frame_matrix(p) + fields)
+    u = np.broadcast_to(np.eye(4, dtype=complex), fields.shape)
+    for op in schedule.ops:
+        if isinstance(op, Entangle):
+            step = (v * np.exp(-1j * w * op.duration)[:, None, :]
+                    @ v.conj().transpose(0, 2, 1))
+        elif isinstance(op, Rotate):
+            m = (math.cos(op.angle / 2) * I2
+                 - 1j * math.sin(op.angle / 2) * PAULI[op.axis])
+            step = np.kron(m, I2) if op.qubit == 1 else np.kron(I2, m)
+        else:
+            step = np.exp(1j * op.angle) * np.eye(4)
+        u = step @ u
+    return u
+
+
+class TestZZFrameEcho:
+    """The ZZ frame's echo, a pi pulse on each qubit, flips every part of
+    the coupling but ZZ, and with it any local z field: an idle
+    neighbour's ZZ, a residual detuning or a frequency drift. Every
+    ZZ-frame CNOT is blind to such fields, to all orders."""
+
+    @staticmethod
+    def couplings():
+        # 20 seeded couplings with |J_zz| > r: 4 with r = 0, and J' != 0
+        # in the rest.
+        rng = np.random.default_rng(20091)
+        out = []
+        for k in range(20):
+            jzz = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+            r = 0.0 if k < 4 else abs(jzz) * rng.uniform(0.0, 0.99)
+            theta = rng.uniform(-PI, PI)
+            out.append(RotFrameParams(r * math.cos(theta), jzz,
+                                      r * math.sin(theta)))
+        return out
+
+    Z1, Z2 = np.kron(PAULI["z"], I2), np.kron(I2, PAULI["z"])
+    FIELDS = {"z1": Z1, "z2": Z2, "z1-z2": (Z1 - Z2) / 2}
+
+    @pytest.mark.parametrize("field", ["z1", "z2", "z1-z2"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_blind_to_local_z_fields(self, field, q):
+        # D = |U(+h) - U(-h)| and |U(h) - U(0)|, up to phase, over 17
+        # log-spaced h in [1e-4, 1e-1] max(r, |J_zz|); the eigh
+        # reference itself is exact to ~1e-15.
+        couplings = self.couplings()
+        assert sum(p.j == p.j_prime == 0 for p in couplings) == 4
+        for p in couplings:
+            res = compile_cnot(p, refocus_qubit=q)
+            assert res.branch == "zz_refocus"
+            scale = max(math.hypot(p.j, p.j_prime), abs(p.j_zz))
+            h = scale * np.logspace(-4, -1, 17)[:, None, None]
+            f = self.FIELDS[field]
+            u0, = field_propagators(res.schedule, p, 0 * f[None])
+            assert distance(u0, CNOT) < 1e-13
+            plus = field_propagators(res.schedule, p, h * f)
+            minus = field_propagators(res.schedule, p, -h * f)
+            for up, um in zip(plus, minus):
+                assert distance(up, um, up_to_global_phase=True) < 1e-13
+                assert distance(up, u0, up_to_global_phase=True) < 1e-13

@@ -67,8 +67,7 @@ def test_every_compiled_schedule_is_exact_and_round_trips(
         r = math.hypot(j, j_prime)
         assert math.isclose(res.schedule.total_entangling_time,
                             math.pi / (4 * max(r, abs(j_zz))), rel_tol=1e-12)
-        assert (res.branch in ("zz_refocus", "ising_single_shot")) == (
-            abs(j_zz) > r)
+        assert (res.branch == "zz_refocus") == (abs(j_zz) > r)
     u = simulate_schedule(res.schedule, p)
     assert distance(u, named_gate(res.target_name)) < EXACT
     back = json.loads(json.dumps(res.to_dict()))

@@ -288,13 +288,15 @@ def toggling_reference(p, s, samples):
 
 class TestTrajectory:
     # Drawn under one coupling with J < 0 and J' != 0; compiled, with the
-    # refocusing pulse on qubit 1, on the couplings that pick each branch.
-    # (On qubit 2, the J' = 0 two-shot schedule turns this coupling off
-    # diagonal.)
+    # refocusing pulse on qubit 1, on the couplings that pick each branch,
+    # the ZZ frame with either sign of J_zz. Its echo pulses qubit 2, so
+    # its couplings share DRAWN's fold angle. (A pulse on qubit 2 between
+    # intervals folded at another angle, such as the J' = 0 two-shot
+    # schedule's on qubit 2, turns this coupling off diagonal.)
     DRAWN = RotFrameParams(-0.9, 0.35, 0.6)
 
     @pytest.mark.parametrize("branch,params", [
-        ("ising_single_shot", RotFrameParams(0.0, -1.2, 0.0)),
+        ("zz_refocus", RotFrameParams(-0.6, -1.5, 0.4)),
         ("zz_refocus", RotFrameParams(-0.3, 1.1, 0.2)),
         ("two_shot_refocus", RotFrameParams(-1.0, 0.4, 0.0)),
         ("general_jprime", DRAWN),
@@ -311,6 +313,24 @@ class TestTrajectory:
         assert np.array_equal(traj.times, times)
         area = math.hypot(0.9, 0.6) * res.schedule.total_entangling_time
         assert np.max(np.abs(traj.raw - raw)) <= 1e-15 * area
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("params", [
+        (0.0, 1.2, 0.0), (-0.0, -0.7, 0.0), (0.3, -1.1, -0.5),
+        (-0.2, 0.9, 0.0), (0.0, 1.0, 0.6)])
+    def test_zz_frame_drawn_under_its_own_coupling(self, params, q):
+        # Every ZZ-frame schedule, r = 0 included: the echo flips the XY
+        # area of the first interval back, and J_zz's lands on
+        # (0, 0, +-pi/4), CNOT's class.
+        p = RotFrameParams(*params)
+        res = compile_cnot(p, refocus_qubit=q)
+        assert res.branch == "zz_refocus"
+        traj = trajectory(p, res.schedule, samples_per_interval=3)
+        times, raw = toggling_reference(p, res.schedule, 3)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.raw - raw)) <= 1e-15
+        end = (0.0, 0.0, math.copysign(PI / 4, p.j_zz))
+        assert np.max(np.abs(traj.raw[-1] - end)) <= 1e-15
 
     @pytest.mark.parametrize("times,raw", [
         ([], np.zeros((0, 3))),
@@ -339,6 +359,19 @@ class TestTrajectory:
     def test_times_not_one_per_point_refused(self, times):
         with pytest.raises(ValueError, match="length mismatch"):
             Trajectory(times=times, raw=np.zeros((1, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times,raw", [
+        (None, object()), (None, np.zeros((1, 3))), ([0.0], None),
+        ([0.0], object()), (["0"], np.zeros((1, 3))), ([0.0], [["0"] * 3]),
+        ([0j], np.zeros((1, 3))), ([0.0], np.zeros((1, 3), dtype=complex)),
+        ([0.0, 1.0], [[0, 0, 0], [1, 1]])])
+    def test_non_numeric_values_refused(self, times, raw):
+        # Before, None and objects raised a bare TypeError, complex values
+        # lost their imaginary part with a ComplexWarning, and strings of
+        # digits were read as numbers.
+        with pytest.raises(ValueError, match="real trajectory matrix"):
+            Trajectory(times=times, raw=raw)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p,duration", [

@@ -27,6 +27,15 @@ class TestKron:
     def test_xx(self):
         assert np.allclose(kron(SX, SX), np.fliplr(np.eye(4)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [None, object(), "x", ["1", "0"]])
+    def test_non_numeric_refused(self, bad):
+        # Before, kron(None, None) was nan+nanj and an object a bare
+        # TypeError.
+        for a, b in ((bad, bad), (bad, I2), (I2, bad)):
+            with pytest.raises(ValueError, match="of numbers"):
+                kron(a, b)
+
 
 class TestCouplingOperator:
     def test_matches_kron_sum(self, rng):
@@ -36,6 +45,24 @@ class TestCouplingOperator:
             ref = sum(t[m, n] * kron(paulis[m], paulis[n])
                       for m in range(3) for n in range(3))
             assert np.max(np.abs(qmat.coupling_operator(t) - ref)) < 1e-14
+
+    def test_integer_tensor_accepted(self):
+        assert np.array_equal(qmat.coupling_operator(np.eye(3, dtype=int)),
+                              qmat.coupling_operator(np.eye(3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad,match", [
+        (np.eye(3) * (1 + 0.5j), "not complex128"),
+        (np.eye(3, dtype=complex), "not complex128"),
+        (None, "of numbers"), (object(), "of numbers"),
+        ([["a"] * 3] * 3, "of numbers"),
+        (np.eye(2), "shape"), (np.ones(9), "shape"),
+        (np.ones((3, 3, 1)), "shape")])
+    def test_complex_non_numeric_or_not_3x3_refused(self, bad, match):
+        # Before, a complex tensor lost its imaginary part with a
+        # ComplexWarning and an object raised a bare TypeError.
+        with pytest.raises(ValueError, match=match):
+            qmat.coupling_operator(bad)
 
 
 class TestExpmHermitian:
