@@ -4,8 +4,8 @@ Subcommands: invariants, kak, compile, simulate, trajectory, rwa-scan.
 Matrices travel as JSON 4x4 arrays of [re, im] pairs; couplings as a full
 tensor {"Jxx": ..., "Jzz": ...} or as {"J": ..., "Jzz": ..., "Jprime": ...},
 every key required; schedules as lists of op objects in application order.
---tol (or QGD_TOL) sets the verification tolerance, positive and finite,
-and nothing else.
+--tol sets the verification tolerance, positive and finite, and nothing
+else.
 
 Exit codes: 1 invalid input (unparsable file, bad value, usage error or
 a request too large for memory), 2 non-unitary input, 3 zero coupling,
@@ -93,9 +93,8 @@ def _resolve_params(data: dict) -> hamiltonian.RotFrameParams:
 
 
 @click.group(cls=_Group)
-@click.option("--tol", type=float, envvar="QGD_TOL",
-              default=pulses.VERIFY_TOL, show_default=True,
-              help="Verification tolerance.")
+@click.option("--tol", type=float, default=pulses.VERIFY_TOL,
+              show_default=True, help="Verification tolerance.")
 @click.pass_context
 def main(ctx, tol):
     """Two-qubit gate synthesis toolkit for weakly coupled qubits."""

@@ -20,12 +20,12 @@ constructions:
 
 Each layer, the rotations between two intervals or after the last one,
 holds at most one x/y pulse per qubit; z rotations are virtual frame
-changes (McKay et al., PRA 96, 022330 (2017)). The fixed pulses are built
-once, at import; a compile builds only Rz(+-phi) and one Entangle. Every
-emitted schedule is re-simulated and verified before it is returned, by
-pulses' verification kernel, against CNOT or SWAP*CNOT and their Makhlin
-invariants, checked once, at import, by equivalence's invariants memo; a
-miss raises VerificationFailed.
+changes (McKay et al., PRA 96, 022330 (2017)). The fixed rotations are
+built once, at import; a compile builds only Rz(+-phi), one Entangle and
+its closing GlobalPhase. Every emitted schedule is re-simulated and
+verified before it is returned, by pulses' verification kernel, against
+CNOT or SWAP*CNOT and their Makhlin invariants, checked once, at import,
+by equivalence's invariants memo; a miss raises VerificationFailed.
 """
 from __future__ import annotations
 
@@ -122,14 +122,11 @@ class CompileResult:
 _TARGETS = {name: _invariants(_NAMED_GATES[name].tobytes())[1::-1]
             for name in ("CNOT", "SWAP_CNOT")}
 
-# The fixed pulses, keyed by their fields: R_axis(+-pi/2), R_axis(pi), and
-# the six closing phases.
+# The fixed rotations, keyed by their fields: R_axis(+-pi/2) and
+# R_axis(pi).
 _ROT = {(axis, angle, qubit): Rotate(axis, angle, qubit)
         for axis in "xyz" for angle in (_PI / 2, -_PI / 2, _PI)
         for qubit in (1, 2)}
-_PHASE = {angle: GlobalPhase(angle) for s in (1.0, -1.0)
-          for angle in (_PI / 2 + s * _PI / 4, s * _PI / 4 - _PI / 2,
-                        s * _PI / 2)}
 
 
 def _interval(k: int, rate: float) -> float:
@@ -162,14 +159,14 @@ def _refocused_schedule(p: RotFrameParams,
         echo = (_ROT["x", _PI, q], _ROT["y", _PI, 3 - q])
         head = _ROT["y", -_PI / 2, 2]
         tail = (_ROT["x", -a, 2], _ROT["z", a, 2], _ROT["y", _PI, 1],
-                _ROT["z", a, 1], _PHASE[s * _PI / 4 - _PI / 2])
+                _ROT["z", a, 1], GlobalPhase(s * _PI / 4 - _PI / 2))
     else:  # K = s r XX: A(s pi/4, 0, 0)
         dt = _interval(8, r)
         branch = "two_shot_refocus" if p.j_prime == 0 else "general_jprime"
         echo = (_ROT["x", _PI, q],)
         head = _ROT["y", _PI / 2, 1]
         tail = (_ROT["x", -a, 2], _ROT["y", -_PI / 2, 1], _ROT["z", a, 1],
-                _PHASE[_PI / 2 + s * _PI / 4])
+                GlobalPhase(_PI / 2 + s * _PI / 4))
     e = Entangle(dt)
     if q == 1 and not zz:  # Rx(pi)_1 commutes with Rz(phi)_2
         body = (*into, e, *echo, e, *out)
@@ -184,7 +181,7 @@ def _xy_swapcnot_schedule(p: RotFrameParams) -> tuple[PulseSchedule, float]:
     dt = _interval(4, abs(p.j))
     a = sign * _PI / 2
     ops = (_ROT["y", -_PI / 2, 2], Entangle(dt), _ROT["z", a, 2],
-           _ROT["x", a, 1], _ROT["z", a, 1], _PHASE[a])
+           _ROT["x", a, 1], _ROT["z", a, 1], GlobalPhase(a))
     return PulseSchedule(ops=ops), dt
 
 

@@ -21,8 +21,9 @@ __all__ = ["EntanglerCoords", "canonical_entangler"]
 class EntanglerCoords:
     """A point r = (x, y, z) on the 3-torus of entanglers (period 2*pi).
 
-    Each coordinate is stored as a finite Python float; ValueError names
-    the first one that is not a finite number.
+    Each coordinate is stored as read by qmat._finite, a finite Python
+    float (never -0.0); ValueError names the first one that is not a
+    finite number.
     """
 
     x: float
@@ -30,10 +31,9 @@ class EntanglerCoords:
     z: float
 
     def __post_init__(self):
-        for a, v in zip("xyz", (self.x, self.y, self.z)):
-            if type(v) is not float or not math.isfinite(v):  # else as is
-                object.__setattr__(self, a, _finite(
-                    f"entangler coordinate {a}", v))
+        for a in "xyz":
+            object.__setattr__(self, a, _finite(f"entangler coordinate {a}",
+                                                getattr(self, a)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)

@@ -181,14 +181,13 @@ class KakFactors:
                 @ kron(*self.u_pre))
 
     def to_dict(self) -> dict:
-        # + 0.0 turns a negative zero into 0.0, for the JSON form.
+        # + 0.0 turns a computed negative zero into 0.0, for the JSON form.
         def c2(m):
             return [[[z.real + 0.0, z.imag + 0.0] for z in row]
                     for row in np.asarray(m)]
         return {
             "phase": self.phase + 0.0,
-            "coords": [self.coords.x + 0.0, self.coords.y + 0.0,
-                       self.coords.z + 0.0],
+            "coords": [self.coords.x, self.coords.y, self.coords.z],
             "u_post": [c2(self.u_post[0]), c2(self.u_post[1])],
             "u_pre": [c2(self.u_pre[0]), c2(self.u_pre[1])],
         }

@@ -16,7 +16,7 @@ H0 = -(eps/2)(Z1 + Z2) commutes with the rotating-wave coupling
 ([H0, H_RWA] = 0: both conserve the excitation number), so the
 rotating-wave evolution seen from the lab is e^{-i H0 T} times
 rot_frame_propagator. H0 is diagonal and zero on {|01>, |10>}, so that
-product only rephases the propagator's two corner entries, and the frame
+product only rephases the propagator's |00> and |11> entries, and the frame
 change, being unitary, leaves the distance unchanged: the lab-frame
 comparison is exact and costs two scalar multiplies. rwa_infidelity checks
 its arguments; qmat's kernels then trust the matrices built from them.
@@ -54,19 +54,6 @@ def _number(d: dict, key: str) -> float:
     return qmat._finite(f"coupling JSON {key!r}", d[key])
 
 
-def _float_copy(j) -> np.ndarray | None:
-    """A float copy of j if it is a 3x3 array of bools, integers or reals
-    that float64 holds without overflow; None otherwise."""
-    try:
-        a = np.asarray(j)
-    except (TypeError, ValueError):
-        return None  # ragged, say
-    if (a.shape != (3, 3) or a.dtype.kind not in "biuf"
-            or a.dtype.itemsize > 8):
-        return None
-    return a.astype(float)
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingTensor:
     """3x3 real tensor J_{mu nu}, mu/nu in {x,y,z}, angular-frequency units.
@@ -79,19 +66,14 @@ class CouplingTensor:
     j: np.ndarray
 
     def __post_init__(self):
-        j = _float_copy(self.j)
-        # The sum is finite if every entry is; the rare overflow of finite
-        # entries only takes the path below, which accepts them.
-        if j is None or not math.isfinite(sum(j.ravel().tolist())):
-            # Entry by entry, which names the first bad one. As objects:
-            # numpy would read "0.5" as 0.5 and a complex entry as a bare
-            # TypeError.
-            j = np.asarray(self.j, dtype=object)
-            if j.shape != (3, 3):
-                raise ValueError("coupling tensor must be 3x3")
-            j = np.array([qmat._finite(what, x) for what, x in
-                          zip(_ENTRY_LABELS, j.ravel().tolist())]
-                         ).reshape(3, 3)
+        # One path. Objects, unless an array: numpy would read "0.5" as 0.5
+        # and a complex entry as a bare TypeError; qmat._finite names them.
+        kind = None if isinstance(self.j, np.ndarray) else object
+        j = np.asarray(self.j, dtype=kind)
+        if j.shape != (3, 3):
+            raise ValueError("coupling tensor must be 3x3")
+        j = np.array(list(map(qmat._finite, _ENTRY_LABELS,
+                              j.ravel().tolist()))).reshape(3, 3)
         j.setflags(write=False)
         object.__setattr__(self, "j", j)
 
@@ -120,9 +102,8 @@ class RotFrameParams:
     def __post_init__(self):
         # Python floats: numpy scalars would warn on overflow below.
         for name, what in (("j", "J"), ("j_zz", "J_zz"), ("j_prime", "J'")):
-            object.__setattr__(self, name,
-                               qmat._finite(f"coupling {what}",
-                                            getattr(self, name)))
+            object.__setattr__(self, name, qmat._finite(
+                f"coupling {what}", getattr(self, name)))
         # rot_frame_matrix has spectral radius |J_zz| + 2|J + iJ'|.
         if not math.isfinite(abs(self.j_zz)
                              + 2 * math.hypot(self.j, self.j_prime)):
@@ -232,24 +213,28 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     to e^{-i H0 T} U_RWA, because e^{-i H0 T} is unitary. As
     [H0, H_RWA] = 0, that is e^{-i (H0 + H_RWA) T}, the rotating-wave
     evolution in the lab frame, and e^{-i H0 T} =
-    diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases only its two corners.
+    diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases its |00>, |11> entries.
     ValueError unless eps and t_final are positive and finite; last,
-    naming t_final, when max(eps, sum |J_mn|) t_final > 2^32. That rate
-    bounds the spectral radius of H_lab within a factor of 2, and past
-    2^32 the phase roundoff 2^-52 rate t_final exceeds 2^-20 (~1e-6) rad
-    and the result is noise.
+    naming t_final and before any eigendecomposition, when
+    max(eps, sum |J_mn|) t_final > 2^32. That rate bounds the spectral
+    radius of H_lab within a factor of 2, and past 2^32 the phase
+    roundoff 2^-52 rate t_final exceeds 2^-20 (~1e-6) rad and the result
+    is noise.
     """
     t_final = qmat._real("t_final", t_final)
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("T must be positive and finite")
     eps = qmat._real("eps", eps)
     h, j_sum = _lab_frame(ct, eps)
-    u_lab = qmat._expm_eigh(h, t_final)
-    w = _rot_frame_entries(reduce_coupling(ct), t_final)
+    # The one refusal of a long horizon: past it, no phase can overflow.
     if max(eps, j_sum) * t_final > 2.0 ** 32:
         raise ValueError(f"t_final {t_final!r} is too long: "
                          "max(eps, sum |J|) * t_final exceeds 2^32, where "
                          "its phase roundoff exceeds 1e-6 rad")
-    # rot_frame_propagator's array, e^{-i H0 T} on |00> in its corners.
-    u_rwa = qmat._entangler_array(w, cmath.exp(1j * (eps * t_final)))
+    u_lab = qmat._expm_eigh(h, t_final)
+    w = _rot_frame_entries(reduce_coupling(ct), t_final)
+    # rot_frame_propagator's array, e^{-i H0 T} on its |00> and |11> entries.
+    u_rwa = qmat._entangler_array(w)
+    drift = cmath.exp(1j * (eps * t_final))
+    u_rwa[0, 0], u_rwa[3, 3] = w[0] * drift, w[0] * drift.conjugate()
     return qmat._phase_distance(u_lab, u_rwa)

@@ -62,9 +62,8 @@ class Rotate:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"bad axis {self.axis!r}")
-        # + 0.0 turns a negative zero into 0.0, for the JSON and text forms.
         object.__setattr__(self, "angle",
-                           _finite("rotation angle", self.angle) + 0.0)
+                           _finite("rotation angle", self.angle))
         qubit = _exact_int(self.qubit)
         if qubit not in (1, 2):
             raise ValueError(f"bad qubit index {self.qubit!r}")
@@ -80,7 +79,7 @@ class Entangle:
     duration: float
 
     def __post_init__(self):
-        duration = _finite("duration", self.duration) + 0.0
+        duration = _finite("duration", self.duration)
         if duration < 0:
             raise ValueError(f"duration {duration} is negative")
         object.__setattr__(self, "duration", duration)
@@ -93,8 +92,7 @@ class GlobalPhase:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle",
-                           _finite("phase angle", self.angle) + 0.0)
+        object.__setattr__(self, "angle", _finite("phase angle", self.angle))
 
 
 # The op set: each kind's JSON name and right-to-left text form, which

@@ -4,8 +4,8 @@ Pauli operators, Kronecker products, the magic (Bell) basis, exact as
 _MAGIC2 = sqrt(2) Q, with the diagonals of XX, YY and ZZ in it (GEN_DIAGS,
 exactly +-1), the two-qubit coupling operator of a 3x3 tensor, Hermitian
 matrix exponentials and unitary distance metrics, and the number rules of
-every scalar input (_real, _finite, _exact_int) and the type rule of the
-package's value arguments (_require_type).
+every scalar input (_real, _finite, which reads -0.0 as 0.0, _exact_int)
+and the type rule of the package's value arguments (_require_type).
 Every generator the package evolves under is constant over its interval.
 One closed form, _entangler, gives the five distinct entries of A; _step
 forms E (a (x) b) from them and a layer's 2x2 entries (with _ID_W, a (x) b
@@ -81,11 +81,13 @@ def _real(what: str, value) -> float:
 
 
 def _finite(what: str, value) -> float:
-    """value as a finite Python float; ValueError for anything else."""
+    """value as a finite Python float, -0.0 read as 0.0; ValueError for
+    anything else. The one reader of a finite real: op angles and
+    durations, couplings, tensor entries, coordinates, tolerances."""
     x = value if type(value) is float else _real(what, value)
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not a finite number")
-    return x
+    return x + 0.0
 
 
 def _exact_int(n) -> int | None:
@@ -165,17 +167,13 @@ def _step(w: tuple, a: tuple, b: tuple) -> np.ndarray:
                     dtype=complex).reshape(4, 4)
 
 
-def _entangler_array(w: tuple, corner: complex = 1.0) -> np.ndarray:
-    """The 4x4 array of _entangler's entries w, its [0, 0] entry times
-    corner and its [3, 3] entry times corner^*."""
+def _entangler_array(w: tuple) -> np.ndarray:
+    """The 4x4 array of _entangler's entries w."""
     a, b, e, f, g = w
-    d = a
-    if corner != 1.0:  # times 1 + 0j could flip the sign of a zero
-        a, d = a * corner, a * corner.conjugate()
     return np.array((a, 0j, 0j, b,
                      0j, e, f, 0j,
                      0j, g, e, 0j,
-                     b, 0j, 0j, d), dtype=complex).reshape(4, 4)
+                     b, 0j, 0j, a), dtype=complex).reshape(4, 4)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -116,10 +116,22 @@ class TestInvariantsCmd:
         assert refused(result, 1)
 
 
-@pytest.mark.parametrize("command", ["invariants", "kak"])
-@pytest.mark.parametrize("gate", ["I", "CNOT", "CZ", "SWAP"])
-def test_json_carries_no_negative_zero(runner, command, gate):
-    result = runner.invoke(main, [command, "--gate", gate])
+NEGATIVE_ZERO_TENSOR = {**{f"J{a}{b}": 0.0 for a in "xyz" for b in "xyz"},
+                        "Jxx": -0.0, "Jyy": -0.0, "Jzz": 1.0}
+
+
+@pytest.mark.parametrize("command, source", [
+    *(pytest.param(c, g, id=f"{g}-{c}") for g in ("I", "CNOT", "CZ", "SWAP")
+      for c in ("invariants", "kak")),
+    pytest.param("compile", {"J": -0.0, "Jzz": 1.0, "Jprime": -0.0},
+                 id="reduced-compile"),
+    pytest.param("compile", NEGATIVE_ZERO_TENSOR, id="tensor-compile"),
+])
+def test_json_carries_no_negative_zero(runner, tmp_path, command, source):
+    # A coupling of -0.0 compiles with "J": 0.0 in its params.
+    args = (["--gate", source] if isinstance(source, str)
+            else ["--input", write_json(tmp_path, "c.json", source)])
+    result = runner.invoke(main, [command, *args])
     assert result.exit_code == 0
     assert not re.search(r"-0\.0(?![0-9e])", result.output)
 
@@ -403,11 +415,17 @@ class TestErrorBoundary:
         # --tol inf would pass any schedule, however far from CNOT.
         cpl = write_json(tmp_path, "c.json",
                          {"J": 1.0, "Jzz": 1e308, "Jprime": 0.0})
-        for args, env in ((["--tol", tol], {}), ([], {"QGD_TOL": tol})):
-            result = runner.invoke(main, [*args, "compile", "--input", cpl],
-                                   env=env)
-            assert refused(result, 1)
-            assert result.stdout == ""
+        result = runner.invoke(main, ["--tol", tol, "compile", "--input", cpl])
+        assert refused(result, 1)
+        assert result.stdout == ""
+
+    def test_tol_reads_no_environment_variable(self, runner, tmp_path):
+        # --tol is the only setter: QGD_TOL=nan once refused every run.
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.2, "Jprime": 0.0})
+        result = runner.invoke(main, ["compile", "--input", cpl],
+                               env={"QGD_TOL": "nan"})
+        assert result.exit_code == 0, result.output
 
     def test_out_of_memory_exit_1(self, runner, tmp_path):
         # 800 PB of sample times exceeds even a 2^57-byte address space,

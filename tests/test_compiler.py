@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qgd import compiler
-from qgd.compiler import (_PHASE, _ROT, CNOT, CZ, SWAP, compile_cnot,
+from qgd.compiler import (_ROT, CNOT, CZ, SWAP, compile_cnot,
                           controlled_phase, named_gate)
 from qgd.errors import UnknownGate, VerificationFailed, ZeroCoupling
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
@@ -369,9 +369,12 @@ class TestRefocusedBuilder:
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_fixed_pulses_come_from_the_table(self, q):
-        # Every Rotate but the fold's Rz(+-phi)_2, each +-pi/2 or pi, and
-        # every GlobalPhase is the object built once at import; one
-        # Entangle serves both intervals.
+        # Every Rotate but the fold's Rz(+-phi)_2, each +-pi/2 or pi, is
+        # the object built once at import; every GlobalPhase closes at one
+        # of six angles; one Entangle serves both intervals.
+        phases = {angle for s in (1.0, -1.0)
+                  for angle in (PI / 2 + s * PI / 4, s * PI / 4 - PI / 2,
+                                s * PI / 2)}
         grid = (-1.7, 0.0, 0.3)
         seen = set()
         for prefer in ("auto", "cnot"):
@@ -385,7 +388,7 @@ class TestRefocusedBuilder:
                 ops = res.schedule.ops
                 for op in ops:
                     if isinstance(op, GlobalPhase):
-                        assert _PHASE[op.angle] is op
+                        assert op.angle in phases
                     elif isinstance(op, Rotate) and not (
                             fold and op.axis == "z" and op.qubit == 2):
                         assert _ROT[op.axis, op.angle, op.qubit] is op

@@ -88,6 +88,9 @@ class TestCoordsWrap:
         c = EntanglerCoords(np.float64(0.1), 1, np.int64(-2))
         assert [type(v) for v in (c.x, c.y, c.z)] == [float] * 3
         assert (c.x, c.y, c.z) == (0.1, 1.0, -2.0)
+        # -0.0 reads as 0.0.
+        c = EntanglerCoords(-0.0, np.float64(-0.0), -0.0)
+        assert [math.copysign(1.0, v) for v in (c.x, c.y, c.z)] == [1.0] * 3
 
     @pytest.mark.parametrize("axis", "xyz")
     @pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -163,6 +164,42 @@ class TestCouplingTensor:
         with pytest.raises(ValueError, match="3x3"):
             CouplingTensor(bad)
 
+    @pytest.mark.parametrize("src, expected", [
+        pytest.param([[0.0, "0.5", 0.0], [0.0] * 3, [0.0] * 3],
+                     "entry Jxy '0.5' is not a finite number", id="string"),
+        pytest.param([[0.0] * 3, [0.0] * 3, [None, 0.0, 0.0]],
+                     "entry Jzx None is not a finite number", id="none"),
+        pytest.param(np.eye(3, dtype=bool), np.eye(3), id="bool_array"),
+        pytest.param(np.full((3, 3), 1e308), np.full((3, 3), 1e308),
+                     id="overflowing_sum"),
+        pytest.param([[0.0] * 3, [0.0, 0.0, math.nan], [0.0] * 3],
+                     "entry Jyz nan is not a finite number", id="nan"),
+        pytest.param(np.eye(3, dtype=np.longdouble), np.eye(3),
+                     id="longdouble"),
+        pytest.param(np.eye(3, dtype=complex),
+                     re.escape("entry Jxx (1+0j) is not a finite number"),
+                     id="complex_array"),
+        pytest.param([[0.0] * 3, [0.0, 10 ** 400, 0.0], [0.0] * 3],
+                     f"entry Jyy {10 ** 400} is not a finite number",
+                     id="huge_int"),
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+                     "coupling tensor must be 3x3", id="ragged"),
+    ])
+    def test_one_check_path(self, src, expected):
+        # Every input takes the one path: the value, or the message that
+        # names the first bad entry.
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                CouplingTensor(src)
+        else:
+            j = CouplingTensor(src).j
+            assert j.dtype == float
+            assert np.array_equal(j, expected)
+
+    def test_negative_zero_entries_read_as_zero(self):
+        for src in (np.full((3, 3), -0.0), [[-0.0] * 3] * 3):
+            assert not np.signbit(CouplingTensor(src).j).any()
+
 
 class TestRotFrameParams:
     def test_fold(self, rng):
@@ -177,6 +214,13 @@ class TestRotFrameParams:
             r = math.hypot(j, jp)
             assert abs(s * r * cmath.exp(1j * phi) - complex(j, jp)) \
                 < 1e-15 * r
+
+    def test_negative_zero_reads_as_zero(self):
+        # The JSON of a compile result then carries no "J": -0.0.
+        p = RotFrameParams(-0.0, np.float64(-0.0), -0.0)
+        assert [math.copysign(1.0, v) for v in (p.j, p.j_zz, p.j_prime)
+                ] == [1.0] * 3
+        assert p.fold == (1.0, 0.0)
 
     def test_fold_quadrants(self):
         assert RotFrameParams(1.0, 0.0, 1.0).fold == (1.0, math.pi / 4)
@@ -430,12 +474,24 @@ class TestRwaInfidelity:
             rwa_infidelity(ct, 2.0, too_long)
 
     def test_overflowing_drift_phase_raises_without_warning(self):
-        # eps T overflows: the lab exponential refuses it first.
+        # eps T overflows: the horizon guard refuses it, on Python floats.
         ct = CouplingTensor(np.eye(3) * 1e-2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="phase overflows"):
+            with pytest.raises(ValueError, match="t_final 10000000000.0 is "
+                                                 "too long"):
                 rwa_infidelity(ct, 1e300, 1e10)
+
+    @pytest.mark.parametrize("eps, t_final", [(2.0, 2.0 ** 32),
+                                              (1e300, 1e10)])
+    def test_long_horizon_refused_before_any_eigendecomposition(
+            self, monkeypatch, eps, t_final):
+        def eigh(*args):
+            raise AssertionError("eigendecomposition ran")
+        monkeypatch.setattr(qmat, "_expm_eigh", eigh)
+        ct = CouplingTensor(np.eye(3) * 1e-2)
+        with pytest.raises(ValueError, match=f"t_final {t_final!r} is too"):
+            rwa_infidelity(ct, eps, t_final)
 
     @pytest.mark.parametrize("eps", [1.0, np.float64(1.0), np.float32(1.0),
                                      1, np.int64(1)])

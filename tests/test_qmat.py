@@ -132,6 +132,14 @@ class TestNumberRule:
         assert type(x) is float
         assert x == expected or (math.isnan(x) and math.isnan(expected))
 
+    @pytest.mark.parametrize("value", [-0.0, np.float64(-0.0),
+                                       np.float32(-0.0), 0.0, 0],
+                             ids=["float", "float64", "float32", "zero",
+                                  "int"])
+    def test_finite_reads_negative_zero_as_zero(self, value):
+        x = qmat._finite("v", value)
+        assert type(x) is float and math.copysign(1.0, x) == 1.0
+
     @pytest.mark.parametrize("value", ["1", None, [1.0], 1j,
                                        np.array(1.0)])
     def test_non_numbers_named(self, value):
