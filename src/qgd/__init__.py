@@ -1,18 +1,19 @@
 """Two-qubit quantum gate synthesis for weakly coupled qubits.
 
 Re-exports the public names of: error types with exit codes (errors),
-the 4x4 matrix algebra (qmat), coupling reduction and the frame
-Hamiltonians (hamiltonian), the entangler A(x,y,z) and its coordinates
+the 4x4 matrix algebra (qmat; it has no public exponential), coupling
+reduction, the rotating-frame Hamiltonian and propagator, and the
+rotating-wave check, which builds the lab-frame Hamiltonian itself
+(hamiltonian), the entangler A(x,y,z) and its coordinates
 (entangler), Makhlin invariants and KAK (equivalence), pulse schedules,
 simulation, trajectories as unwrapped Trajectory paths, and verification
 (pulses), and the CNOT compiler (compiler). qgd.cli holds the
 command-line front end.
 """
-from .errors import (NonHermitianInput, NotUnitary, QgdError, UnknownGate,
-                     UnsupportedOp, VerificationFailed, ZeroCoupling)
-from .qmat import distance, expm_hermitian
-from .hamiltonian import (CouplingTensor, RotFrameParams,
-                          lab_frame_hamiltonian, reduce_coupling,
+from .errors import (NotUnitary, QgdError, UnknownGate, UnsupportedOp,
+                     VerificationFailed, ZeroCoupling)
+from .qmat import distance
+from .hamiltonian import (CouplingTensor, RotFrameParams, reduce_coupling,
                           rot_frame_matrix, rot_frame_propagator,
                           rwa_infidelity)
 from .entangler import EntanglerCoords, canonical_entangler

@@ -6,10 +6,6 @@ class QgdError(Exception):
     exit_code = 1
 
 
-class NonHermitianInput(QgdError):
-    """A generator failed the Hermiticity check."""
-
-
 class NotUnitary(QgdError):
     """A matrix failed the unitarity check."""
     exit_code = 2

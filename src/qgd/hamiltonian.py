@@ -1,6 +1,7 @@
-"""Lab-frame and rotating-frame Hamiltonians for a pair of weakly
-coupled qubits, and the reduction of the 9-component coupling tensor to
-the 3 effective rotating-frame parameters (J, J_zz, J').
+"""The rotating-frame Hamiltonian and propagator of a pair of weakly
+coupled qubits, the reduction of the 9-component coupling tensor to the
+3 effective rotating-frame parameters (J, J_zz, J'), and the check of
+that reduction in the lab frame.
 
 Both coupling Hamiltonians are qmat.coupling_operator of a 3x3 tensor:
 J_{mu nu} itself in the lab frame, and its rotating-wave part
@@ -9,17 +10,19 @@ rot_frame_matrix (pulses.trajectory toggles it in the magic basis). With
 (s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
 form of A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, the frame
 of the compiler's wraps (simulation reads its five entries,
-_rot_frame_entries); only the lab frame needs an eigendecomposition.
+_rot_frame_entries).
 
-rwa_infidelity compares the two in the lab frame. The drift
-H0 = -(eps/2)(Z1 + Z2) commutes with the rotating-wave coupling
+rwa_infidelity compares the two in the lab frame; it alone builds the
+lab-frame Hamiltonian, whose exponential has no closed form, and calls
+qmat's one eigendecomposition, _expm_eigh. The drift H0 = -(eps/2)(Z1 + Z2)
+commutes with the rotating-wave coupling
 ([H0, H_RWA] = 0: both conserve the excitation number), so the
 rotating-wave evolution seen from the lab is e^{-i H0 T} times
 rot_frame_propagator. H0 is diagonal and zero on {|01>, |10>}, so that
 product only rephases the propagator's |00> and |11> entries, and the frame
 change, being unitary, leaves the distance unchanged: the lab-frame
 comparison is exact and costs two scalar multiplies. rwa_infidelity checks
-its arguments; qmat's kernels then trust the matrices built from them.
+its arguments once; qmat's kernels then trust the matrices built from them.
 
 Basis ordering |00>, |01>, |10>, |11> with qubit 1 the left tensor
 factor; |0> is the lower eigenstate of -(eps/2) sigma^z.
@@ -37,7 +40,6 @@ from . import qmat
 __all__ = [
     "CouplingTensor", "RotFrameParams",
     "reduce_coupling", "rot_frame_matrix", "rot_frame_propagator",
-    "lab_frame_hamiltonian",
     "rwa_infidelity",
 ]
 
@@ -83,12 +85,6 @@ class CouplingTensor:
             raise ValueError("coupling JSON must be an object")
         return cls(j=np.array([[_number(d, f"J{a}{b}") for b in _AXES]
                                for a in _AXES]))
-
-    def to_dict(self) -> dict:
-        out = {f"J{a}{b}": float(self.j[i, k])
-               for i, a in enumerate(_AXES) for k, b in enumerate(_AXES)}
-        out["unit"] = "angular frequency"
-        return out
 
 
 @dataclass(frozen=True)
@@ -173,64 +169,47 @@ def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     return qmat._entangler_array(_rot_frame_entries(p, t))
 
 
-def lab_frame_hamiltonian(ct: CouplingTensor, eps: float) -> np.ndarray:
-    """Lab-frame Hamiltonian of two undriven qubits tuned to the same
-    splitting eps:
+def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
+    """Phase-insensitive distance between the exact rotating-frame
+    propagator and the rotating-wave-approximated one.
 
-    H = -(eps/2)(Z1 + Z2) + sum_{mu nu} J_{mu nu} sigma_1^mu sigma_2^nu.
-    Raises ValueError unless eps is positive and finite and so is
-    eps + sum |J_{mu nu}|.
+    H_lab = -(eps/2)(Z1 + Z2) + sum J_mn sigma_1^m sigma_2^n, two undriven
+    qubits tuned to eps, is built here, Hermitian bit for bit, and is
+    constant, so U_lab = e^{-i H_lab T} exactly (the one
+    eigendecomposition). The comparison is made in the lab frame, with no
+    approximation: for H0 = -(eps/2)(Z1 + Z2), the distance of
+    U_rot = e^{+i H0 T} U_lab to U_RWA, the rot_frame_propagator of the
+    reduced couplings, equals that of U_lab to e^{-i H0 T} U_RWA, because
+    e^{-i H0 T} is unitary. As [H0, H_RWA] = 0, that is
+    e^{-i (H0 + H_RWA) T}, the rotating-wave evolution in the lab frame,
+    and e^{-i H0 T} = diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases its
+    |00>, |11> entries. ValueError unless eps, t_final and
+    eps + sum |J_mn| are positive and finite; last, naming t_final and
+    before any eigendecomposition, when max(eps, sum |J_mn|) t_final >
+    2^32. That rate bounds the spectral radius of H_lab within a factor
+    of 2, and past 2^32 the phase roundoff 2^-52 rate t_final exceeds
+    2^-20 (~1e-6) rad and the result is noise.
     """
-    return _lab_frame(ct, eps)[0]
-
-
-def _lab_frame(ct: CouplingTensor, eps) -> tuple:
-    """(lab_frame_hamiltonian(ct, eps), sum |J_mn|): Hermitian bit for bit."""
-    qmat._require_type(ct, CouplingTensor)
+    t_final = qmat._real("t_final", t_final)
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ValueError("T must be positive and finite")
     eps = qmat._real("eps", eps)
+    qmat._require_type(ct, CouplingTensor)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     # Summed on Python floats: an overflow is inf, not a numpy warning.
     j_sum = sum(map(abs, ct.j.ravel().tolist()))
     if not math.isfinite(eps + j_sum):
         raise ValueError("coupling tensor too large: eps + sum |J| overflows")
-    # The drift diag(-eps, 0, 0, eps): both qubits tuned to eps.
-    h = qmat._coupling_operator(ct.j)
-    h[0, 0] -= eps
-    h[3, 3] += eps
-    return h, j_sum
-
-
-def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
-    """Phase-insensitive distance between the exact rotating-frame
-    propagator and the rotating-wave-approximated one.
-
-    The lab-frame Hamiltonian is constant, so U_lab = e^{-i H_lab T}
-    exactly (the one eigendecomposition). The comparison is made in the
-    lab frame, with no approximation: for H0 = -(eps/2)(Z1 + Z2), the
-    distance of U_rot = e^{+i H0 T} U_lab to U_RWA, the
-    rot_frame_propagator of the reduced couplings, equals that of U_lab
-    to e^{-i H0 T} U_RWA, because e^{-i H0 T} is unitary. As
-    [H0, H_RWA] = 0, that is e^{-i (H0 + H_RWA) T}, the rotating-wave
-    evolution in the lab frame, and e^{-i H0 T} =
-    diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases its |00>, |11> entries.
-    ValueError unless eps and t_final are positive and finite; last,
-    naming t_final and before any eigendecomposition, when
-    max(eps, sum |J_mn|) t_final > 2^32. That rate bounds the spectral
-    radius of H_lab within a factor of 2, and past 2^32 the phase
-    roundoff 2^-52 rate t_final exceeds 2^-20 (~1e-6) rad and the result
-    is noise.
-    """
-    t_final = qmat._real("t_final", t_final)
-    if not (t_final > 0 and math.isfinite(t_final)):
-        raise ValueError("T must be positive and finite")
-    eps = qmat._real("eps", eps)
-    h, j_sum = _lab_frame(ct, eps)
     # The one refusal of a long horizon: past it, no phase can overflow.
     if max(eps, j_sum) * t_final > 2.0 ** 32:
         raise ValueError(f"t_final {t_final!r} is too long: "
                          "max(eps, sum |J|) * t_final exceeds 2^32, where "
                          "its phase roundoff exceeds 1e-6 rad")
+    # H_lab: the coupling plus the drift diag(-eps, 0, 0, eps).
+    h = qmat._coupling_operator(ct.j)
+    h[0, 0] -= eps
+    h[3, 3] += eps
     u_lab = qmat._expm_eigh(h, t_final)
     w = _rot_frame_entries(reduce_coupling(ct), t_final)
     # rot_frame_propagator's array, e^{-i H0 T} on its |00> and |11> entries.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -107,12 +107,17 @@ _OP_BY_NAME = {name: cls for cls, (name, _) in _OPS.items()}
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered Rotate, Entangle and GlobalPhase ops, first-applied first."""
+    """Ordered Rotate, Entangle and GlobalPhase ops, first-applied first,
+    from any iterable that keeps an order: a set, a mapping or a string
+    raises ValueError."""
 
     ops: tuple
 
     def __post_init__(self):
         _require_type(self.ops, Iterable)
+        if isinstance(self.ops, (Set, Mapping, str)):
+            raise ValueError(f"schedule ops must be an ordered sequence, "
+                             f"not a {type(self.ops).__name__}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if type(op) not in _OPS:
@@ -333,7 +338,7 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
                     target_name: str = "") -> VerificationReport:
     """Simulate a schedule and report exact, phase-insensitive, and
     local-class distances from the target; the pass flag follows mode.
-    tol must be positive and finite.
+    tol must be positive and finite, and target_name a str.
 
     The target is checked, before simulation, by the invariants memo of
     makhlin_invariants, keyed by content (the bytes of the 4x4 complex
@@ -344,6 +349,7 @@ def verify_schedule(s: PulseSchedule, p: RotFrameParams,
     if mode not in ("exact", "exact_up_to_phase", "local_class"):
         raise ValueError(f"bad mode {mode!r}")
     limit = _tolerance(tol)
+    _require_type(target_name, str)
     target_inv, target, _ = equivalence._invariants(
         qmat._as_4x4(target).tobytes())
     return _verify(s, p, target, target_inv, mode, limit, target_name)

@@ -2,17 +2,18 @@
 
 Pauli operators, Kronecker products, the magic (Bell) basis, exact as
 _MAGIC2 = sqrt(2) Q, with the diagonals of XX, YY and ZZ in it (GEN_DIAGS,
-exactly +-1), the two-qubit coupling operator of a 3x3 tensor, Hermitian
-matrix exponentials and unitary distance metrics, and the number rules of
-every scalar input (_real, _finite, which reads -0.0 as 0.0, _exact_int)
-and the type rule of the package's value arguments (_require_type).
+exactly +-1), the two-qubit coupling operator of a 3x3 tensor, unitary
+distance metrics, and the number rules of every scalar input (_real,
+_finite, which reads -0.0 as 0.0, _exact_int) and the type rule of the
+package's value arguments (_require_type).
 Every generator the package evolves under is constant over its interval.
 One closed form, _entangler, gives the five distinct entries of A; _step
 forms E (a (x) b) from them and a layer's 2x2 entries (with _ID_W, a (x) b
-alone), and _entangler_array lays them out as a 4x4 array. The general
-exponential here, an eigendecomposition, serves only the lab frame, whose
-Hamiltonian has no such form. There is no time-ordered product.
-The public functions check their input (numeric dtype, shape, symmetry);
+alone), and _entangler_array lays them out as a 4x4 array. There is no
+public exponential: the one eigendecomposition, _expm_eigh, serves only
+hamiltonian.rwa_infidelity's lab frame, whose Hamiltonian has no closed
+form. There is no time-ordered product.
+The public functions check their input (numeric dtype, shape, unitarity);
 their kernels, _coupling_operator, _expm_eigh, _distance and
 _phase_distance, trust what the package built.
 Everything here is a pure function of its arguments.
@@ -24,17 +25,15 @@ import numbers
 
 import numpy as np
 
-from .errors import NonHermitianInput, NotUnitary
+from .errors import NotUnitary
 
 __all__ = [
-    "I2", "I4", "SX", "SY", "SZ", "PAULI_PAIRS",
-    "MAGIC", "MAGIC_DAG", "GEN_DIAGS",
-    "kron", "coupling_operator", "require_hermitian", "require_unitary",
-    "expm_hermitian", "distance",
+    "I2", "SX", "SY", "SZ", "MAGIC", "MAGIC_DAG", "GEN_DIAGS",
+    "kron", "coupling_operator", "require_unitary", "distance",
 ]
 
-# Tolerances of the algebraic-identity checks: a generator must be
-# Hermitian to roundoff, an input gate unitary to the verification scale.
+# Tolerances of the algebraic-identity checks: a toggled coupling must be
+# diagonal to roundoff, an input gate unitary to the verification scale.
 ALGEBRA_TOL = 1e-12
 UNITARY_TOL = 1e-9
 
@@ -214,21 +213,6 @@ def _numeric(m, what: str, kinds: str = "biufc") -> np.ndarray:
     return m.astype(complex if "c" in kinds else float, copy=False)
 
 
-def require_hermitian(h: np.ndarray) -> np.ndarray:
-    """h as a complex square matrix, if finite and Hermitian to ALGEBRA_TOL."""
-    h = _numeric(h, "square")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    # One reduction, as in require_unitary: a nan or inf entry makes its
-    # own or its mirror's deviation nan or inf, which fails the < test.
-    with np.errstate(invalid="ignore", over="ignore"):
-        deviation = np.abs(h - h.conj().T).max()
-    if not deviation < ALGEBRA_TOL:
-        raise NonHermitianInput(
-            f"matrix deviates from Hermiticity by more than {ALGEBRA_TOL}")
-    return h
-
-
 def _as_4x4(u) -> np.ndarray:
     """u as a complex 4x4 array; ValueError for anything else."""
     u = _numeric(u, "4x4")
@@ -253,23 +237,12 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{-i h t} for Hermitian h, via eigendecomposition.
-
-    The general exponential, for the lab-frame Hamiltonian only: the
-    rotating-frame and entangler propagators are closed forms. Exactly
-    unitary up to eigensolver accuracy; NonHermitianInput if the symmetry
-    check fails, ValueError if h is no square numeric matrix, t no number
-    or the largest phase, spectral radius times |t|, not finite.
-    """
-    return _expm_eigh(require_hermitian(h), t)
-
-
-def _expm_eigh(h: np.ndarray, t) -> np.ndarray:
-    """expm_hermitian of a Hermitian complex array h, unchecked; checks t."""
+def _expm_eigh(h: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i h t} of a Hermitian complex array h and a Python float t, via
+    eigendecomposition, unchecked: the lab frame's one exponential. The
+    caller owns the bound on the phase, spectral radius times |t|;
+    rwa_infidelity refuses any horizon past 2^32 before it calls this."""
     w, v = np.linalg.eigh(h)
-    w_list = w.tolist()  # sorted
-    t = _require_finite_phase(max(-w_list[0], w_list[-1]), t)
     return (v * np.exp(w * (-1j * t))) @ v.conj().T
 
 

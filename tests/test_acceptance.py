@@ -14,9 +14,9 @@ from qgd.equivalence import (kak_decompose, locally_equivalent,
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams, rot_frame_matrix,
                              rwa_infidelity)
 from qgd.pulses import simulate_schedule
-from qgd.qmat import I2, SX, distance, expm_hermitian
+from qgd.qmat import I2, SX, distance
 
-from conftest import haar_unitary
+from conftest import expm_h, haar_unitary
 
 PI = math.pi
 # Rx(pi) on qubit 1: e^{-i pi X / 2} = -i X, and its inverse i X.
@@ -33,7 +33,7 @@ def time_ordered(segments):
     """Product of e^{-i h dt} over (h, dt) segments, later on the left."""
     u = np.eye(4, dtype=complex)
     for h, dt in segments:
-        u = expm_hermitian(h, dt) @ u
+        u = expm_h(h, dt) @ u
     return u
 
 
@@ -136,8 +136,7 @@ def test_area_theorem_profiles():
         return rot_frame_matrix(RotFrameParams(j, jzz, 0.0))
 
     # constant
-    u_const = expm_hermitian(h_of(area_j / t_final, area_zz / t_final),
-                             t_final)
+    u_const = expm_h(h_of(area_j / t_final, area_zz / t_final), t_final)
     # triangular (midpoint samples; J' = 0 generators commute, so the
     # midpoint rule is exact for piecewise-linear profiles)
     peak_j = 2 * area_j / t_final

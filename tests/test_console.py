@@ -1,5 +1,6 @@
 """The console script end to end: every command of the README run as a
-subprocess, with golden values and bounds. qgd is the script that
+subprocess, with golden values and bounds, and the README's CLI lines
+run as written. qgd is the script that
 [project.scripts] installs when it is on PATH, and python -m qgd.cli with
 src on PYTHONPATH otherwise."""
 import csv
@@ -8,6 +9,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 SCRIPT = shutil.which("qgd")
 
 COUPLING = {"J": 1.0, "Jzz": 0.2, "Jprime": 0.1}
@@ -114,3 +117,34 @@ def test_rwa_scan_prints_one_row_per_ratio(work, coupling):
     assert header == "ratio,infidelity"
     assert len(rows) == 2
     assert all(re.fullmatch(r"[0-9.e+-]+,[0-9.e+-]+", r) for r in rows)
+
+
+def readme_cli_lines():
+    """The qgd lines of the sh blocks in the README's CLI section, with
+    their comments dropped."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [line.split("#", 1)[0].strip()
+            for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+            for line in block.splitlines() if line.startswith("qgd ")]
+
+
+def test_readme_cli_lines_run(tmp_path):
+    # In order, each "> file" honoured; sched.json is the schedule of
+    # result.json, which the README extracts with jq.
+    from qgd import cli
+    lines = readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == set(cli.main.commands)
+    (tmp_path / "coupling.json").write_text(json.dumps(COUPLING))
+    for line in lines:
+        words, out = shlex.split(line), None
+        if ">" in words:
+            words, out = words[:words.index(">")], words[-1]
+        stdout = qgd(*words[1:], cwd=tmp_path)
+        if out is not None:
+            (tmp_path / out).write_text(stdout)
+        if out == "result.json":
+            (tmp_path / "sched.json").write_text(
+                json.dumps(json.loads(stdout)["schedule"]))
+    json.loads((tmp_path / "result.json").read_text())
+    assert (tmp_path / "traj.csv").read_text().startswith("t,x,y,z\n")

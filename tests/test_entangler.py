@@ -7,7 +7,9 @@ import pytest
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import locally_equivalent
 from qgd.hamiltonian import RotFrameParams, rot_frame_matrix
-from qgd.qmat import distance, expm_hermitian
+from qgd.qmat import distance
+
+from conftest import expm_h
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -78,7 +80,7 @@ class TestCanonicalEntangler:
         j, jzz = rng.uniform(-1, 1, size=2)
         t = 0.9
         h = rot_frame_matrix(RotFrameParams(j, jzz, 0.0))
-        u = expm_hermitian(h, t)
+        u = expm_h(h, t)
         a = canonical_entangler(EntanglerCoords(j * t, j * t, jzz * t))
         assert distance(u, a) < 1e-10
 

@@ -490,10 +490,9 @@ _STRINGS = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
             ["0", "0", "0", "1"], ["0", "0", "1", "0"]]
 
 
-@pytest.mark.parametrize("entry", [qmat.expm_hermitian, makhlin_invariants,
-                                   kak_decompose, _verify_target,
-                                   _distance_either_side],
-                         ids=["expm", "makhlin", "kak", "verify_schedule",
+@pytest.mark.parametrize("entry", [makhlin_invariants, kak_decompose,
+                                   _verify_target, _distance_either_side],
+                         ids=["makhlin", "kak", "verify_schedule",
                               "distance"])
 @pytest.mark.parametrize("bad, dtype", [
     (_STRINGS, "<U1"), ([row[:2] for row in _STRINGS[:2]], "<U1"),
@@ -507,8 +506,8 @@ def test_entry_points_refuse_non_numbers(entry, bad, dtype):
     # numpy would otherwise parse "1" as 1.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"expected a (4x4|square) "
-                           rf"matrix of numbers, not {dtype}"):
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix of "
+                           rf"numbers, not {dtype}"):
             entry(bad)
 
 

@@ -8,11 +8,12 @@ import pytest
 
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
-                             lab_frame_hamiltonian, reduce_coupling,
-                             rot_frame_matrix, rot_frame_propagator,
-                             rwa_infidelity)
+                             reduce_coupling, rot_frame_matrix,
+                             rot_frame_propagator, rwa_infidelity)
 from qgd import qmat
-from qgd.qmat import I2, SX, SY, SZ, distance, expm_hermitian, kron
+from qgd.qmat import I2, SX, SY, SZ, distance, kron
+
+from conftest import expm_h, lab_hamiltonian
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -34,6 +35,25 @@ def tensor(**kw):
     for key, val in kw.items():
         j[idx[key[0]], idx[key[1]]] = val
     return CouplingTensor(j=j)
+
+
+class _Built(Exception):
+    """Carries the Hamiltonian that rwa_infidelity hands to its kernel."""
+
+
+def built_lab_frame(monkeypatch, ct, eps):
+    """The lab-frame Hamiltonian that rwa_infidelity(ct, eps, T) builds
+    and hands to qmat._expm_eigh, caught there before it is exponentiated;
+    T = 1 / max(eps, sum |J|) is inside the horizon."""
+    def kernel(h, t):
+        raise _Built(h)
+
+    t_final = 1.0 / max(eps, float(np.abs(ct.j).sum()))
+    with monkeypatch.context() as m:
+        m.setattr(qmat, "_expm_eigh", kernel)
+        with pytest.raises(_Built) as built:
+            rwa_infidelity(ct, eps, t_final)
+    return built.value.args[0]
 
 
 class TestReduceCoupling:
@@ -80,7 +100,9 @@ class TestReduceCoupling:
 
     def test_json_round_trip(self):
         ct = tensor(xx=1.0, yy=0.5, zz=-0.25, xy=0.1, xz=0.3, zy=-0.7)
-        again = CouplingTensor.from_dict(ct.to_dict())
+        again = CouplingTensor.from_dict({
+            f"J{a}{b}": float(ct.j[i, k]) for i, a in enumerate("xyz")
+            for k, b in enumerate("xyz")})
         assert np.array_equal(ct.j, again.j)
         # The reduced couplings read back equal: they hold only J, J_zz
         # and J', whatever the dropped off-RWA entries were.
@@ -338,47 +360,57 @@ class TestRotFrameMatrix:
 
 
 class TestLabFrameGenerator:
-    """lab_frame_hamiltonian, the (constant) generator of the lab frame."""
+    """The (constant) generator of the lab frame, as rwa_infidelity builds
+    it for its one exponential."""
 
-    def test_uncoupled_undriven_is_diagonal(self):
-        h = lab_frame_hamiltonian(CouplingTensor(np.zeros((3, 3))), 1.5)
+    def test_uncoupled_undriven_is_diagonal(self, monkeypatch):
+        h = built_lab_frame(monkeypatch, CouplingTensor(np.zeros((3, 3))),
+                            1.5)
         expected = -0.75 * kron(SZ, I2) - 0.75 * kron(I2, SZ)
         assert np.allclose(h, expected)
 
-    def test_tuned_ising_time_independent(self):
+    def test_tuned_ising_time_independent(self, monkeypatch):
         # A ZZ coupling commutes with the drift, so the coupling seen in
         # the rotating frame, e^{iH0 t} (H - H0) e^{-iH0 t}, is static.
         eps = 1.0
-        h0 = lab_frame_hamiltonian(CouplingTensor(np.zeros((3, 3))), eps)
-        coupling = lab_frame_hamiltonian(tensor(zz=0.01), eps) - h0
+        h0 = built_lab_frame(monkeypatch, CouplingTensor(np.zeros((3, 3))),
+                             eps)
+        coupling = built_lab_frame(monkeypatch, tensor(zz=0.01), eps) - h0
         for t in (0.3, 1.7, 9.2):
-            frame = expm_hermitian(h0, -t)
+            frame = expm_h(h0, -t)
             moved = frame @ coupling @ frame.conj().T
             assert np.max(np.abs(moved - coupling)) < 1e-14
 
-    def test_hermitian(self, rng):
+    def test_hermitian(self, monkeypatch, rng):
         # rwa_infidelity exponentiates it unchecked: mirrored entries are
-        # the same sums of the same products, at every magnitude.
+        # the same sums of the same products, at every magnitude; and it
+        # is the Kronecker-product reference.
         for _ in range(200):
             j = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-300, 306,
                                                               size=(3, 3))
             eps = 10.0 ** rng.uniform(-300, 306)
-            h = lab_frame_hamiltonian(CouplingTensor(j), eps)
+            h = built_lab_frame(monkeypatch, CouplingTensor(j), eps)
             assert np.array_equal(h, h.conj().T)
+            assert np.allclose(h, lab_hamiltonian(j, eps), rtol=1e-15,
+                               atol=0)
 
     def test_invalid_params_rejected(self):
         for eps in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="eps must be positive"):
-                lab_frame_hamiltonian(tensor(zz=0.01), eps)
+                rwa_infidelity(tensor(zz=0.01), eps, 1.0)
         for eps in ("1", None, [1.0], 1j):
             with pytest.raises(ValueError, match="eps .* not a finite num"):
-                lab_frame_hamiltonian(tensor(zz=0.01), eps)
+                rwa_infidelity(tensor(zz=0.01), eps, 1.0)
 
     @pytest.mark.parametrize("entry", [1e308, -1e308])
     def test_overflowing_norm_rejected(self, entry):
         # Finite entries whose sum |J_mu nu| overflows, with no warning.
-        with pytest.raises(ValueError, match="coupling tensor too large"):
-            lab_frame_hamiltonian(CouplingTensor(np.full((3, 3), entry)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="coupling tensor too large"):
+                rwa_infidelity(CouplingTensor(np.full((3, 3), entry)),
+                               1.0, 1.0)
 
 
 class TestRwaInfidelity:
@@ -420,14 +452,17 @@ class TestRwaInfidelity:
         assert vals[1] < vals[0]
 
     def test_equals_the_checked_public_path(self, rng):
-        # The same computation through the public, checking functions,
-        # bit for bit.
+        # The same computation through the public, checking functions and
+        # the reference exponential, bit for bit.
         for _ in range(300):
             ct = CouplingTensor(rng.normal(size=(3, 3))
                                 * 10.0 ** rng.uniform(-6, 0))
             eps = 10.0 ** rng.uniform(-1, 1)
             t_final = 10.0 ** rng.uniform(-2, 3)
-            u_lab = expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
+            h = qmat.coupling_operator(ct.j)
+            h[0, 0] -= eps
+            h[3, 3] += eps
+            u_lab = expm_h(h, t_final)
             u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)
             drift = cmath.exp(1j * (eps * t_final))
             u_rwa[0, 0] *= drift
@@ -437,16 +472,22 @@ class TestRwaInfidelity:
                     == expected.hex())
 
     def test_skips_the_hermiticity_recheck(self, monkeypatch):
-        def refuse(h):
-            raise AssertionError("require_hermitian called")
+        # The built Hamiltonian goes straight to the one exponential, once,
+        # Hermitian bit for bit: there is no check to repeat.
+        calls = []
+        kernel = qmat._expm_eigh
 
-        monkeypatch.setattr(qmat, "require_hermitian", refuse)
-        with pytest.raises(AssertionError):
-            expm_hermitian(np.eye(4))
+        def spy(h, t):
+            calls.append((h.copy(), t))
+            return kernel(h, t)
+
+        monkeypatch.setattr(qmat, "_expm_eigh", spy)
         ct = CouplingTensor(np.array([[1.0, 0.4, 0.3],
                                       [0.2, 0.8, -0.5],
                                       [0.6, -0.3, 0.9]]) * 1e-2)
         assert rwa_infidelity(ct, 1.0, math.pi / 8e-2) > 0
+        [(h, t)] = calls
+        assert np.array_equal(h, h.conj().T) and t == math.pi / 8e-2
 
     def test_rejects_bad_args(self):
         zero = CouplingTensor(np.zeros((3, 3)))
@@ -462,6 +503,41 @@ class TestRwaInfidelity:
                 (1.0, None, "t_final None is not a finite number")):
             with pytest.raises(ValueError, match=message):
                 rwa_infidelity(zero, eps, t_final)
+
+    @pytest.mark.parametrize("ct, eps, t_final, message", [
+        ({}, "x", None, "t_final None is not a finite number"),
+        ({}, "x", -1.0, "T must be positive and finite"),
+        ({}, "x", 1.0, "eps 'x' is not a finite number"),
+        ({}, -1.0, 1.0, "expected CouplingTensor, got {}"),
+        (np.full((3, 3), 1e308), -1.0, 2.0 ** 40,
+         "eps must be positive and finite"),
+        (np.full((3, 3), 1e308), 1.0, 2.0 ** 40,
+         "coupling tensor too large: eps [+] sum [|]J[|] overflows"),
+        (np.eye(3), 1.0, 2.0 ** 40, "t_final 1099511627776.0 is too long"),
+    ], ids=["t_number", "t_range", "eps_number", "type", "eps_range",
+            "too_large", "horizon"])
+    def test_each_refusal_keeps_its_message_and_order(self, ct, eps,
+                                                      t_final, message):
+        # Each input is also wrong in every later check: the first check
+        # that fails names it.
+        if isinstance(ct, np.ndarray):
+            ct = CouplingTensor(ct)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            rwa_infidelity(ct, eps, t_final)
+
+    def test_reads_each_scalar_once(self, monkeypatch):
+        # t_final and eps are each converted once, and the rotating-frame
+        # entries read the converted time once more.
+        seen = []
+        real = qmat._real
+
+        def counting(what, value):
+            seen.append(what)
+            return real(what, value)
+
+        monkeypatch.setattr(qmat, "_real", counting)
+        rwa_infidelity(CouplingTensor(np.eye(3) * 1e-2), 1.0, 10.0)
+        assert sorted(seen) == ["eps", "t", "t_final"]
 
     def test_refuses_horizon_beyond_phase_resolution(self):
         # Beyond eps T = 2^32 the phase roundoff exceeds 1e-6 rad.

@@ -1,5 +1,6 @@
 """Rules that the library source keeps, read off src/qgd/*.py: every qgd
-result is deterministic, and one memo serves the whole package."""
+result is deterministic, one memo serves the whole package, and the only
+eigensolvers are the lab frame's exponential and KAK's."""
 import pathlib
 import re
 
@@ -27,3 +28,10 @@ def test_library_keeps_one_memo():
     # work is hoisted to import time instead of memoized.
     assert matching(r"lru_cache|functools|cached_property") == [
         "equivalence.py"]
+
+
+def test_linear_algebra_only_where_no_closed_form_exists():
+    # The lab-frame exponential (qmat._expm_eigh) and KAK's eigenbasis
+    # (equivalence) have no closed form; every other exponential, product
+    # and determinant of the package is one.
+    assert matching(r"linalg") == ["equivalence.py", "qmat.py"]

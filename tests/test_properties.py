@@ -25,15 +25,14 @@ from qgd.equivalence import (_det4, _joint_orthogonal_eigenbasis,
                              _so4_factors, kak_decompose,
                              locally_equivalent, makhlin_invariants,
                              weyl_canonicalize)
-from qgd.hamiltonian import (CouplingTensor, RotFrameParams,
-                             lab_frame_hamiltonian, reduce_coupling,
+from qgd.hamiltonian import (CouplingTensor, RotFrameParams, reduce_coupling,
                              rot_frame_propagator, rwa_infidelity)
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         simulate_schedule, trajectory)
 from qgd.qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, PAULI_PAIRS, SX, SY,
-                      SZ, distance, expm_hermitian, kron)
+                      SZ, distance, kron)
 
-from conftest import haar_unitary, random_su2
+from conftest import expm_h, haar_unitary, lab_hamiltonian, random_su2
 
 EXACT = 1e-9
 
@@ -181,10 +180,10 @@ def _reference_simulate(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     u = np.eye(4, dtype=complex)
     for op in s.ops:
         if isinstance(op, Rotate):
-            r = expm_hermitian(PAULI[op.axis] / 2, op.angle)
+            r = expm_h(PAULI[op.axis] / 2, op.angle)
             u = (np.kron(r, I2) if op.qubit == 1 else np.kron(I2, r)) @ u
         elif isinstance(op, Entangle):
-            u = expm_hermitian(h, op.duration) @ u
+            u = expm_h(h, op.duration) @ u
         else:
             u = np.exp(1j * op.angle) * u
     return u
@@ -218,7 +217,7 @@ def test_simulate_schedule_matches_kron_expm_reference(ops, p):
 @given(p=rot_params, t=duration)
 def test_rot_frame_propagator_matches_expm(p, t):
     assert _max_diff(rot_frame_propagator(p, t),
-                     expm_hermitian(_reference_generator(p), t)) \
+                     expm_h(_reference_generator(p), t)) \
         < CLOSED_FORM
 
 
@@ -230,7 +229,7 @@ coord = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 def test_canonical_entangler_matches_expm(x, y, z):
     h = (x * np.kron(SX, SX) + y * np.kron(SY, SY) + z * np.kron(SZ, SZ))
     assert _max_diff(canonical_entangler(EntanglerCoords(x, y, z)),
-                     expm_hermitian(h)) < CLOSED_FORM
+                     expm_h(h)) < CLOSED_FORM
 
 
 # One Entangle object placed twice in a schedule, as the compiler does.
@@ -369,7 +368,7 @@ def _rotating_frame_rwa_infidelity(ct, eps, t_final) -> tuple:
     """The rotating-frame comparison: U_rot = e^{+i H0 T} U_lab, a row
     scaling, against the closed form, with np.linalg.norm. Returns the
     distance and the two matrices compared."""
-    u_lab = expm_hermitian(lab_frame_hamiltonian(ct, eps), t_final)
+    u_lab = expm_h(lab_hamiltonian(ct.j, eps), t_final)
     drift = np.array([-1.0, 0.0, 0.0, 1.0])  # H0 per unit eps
     u_rot = np.exp(1j * (eps * t_final) * drift)[:, None] * u_lab
     u_rwa = rot_frame_propagator(reduce_coupling(ct), t_final)

@@ -15,9 +15,9 @@ from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         Trajectory, _rotation_entries, simulate_schedule,
                         trajectory, verify_schedule)
-from qgd.qmat import I2, SX, SY, SZ, _ID_W, _step, distance, expm_hermitian
+from qgd.qmat import I2, SX, SY, SZ, _ID_W, _step, distance
 
-from conftest import haar_unitary, random_su2
+from conftest import expm_h, haar_unitary, random_su2
 
 PI = math.pi
 PAULI = {"x": SX, "y": SY, "z": SZ}
@@ -26,7 +26,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 def reference_rotation(axis, angle):
     """R_axis(angle) = e^{-i angle sigma^axis / 2} by the eigensolver."""
-    return expm_hermitian(PAULI[axis] / 2, angle)
+    return expm_h(PAULI[axis] / 2, angle)
 
 
 def kron_entries(a, b):
@@ -109,6 +109,21 @@ class TestSchedule:
         u = simulate_schedule(PulseSchedule(s1.ops + s2.ops), p)
         split = simulate_schedule(s2, p) @ simulate_schedule(s1, p)
         assert distance(u, split) < 1e-13
+
+    @pytest.mark.parametrize("ops", [
+        {Entangle(0.3), Rotate("x", 1.0, 1), Rotate("y", 0.5, 2)},
+        frozenset({Entangle(0.3)}), {}, {Entangle(0.3): 1}, "", "xy"],
+        ids=["set", "frozenset", "empty_dict", "dict", "empty_str", "str"])
+    def test_unordered_or_text_ops_refused(self, ops):
+        # A set would be stored in hash order, which varies between
+        # interpreter runs; a mapping or a string is no op sequence.
+        with pytest.raises(ValueError, match="ordered sequence, not a"):
+            PulseSchedule(ops)
+
+    def test_lists_tuples_and_iterators_keep_their_order(self):
+        ops = [Entangle(0.3), Rotate("x", 1.0, 1), Rotate("y", 0.5, 2)]
+        for source in (ops, tuple(ops), iter(ops), (op for op in ops)):
+            assert PulseSchedule(source).ops == tuple(ops)
 
     def test_total_entangling_time(self):
         s = PulseSchedule((Entangle(0.5), Rotate("x", PI, 1), Entangle(0.25)))
