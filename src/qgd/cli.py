@@ -61,13 +61,13 @@ def _load_json(path: str):
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    """The matrix of a JSON list of rows of [re, im] pairs of numbers;
-    qmat._as_4x4 checks its 4x4 shape."""
+    """The matrix of a JSON list of rows of [re, im] pairs of numbers,
+    never booleans; qmat._as_4x4 checks its 4x4 shape."""
     rows = data if isinstance(data, list) else [data]
     for i, row in enumerate(rows):
         for k, z in enumerate(row if isinstance(row, list) else [row]):
             if not (isinstance(z, list) and len(z) == 2
-                    and all(isinstance(v, (int, float)) for v in z)):
+                    and all(type(v) in (int, float) for v in z)):
                 raise ValueError(f"bad matrix JSON: entry [{i}][{k}] is "
                                  f"{json.dumps(z)}, not an [re, im] pair")
     try:
@@ -183,13 +183,12 @@ def trajectory(coupling_path, schedule_path, samples):
 @main.command("rwa-scan")
 @click.option("--ratios", default="1e-1,1e-2,1e-3", show_default=True,
               help="Comma-separated g/eps values.")
-@click.option("--gt", "gt_product", type=float, default=math.pi / 8,
-              show_default=True, help="Fixed dimensionless horizon g*T.")
 @click.option("--coupling", "coupling_path", default=None,
               help="Unit-scale coupling tensor JSON; scaled by g per point. "
                    "Default is a generic tensor with all 9 entries set.")
-def rwa_scan(ratios, gt_product, coupling_path):
-    """CSV of rotating-wave infidelity vs coupling/splitting ratio."""
+def rwa_scan(ratios, coupling_path):
+    """CSV of rotating-wave infidelity vs coupling/splitting ratio, over
+    the horizon g T = pi/8, the area of one refocused CNOT interval."""
     if coupling_path is not None:
         base = hamiltonian.CouplingTensor.from_dict(
             _load_json(coupling_path)).j
@@ -203,15 +202,13 @@ def rwa_scan(ratios, gt_product, coupling_path):
     values = [float(r) for r in ratios.split(",")]
     if not all(r > 0 and math.isfinite(r) for r in values):
         raise ValueError(f"ratios {ratios!r} must be positive and finite")
-    if not (gt_product > 0 and math.isfinite(gt_product)):
-        raise ValueError(f"gt {gt_product!r} must be positive and finite")
     unit = base / scale  # normalised once: g / scale may overflow
     eps = 1.0
     rows = []  # every row is computed before anything is printed
     for ratio in values:
         g = ratio * eps
         ct = hamiltonian.CouplingTensor(unit * g)
-        inf = hamiltonian.rwa_infidelity(ct, eps, gt_product / g)
+        inf = hamiltonian.rwa_infidelity(ct, eps, math.pi / 8 / g)
         rows.append(f"{ratio:.6g},{inf:.12g}")
     click.echo("\n".join(["ratio,infidelity", *rows]))
 

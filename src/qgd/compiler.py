@@ -45,7 +45,7 @@ from .qmat import _exact_int, _require_type
 # re-aims it.
 from .pulses import verify_schedule  # noqa: F401
 
-__all__ = ["CompileResult", "compile_cnot", "named_gate"]
+__all__ = ["compile_cnot", "named_gate"]
 
 _PI = math.pi
 

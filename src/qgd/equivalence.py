@@ -39,8 +39,7 @@ from .qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, SX, SY, SZ, _MAGIC2,
                    require_unitary)
 
 __all__ = [
-    "MAGIC", "MakhlinInvariants", "KakFactors",
-    "makhlin_invariants", "locally_equivalent",
+    "MAGIC", "makhlin_invariants", "locally_equivalent",
     "kak_decompose", "weyl_canonicalize",
 ]
 

@@ -10,7 +10,7 @@ rot_frame_matrix (pulses.trajectory toggles it in the magic basis). With
 (s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
 form of A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, the frame
 of the compiler's wraps (simulation reads its five entries,
-_rot_frame_entries).
+_rot_frame_entries, at a duration its Entangle has read already).
 
 rwa_infidelity compares the two in the lab frame; it alone builds the
 lab-frame Hamiltonian, whose exponential has no closed form, and calls
@@ -21,8 +21,10 @@ rotating-wave evolution seen from the lab is e^{-i H0 T} times
 rot_frame_propagator. H0 is diagonal and zero on {|01>, |10>}, so that
 product only rephases the propagator's |00> and |11> entries, and the frame
 change, being unitary, leaves the distance unchanged: the lab-frame
-comparison is exact and costs two scalar multiplies. rwa_infidelity checks
-its arguments once; qmat's kernels then trust the matrices built from them.
+comparison is exact and costs two scalar multiplies. Each real argument
+is read once, by qmat._finite, the package's one reader of a real, and
+each phase checked once, by qmat._entangler; qmat's kernels then trust
+the matrices built from them.
 
 Basis ordering |00>, |01>, |10>, |11> with qubit 1 the left tensor
 factor; |0> is the lower eigenstate of -(eps/2) sigma^z.
@@ -149,10 +151,10 @@ def rot_frame_matrix(p: RotFrameParams) -> np.ndarray:
         np.array([[j, jp, 0.0], [-jp, j, 0.0], [0.0, 0.0, jzz]]))
 
 
-def _rot_frame_entries(p: RotFrameParams, t) -> tuple:
-    """rot_frame_propagator(p, t) as qmat._entangler's five entries."""
+def _rot_frame_entries(p: RotFrameParams, t: float) -> tuple:
+    """rot_frame_propagator(p, t) as qmat._entangler's five entries, for a
+    Python float t; qmat._entangler refuses a phase that is not finite."""
     r = math.hypot(p.j, p.j_prime)
-    t = qmat._require_finite_phase(abs(p.j_zz) + 2 * r, t)
     s, phi = p.fold
     return qmat._entangler(0.0, 2 * s * r * t, p.j_zz * t,
                            cmath.exp(1j * phi))
@@ -162,11 +164,11 @@ def rot_frame_propagator(p: RotFrameParams, t: float) -> np.ndarray:
     """e^{-i rot_frame_matrix(p) t}: the canonical entangler
     A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, with
     (s, phi) = p.fold and r = |J + iJ'|, in qmat's one closed form.
-    Raises ValueError when t is no number or (|J_zz| + 2r)|t| is not
-    finite.
+    Raises ValueError when t is not a finite number (qmat._finite) or a
+    phase 2 s r t +- J_zz t is not (qmat._entangler).
     """
     qmat._require_type(p, RotFrameParams)
-    return qmat._entangler_array(_rot_frame_entries(p, t))
+    return qmat._entangler_array(_rot_frame_entries(p, qmat._finite("t", t)))
 
 
 def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
@@ -183,19 +185,20 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     e^{-i H0 T} is unitary. As [H0, H_RWA] = 0, that is
     e^{-i (H0 + H_RWA) T}, the rotating-wave evolution in the lab frame,
     and e^{-i H0 T} = diag(e^{i eps T}, 1, 1, e^{-i eps T}) rephases its
-    |00>, |11> entries. ValueError unless eps, t_final and
-    eps + sum |J_mn| are positive and finite; last, naming t_final and
+    |00>, |11> entries. ValueError, from qmat._finite, unless eps and
+    t_final are finite numbers; unless they are positive, and
+    eps + sum |J_mn| is finite; last, naming t_final and
     before any eigendecomposition, when max(eps, sum |J_mn|) t_final >
     2^32. That rate bounds the spectral radius of H_lab within a factor
     of 2, and past 2^32 the phase roundoff 2^-52 rate t_final exceeds
     2^-20 (~1e-6) rad and the result is noise.
     """
-    t_final = qmat._real("t_final", t_final)
-    if not (t_final > 0 and math.isfinite(t_final)):
+    t_final = qmat._finite("t_final", t_final)
+    if not t_final > 0:
         raise ValueError("T must be positive and finite")
-    eps = qmat._real("eps", eps)
+    eps = qmat._finite("eps", eps)
     qmat._require_type(ct, CouplingTensor)
-    if not (eps > 0 and math.isfinite(eps)):
+    if not eps > 0:
         raise ValueError("eps must be positive and finite")
     # Summed on Python floats: an overflow is inf, not a numpy warning.
     j_sum = sum(map(abs, ct.j.ravel().tolist()))

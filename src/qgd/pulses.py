@@ -16,8 +16,9 @@ two Entangles multiply into one 2x2 factor per qubit, and each interval
 applies rot_frame_propagator times that layer's a (x) b, formed in one
 step (qmat._step), to the running product; the global phases fold into
 one scalar.
-trajectory draws a Trajectory, its path continuous (never reduced mod
-2 pi), reading each interval's toggled coupling off qmat's magic basis.
+trajectory draws a Trajectory, a record only it builds, its path
+continuous (never reduced mod 2 pi), reading each interval's toggled
+coupling off qmat's magic basis.
 verify_schedule checks its mode and tolerance, and each distinct target
 once, through the invariants memo of equivalence.makhlin_invariants,
 keyed by the target's content; pulses keeps no memo of its own. It then
@@ -44,8 +45,7 @@ from .qmat import (ALGEBRA_TOL, GEN_DIAGS, _ID2, _ID_W, _MAGIC2, _MAGIC2_DAG,
 from .qmat import kron  # noqa: F401
 
 __all__ = [
-    "Rotate", "Entangle", "GlobalPhase", "PulseSchedule", "Trajectory",
-    "VERIFY_TOL", "VerificationReport",
+    "Rotate", "Entangle", "GlobalPhase", "PulseSchedule", "VERIFY_TOL",
     "simulate_schedule", "trajectory", "verify_schedule",
 ]
 
@@ -189,7 +189,7 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
     from its five entries, shared by equal durations, to the running
     product. The Rotates after the last Entangle form the last layer,
     which also carries the product of the global phases. Raises
-    ValueError when an interval's phase overflows (rot_frame_propagator).
+    ValueError when an interval's phase overflows (qmat._entangler).
     """
     _require_type(s, PulseSchedule)
     _require_type(p, RotFrameParams)
@@ -218,29 +218,13 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled entangler-space path r(t), as trajectory draws it: raw
-    holds the continuous coordinates, never reduced mod 2 pi, shape
-    (N, 3), N >= 1, which to_csv prints as t,x,y,z. Every time and
-    coordinate must be a finite real number; ValueError if not."""
+    """Sampled entangler-space path r(t), as trajectory draws it: float
+    arrays of finite, strictly increasing times from 0 and of continuous
+    coordinates from the origin, never reduced mod 2 pi, shape (N, 3),
+    N >= 1, which to_csv prints as t,x,y,z. Only trajectory builds one."""
 
     times: np.ndarray
     raw: np.ndarray  # shape (N, 3)
-
-    def __post_init__(self):
-        t = qmat._numeric(self.times, "real trajectory", kinds="biuf")
-        r = qmat._numeric(self.raw, "real trajectory", kinds="biuf")
-        if r.ndim != 2 or r.shape[1] != 3 or not len(r):
-            raise ValueError(f"raw of shape {r.shape} is not (N >= 1, 3)")
-        if t.shape != (len(r),):
-            raise ValueError("times/coords length mismatch")
-        if not (np.isfinite(t).all() and np.isfinite(r).all()):
-            raise ValueError("trajectory times and coords must be finite")
-        if t[0] != 0.0 or np.any(r[0] != 0.0):
-            raise ValueError("trajectory must start at t=0, r=(0,0,0)")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "raw", r)
 
     def to_csv(self) -> str:
         rows = np.column_stack([self.times, self.raw]).tolist()
@@ -264,9 +248,10 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     entry off that diagonal, each +-t_mn +- t_nm, exceeds ALGEBRA_TOL
     max(r, |J_zz|), which refuses every t off diagonal by more than that
     and some off by more than half of it; ValueError when max(r, |J_zz|)
-    times the total entangling time is not finite, or naming the interval
-    when its samples are too short to advance the running time or when
-    samples_per_interval is not an _exact_int of at least 1.
+    times the total entangling time is not finite, when
+    samples_per_interval is not an _exact_int of at least 1, or naming the
+    interval when its sample times or points are not finite or its
+    samples are too short to advance the running time.
     """
     _require_type(p, RotFrameParams)
     _require_type(schedule, PulseSchedule)
@@ -295,15 +280,24 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
             if np.max(np.abs(toggled - np.diag(d))) > ALGEBRA_TOL * scale:
                 raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"
                                     " it turn the coupling off diagonal")
-            steps = op.duration * np.arange(1, samples + 1) / samples
-            new_times = times[-1] + steps
+            # A finite area still lets duration * samples, or a sample
+            # at the area's edge, overflow: refused below, not warned.
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = op.duration * np.arange(1, samples + 1) / samples
+                new_times = times[-1] + steps
+                new_points = points[-1] + np.outer(steps, GEN_DIAGS.T @ d / 4)
+            if not (np.isfinite(new_times).all()
+                    and np.isfinite(new_points).all()):
+                raise ValueError(
+                    f"schedule op {i}, {op}: its {samples} samples are not "
+                    "finite: couplings or durations are too large")
             if np.any(np.diff(new_times, prepend=times[-1]) <= 0):
                 raise ValueError(
                     f"schedule op {i}, {op}: duration {op.duration!r} over "
                     f"{samples} samples is below the float resolution of "
                     f"the time {float(times[-1])!r} and does not advance it")
             times.extend(new_times)
-            points.extend(points[-1] + np.outer(steps, GEN_DIAGS.T @ d / 4))
+            points.extend(new_points)
     return Trajectory(times=np.array(times), raw=np.array(points))
 
 

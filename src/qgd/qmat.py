@@ -3,11 +3,13 @@
 Pauli operators, Kronecker products, the magic (Bell) basis, exact as
 _MAGIC2 = sqrt(2) Q, with the diagonals of XX, YY and ZZ in it (GEN_DIAGS,
 exactly +-1), the two-qubit coupling operator of a 3x3 tensor, unitary
-distance metrics, and the number rules of every scalar input (_real,
-_finite, which reads -0.0 as 0.0, _exact_int) and the type rule of the
-package's value arguments (_require_type).
+distance metrics, the one reader of a scalar real (_finite: a finite
+float, never a bool, -0.0 read as 0.0), the reader of an integer
+(_exact_int) and the type rule of the package's value arguments
+(_require_type). Matrix arguments are read by _numeric, by dtype kind.
 Every generator the package evolves under is constant over its interval.
-One closed form, _entangler, gives the five distinct entries of A; _step
+One closed form, _entangler, gives the five distinct entries of A and is
+the one place that refuses a phase that is not finite; _step
 forms E (a (x) b) from them and a layer's 2x2 entries (with _ID_W, a (x) b
 alone), and _entangler_array lays them out as a 4x4 array. There is no
 public exponential: the one eigendecomposition, _expm_eigh, serves only
@@ -66,24 +68,20 @@ GEN_DIAGS = np.stack([
     for k in range(3)], axis=1)
 
 
-def _real(what: str, value) -> float:
-    """value as a Python float, nan and +-inf kept (a huge int is +-inf);
-    ValueError naming what for a non-number."""
-    if type(value) is float:  # the common case: no ABC check, no copy
-        return value
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} {value!r} is not a finite number")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _finite(what: str, value) -> float:
-    """value as a finite Python float, -0.0 read as 0.0; ValueError for
-    anything else. The one reader of a finite real: op angles and
-    durations, couplings, tensor entries, coordinates, tolerances."""
-    x = value if type(value) is float else _real(what, value)
+    """value as a finite Python float, -0.0 read as 0.0; ValueError naming
+    what for anything else: a bool, a non-number, nan, +-inf or an int too
+    large for a float. The one reader of a real: op angles and durations,
+    couplings, tensor entries, coordinates, times, tolerances."""
+    if type(value) is float:  # the common case: no ABC check, no copy
+        x = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
+        x = math.nan
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not a finite number")
     return x + 0.0
@@ -106,30 +104,23 @@ def _require_type(value, cls) -> None:
         raise ValueError(f"expected {cls.__name__}, got {value!r}")
 
 
-def _require_finite_phase(rate: float, t) -> float:
-    """_real("t", t), if the largest phase rate * |t| of e^{-i h t} is
-    finite (rate bounds the spectral radius of h); ValueError otherwise.
-    On Python floats, so an overflow is inf, not a numpy warning."""
-    t = _real("t", t)
-    if not math.isfinite(float(rate) * abs(t)):
-        raise ValueError(f"phase overflows: |t| = {abs(t):.3e} is "
-                         "too long for a generator this strong")
-    return t
-
-
 def _entangler(d: float, s: float, z: float, tilt: complex) -> tuple:
     """A(x, y, z) = e^{-i(x XX + y YY + z ZZ)} from d = x - y, s = x + y
     and z, on Python floats, as its entries [0, 0], [0, 3], [1, 1], [1, 2]
-    times the unit tilt and [2, 1] times tilt^*; the caller checks that the
-    phases are finite. XX, YY and ZZ act within span{|00>, |11>} and
-    span{|01>, |10>}:
+    times the unit tilt and [2, 1] times tilt^*. XX, YY and ZZ act within
+    span{|00>, |11>} and span{|01>, |10>}:
 
         [0, 0] = [3, 3] = e^{-iz} cos d,  [0, 3] = [3, 0] = -i e^{-iz} sin d
         [1, 1] = [2, 2] = e^{iz} cos s,   [1, 2] = [2, 1] = -i e^{iz} sin s
 
     and zero elsewhere. For d = 0, tilt e^{i phi} turns A by Rz(phi) on
-    qubit 2.
+    qubit 2. ValueError when a magic-basis phase d +- z or s +- z (the
+    eigenphases of A) is not finite: the one phase rule of the package.
     """
+    # On Python floats: an overflowing phase is inf here, not a warning.
+    if not all(map(math.isfinite, (d + z, d - z, s + z, s - z))):
+        raise ValueError(f"phase overflows: entangler phases x - y = {d!r},"
+                         f" x + y = {s!r}, z = {z!r} are too large")
     cz, sz = math.cos(z), math.sin(z)
     cd, sd = math.cos(d), math.sin(d)
     cs, ss = math.cos(s), math.sin(s)

@@ -220,6 +220,18 @@ class TestCompileSimulateRoundTrip:
         result = runner.invoke(main, ["compile", "--input", cpl])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("coupling", [
+        {"J": True, "Jzz": False, "Jprime": 0},
+        {f"J{a}{b}": a == b for a in "xyz" for b in "xyz"}],
+        ids=["reduced", "tensor"])
+    def test_boolean_coupling_exit_1(self, runner, tmp_path, coupling):
+        # JSON true is no number: it once compiled with J = 1.
+        cpl = write_json(tmp_path, "bool.json", coupling)
+        result = runner.invoke(main, ["compile", "--input", cpl])
+        assert refused(result, 1)
+        assert result.stdout == ""
+        assert "True is not a finite number" in result.stderr
+
     def test_bare_schedule_simulate(self, runner, tmp_path):
         sched = write_json(tmp_path, "s.json",
                            [{"op": "entangle", "duration": PI / 4}])
@@ -368,11 +380,12 @@ class TestRwaScanCmd:
         assert refused(result, 1)
 
     @pytest.mark.parametrize("args", [
-        ["--gt", "0"], ["--gt", "-1"], ["--gt", "inf"], ["--gt", "nan"],
+        ["--ratios", "1e-1,0"], ["--ratios", "1e-1,-1"],
+        ["--ratios", "1e-1,inf"], ["--ratios", "1e-1,nan"],
         ["--ratios", "1e-1,1e-310"],  # T = gT/g is not finite
         ["--ratios", "1e-1,1e308"],   # eps + sum |J| is not finite
-        ["--gt", "1e300"],            # eps T beyond 2^32: phase roundoff
-        ["--ratios", "1e10", "--gt", "1e15"],  # sum |J| T beyond 2^32
+        ["--ratios", "1e-11"],        # eps T beyond 2^32: phase roundoff
+        ["--ratios", "1e-1,1e-11"],   # the same, after a good point
         ["--ratios", "1e-1,1e-300"],
     ])
     def test_bad_point_prints_nothing(self, runner, args):
@@ -383,12 +396,13 @@ class TestRwaScanCmd:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize("gt", ["-1", "nan"])
+    @pytest.mark.parametrize("gt", ["1", "-1", "nan"])
     def test_bad_gt_names_gt(self, runner, gt):
+        # The horizon g T is fixed at pi/8: any --gt is a usage error.
         result = runner.invoke(main, ["rwa-scan", "--gt", gt])
         assert refused(result, 1)
-        assert result.stderr == (f"error: gt {float(gt)!r} must be positive "
-                                 "and finite\n")
+        assert result.stdout == ""
+        assert "No such option" in result.stderr and "--gt" in result.stderr
 
     def test_overflow_names_the_coupling(self, runner):
         result = runner.invoke(main, ["rwa-scan", "--ratios", "1e308"])
@@ -621,6 +635,21 @@ class TestScheduleBoundary:
             "error: schedule op 1, Entangle(duration=1e-20): duration 1e-20 "
             "over 2 samples is below the float resolution of the time 1.0 "
             "and does not advance it\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_trajectory_overflowing_samples_exit_1(self, runner, tmp_path):
+        # Before, inf and nan rows and exit 0: the area 1e308 is finite,
+        # but 1e308 * 2 samples is not.
+        cpl = write_json(tmp_path, "c.json",
+                         {"J": 1.0, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": 1e308}])
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched, "--samples", "2"])
+        assert refused(result, 1)
+        assert result.stderr == (
+            "error: schedule op 0, Entangle(duration=1e+308): its 2 samples "
+            "are not finite: couplings or durations are too large\n")
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_trajectory_needs_a_sample(self, runner, tmp_path, samples):

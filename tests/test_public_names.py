@@ -42,7 +42,6 @@ VALID = {
     "Entangle": (0.5,),
     "GlobalPhase": (0.5,),
     "PulseSchedule": ((qgd.Entangle(0.5),),),
-    "Trajectory": ([0.0, 1.0], [[0, 0, 0], [1, 1, 1]]),
     "simulate_schedule": (_S, _P),
     "trajectory": (_P, _S, 4),
     "verify_schedule": (_S, _P, CNOT, "exact", 1e-9, "CNOT"),
@@ -50,13 +49,8 @@ VALID = {
     "named_gate": ("CNOT",),
 }
 
-# What is legitimately accepted.
-# - Result types the package builds on every call, unchecked: their
-#   fields come from its own kernels.
-UNCHECKED = {"MakhlinInvariants", "KakFactors", "VerificationReport",
-             "CompileResult"}
-# - Single arguments, as (name, index): a wrong value in the set is a
-#   value of the argument's type.
+# What is legitimately accepted, as (name, index): a wrong value in the set
+# is a value of the argument's type.
 ACCEPTED = {
     # Any numeric arrays have a Kronecker product.
     ("kron", 0): {"nan", "complex3x3", "eye2"},
@@ -71,7 +65,7 @@ ACCEPTED = {
 def _public_callables():
     """A pytest.param(name, callable) for each callable in a module's
     __all__ or at qgd's top level, but for the error types, which take
-    any message, and the UNCHECKED result types."""
+    any message. The records the package returns are no public names."""
     names = {}
     for mod in [v for v in vars(qgd).values() if inspect.ismodule(v)]:
         for name in getattr(mod, "__all__", ()):
@@ -79,11 +73,9 @@ def _public_callables():
     for name, value in vars(qgd).items():
         if not name.startswith("_") and not inspect.ismodule(value):
             names[name] = value
-    assert UNCHECKED <= set(names)
     return [pytest.param(name, value, id=name)
             for name, value in sorted(names.items())
-            if callable(value) and name not in UNCHECKED
-            and not (isinstance(value, type)
+            if callable(value) and not (isinstance(value, type)
                      and issubclass(value, BaseException))]
 
 

@@ -99,7 +99,8 @@ class TestExpmHermitian:
             raise AssertionError("the lab-frame exponential ran")
 
         monkeypatch.setattr(qmat, "_expm_eigh", kernel)
-        with pytest.raises(ValueError, match="too long|T must be positive"):
+        with pytest.raises(ValueError,
+                           match="too long|T must be positive|t_final inf"):
             rwa_infidelity(CouplingTensor(scale * np.eye(3)), 1.0, t)
 
     @pytest.mark.parametrize("t", ["1", None, [1.0], 1j])
@@ -118,19 +119,42 @@ class TestExpmHermitian:
             CouplingTensor(h)
 
 
+def _bool_calls():
+    """A pytest.param(call, id=entry point) for each entry point given a
+    bool where a real belongs."""
+    from qgd.cli import _matrix_from_json
+    from qgd.compiler import CNOT
+    from qgd.hamiltonian import RotFrameParams
+    from qgd.pulses import Entangle, PulseSchedule, Rotate, verify_schedule
+    s = PulseSchedule((Entangle(0.5),))
+    p = RotFrameParams(1.0, 0.0, 0.0)
+    calls = {
+        "RotFrameParams.from_dict": lambda: RotFrameParams.from_dict(
+            {"J": True, "Jzz": False, "Jprime": 0}),
+        "RotFrameParams": lambda: RotFrameParams(True, 0.0, 0.0),
+        "CouplingTensor": lambda: CouplingTensor(
+            [[True, False, False], [False, True, False], [0, 0, 0]]),
+        "Entangle": lambda: Entangle(True),
+        "Rotate": lambda: Rotate("x", True, 1),
+        "verify_schedule": lambda: verify_schedule(s, p, CNOT, tol=True),
+        "rwa_infidelity": lambda: rwa_infidelity(
+            CouplingTensor(np.eye(3)), True, 1.0),
+        "matrix_json": lambda: _matrix_from_json(
+            [[[True, False]] * 4] * 4),
+    }
+    return [pytest.param(call, id=name) for name, call in calls.items()]
+
+
 class TestNumberRule:
-    """_real turns a real number into a Python float, nan and +-inf
-    included; it and _finite name the input they refuse."""
+    """_finite, the one reader of a real, turns a finite real number into
+    a Python float and names every input it refuses."""
 
     @pytest.mark.parametrize("value,expected", [
-        (1.5, 1.5), (2, 2.0), (True, 1.0), (np.float32(0.5), 0.5),
-        (np.int64(-3), -3.0), (math.nan, math.nan), (-math.inf, -math.inf),
-        pytest.param(10 ** 400, math.inf, id="big_int"),
-        pytest.param(-10 ** 400, -math.inf, id="big_negative_int")])
+        (1.5, 1.5), (2, 2.0), (np.float64(-2.5), -2.5),
+        (np.float32(0.5), 0.5), (np.int64(-3), -3.0)])
     def test_real_numbers_become_floats(self, value, expected):
-        x = qmat._real("v", value)
-        assert type(x) is float
-        assert x == expected or (math.isnan(x) and math.isnan(expected))
+        x = qmat._finite("v", value)
+        assert type(x) is float and x == expected
 
     @pytest.mark.parametrize("value", [-0.0, np.float64(-0.0),
                                        np.float32(-0.0), 0.0, 0],
@@ -140,12 +164,25 @@ class TestNumberRule:
         x = qmat._finite("v", value)
         assert type(x) is float and math.copysign(1.0, x) == 1.0
 
+    @pytest.mark.parametrize("value", [
+        True, math.nan, -math.inf, 10 ** 400, -10 ** 400],
+        ids=["True", "nan", "-inf", "big_int", "big_negative_int"])
+    def test_bools_and_non_finite_reals_named(self, value):
+        # An int too large for a float is as infinite as -inf.
+        with pytest.raises(ValueError, match="^width .* not a finite"):
+            qmat._finite("width", value)
+
     @pytest.mark.parametrize("value", ["1", None, [1.0], 1j,
                                        np.array(1.0)])
     def test_non_numbers_named(self, value):
-        for rule in (qmat._real, qmat._finite):
-            with pytest.raises(ValueError, match="^width .* not a finite"):
-                rule("width", value)
+        with pytest.raises(ValueError, match="^width .* not a finite"):
+            qmat._finite("width", value)
+
+    @pytest.mark.parametrize("call", _bool_calls())
+    def test_bool_is_not_a_real(self, call):
+        # A bool is an int to Python, and once read as 1.0 or 0.0.
+        with pytest.raises(ValueError, match="True|bad matrix JSON"):
+            call()
 
 
 def _public_calls():
