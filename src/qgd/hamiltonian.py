@@ -6,8 +6,8 @@ that reduction in the lab frame.
 Both coupling Hamiltonians are qmat.coupling_operator of a 3x3 tensor:
 J_{mu nu} itself in the lab frame, and its rotating-wave part
 [[J, J', 0], [-J', J, 0], [0, 0, J_zz]] in the rotating frame, built by
-rot_frame_matrix (pulses.trajectory toggles it in the magic basis). With
-(s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
+rot_frame_matrix (pulses.trajectory toggles it and reads the tensor back).
+With (s, phi) = RotFrameParams.fold, rot_frame_propagator is qmat's closed
 form of A(s r t, s r t, J_zz t) turned by Rz(phi) on qubit 2, the frame
 of the compiler's wraps (simulation reads its five entries,
 _rot_frame_entries, at a duration its Entangle has read already).
@@ -195,11 +195,11 @@ def rwa_infidelity(ct: CouplingTensor, eps: float, t_final: float) -> float:
     """
     t_final = qmat._finite("t_final", t_final)
     if not t_final > 0:
-        raise ValueError("T must be positive and finite")
+        raise ValueError("T must be positive")
     eps = qmat._finite("eps", eps)
     qmat._require_type(ct, CouplingTensor)
     if not eps > 0:
-        raise ValueError("eps must be positive and finite")
+        raise ValueError("eps must be positive")
     # Summed on Python floats: an overflow is inf, not a numpy warning.
     j_sum = sum(map(abs, ct.j.ravel().tolist()))
     if not math.isfinite(eps + j_sum):

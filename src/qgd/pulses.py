@@ -17,8 +17,9 @@ applies rot_frame_propagator times that layer's a (x) b, formed in one
 step (qmat._step), to the running product; the global phases fold into
 one scalar.
 trajectory draws a Trajectory, a record only it builds, its path
-continuous (never reduced mod 2 pi), reading each interval's toggled
-coupling off qmat's magic basis.
+continuous (never reduced mod 2 pi): it reads each interval's toggled
+coupling as a 3x3 tensor in qmat.coupling_operator's Pauli basis
+(qmat._pauli_coefficients), and the path advances at its diagonal.
 verify_schedule checks its mode and tolerance, and each distinct target
 once, through the invariants memo of equivalence.makhlin_invariants,
 keyed by the target's content; pulses keeps no memo of its own. It then
@@ -39,8 +40,8 @@ import numpy as np
 from . import equivalence, qmat
 from .errors import UnsupportedOp
 from .hamiltonian import RotFrameParams, _rot_frame_entries, rot_frame_matrix
-from .qmat import (ALGEBRA_TOL, GEN_DIAGS, _ID2, _ID_W, _MAGIC2, _MAGIC2_DAG,
-                   _exact_int, _finite, _require_type, _step)
+from .qmat import (_ID2, _ID_W, _exact_int, _finite, _pauli_coefficients,
+                   _require_type, _step)
 # perfbench/selftest.py pins pulses.kron until ROADMAP item 1 re-aims it.
 from .qmat import kron  # noqa: F401
 
@@ -160,6 +161,9 @@ class PulseSchedule:
 
 # The default tolerance of verify_schedule, compile_cnot and qgd --tol.
 VERIFY_TOL = 1e-9
+# trajectory's bound on a toggled coupling's off-diagonal entries, per unit
+# of max(r, |J_zz|): roundoff.
+ALGEBRA_TOL = 1e-12
 
 
 def _rotation_entries(axis: str, angle: float) -> tuple:
@@ -237,21 +241,17 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     """Entangler-space path of a schedule under constant couplings.
 
     Pulses toggle the frame of the coupling (Khaneja, Brockett and Glaser,
-    PRA 63, 032308 (2001)): an interval evolves under L^dag H L, with
-    H = rot_frame_matrix(p) and L = a (x) b the pulses since the first
-    interval, qubit 2's first turned by phi about z (p.fold). In the magic
-    basis (Zhang et al., PRA 67, 042313 (2003)) L is a real orthogonal o,
-    H a real h, XX, YY and ZZ the diagonals GEN_DIAGS, and every other
-    sigma^m (x) sigma^n zero on the diagonal: o^T h o is diagonal exactly
-    when the toggled tensor t is, and its diagonal d advances (x, y, z) at
-    GEN_DIAGS^T d / 4. Raises UnsupportedOp, naming the interval, when an
-    entry off that diagonal, each +-t_mn +- t_nm, exceeds ALGEBRA_TOL
-    max(r, |J_zz|), which refuses every t off diagonal by more than that
-    and some off by more than half of it; ValueError when max(r, |J_zz|)
-    times the total entangling time is not finite, when
-    samples_per_interval is not an _exact_int of at least 1, or naming the
-    interval when its sample times or points are not finite or its
-    samples are too short to advance the running time.
+    PRA 63, 032308 (2001)): an interval evolves under L^dag H L, with H =
+    rot_frame_matrix(p) and L = a (x) b the pulses since the first
+    interval, qubit 2's first turned by phi about z (p.fold). It reads the
+    toggled tensor t[m, n] = tr(sigma^m (x) sigma^n L^dag H L) / 4 by the
+    inverse of qmat.coupling_operator, and advances (x, y, z) at the
+    diagonal of t. Raises UnsupportedOp, naming the interval, when an
+    entry of t off its diagonal exceeds ALGEBRA_TOL max(r, |J_zz|);
+    ValueError when max(r, |J_zz|) times the total entangling time is not
+    finite, when samples_per_interval is not an _exact_int of at least 1,
+    or naming the interval when its sample times or points are not finite
+    or its samples are too short to advance the running time.
     """
     _require_type(p, RotFrameParams)
     _require_type(schedule, PulseSchedule)
@@ -266,7 +266,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
         raise ValueError(f"entangling area {area} is not finite: "
                          "couplings or durations are too large")
 
-    h = (_MAGIC2_DAG @ rot_frame_matrix(p) @ _MAGIC2).real / 2
+    h = rot_frame_matrix(p)
     frames = {1: _ID2, 2: _rotation_entries("z", p.fold[1])}
     times, points = [0.0], [np.zeros(3)]
     for i, op in enumerate(schedule.ops):
@@ -274,10 +274,9 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
             frames[op.qubit] = _mul2(op._entries, frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
             layer = _step(_ID_W, *frames.values())
-            o = (_MAGIC2_DAG @ layer @ _MAGIC2).real / 2
-            toggled = o.T @ h @ o
-            d = np.diag(toggled)
-            if np.max(np.abs(toggled - np.diag(d))) > ALGEBRA_TOL * scale:
+            t = _pauli_coefficients(layer.conj().T @ h @ layer)
+            d = np.diag(t)
+            if np.max(np.abs(t - np.diag(d))) > ALGEBRA_TOL * scale:
                 raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"
                                     " it turn the coupling off diagonal")
             # A finite area still lets duration * samples, or a sample
@@ -285,7 +284,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
             with np.errstate(over="ignore", invalid="ignore"):
                 steps = op.duration * np.arange(1, samples + 1) / samples
                 new_times = times[-1] + steps
-                new_points = points[-1] + np.outer(steps, GEN_DIAGS.T @ d / 4)
+                new_points = points[-1] + np.outer(steps, d)
             if not (np.isfinite(new_times).all()
                     and np.isfinite(new_points).all()):
                 raise ValueError(
@@ -354,7 +353,7 @@ def _tolerance(tol) -> float:
     A Python float, so that the pass flags are bools."""
     limit = _finite("tolerance", tol)
     if not 0 < limit:
-        raise ValueError(f"tolerance {tol!r} must be positive and finite")
+        raise ValueError(f"tolerance {tol!r} must be positive")
     return limit
 
 

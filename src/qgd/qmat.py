@@ -1,12 +1,12 @@
 """Dense complex 2x2 / 4x4 matrix algebra.
 
-Pauli operators, Kronecker products, the magic (Bell) basis, exact as
-_MAGIC2 = sqrt(2) Q, with the diagonals of XX, YY and ZZ in it (GEN_DIAGS,
-exactly +-1), the two-qubit coupling operator of a 3x3 tensor, unitary
-distance metrics, the one reader of a scalar real (_finite: a finite
-float, never a bool, -0.0 read as 0.0), the reader of an integer
-(_exact_int) and the type rule of the package's value arguments
-(_require_type). Matrix arguments are read by _numeric, by dtype kind.
+Pauli operators, Kronecker products, the two-qubit coupling operator of
+a 3x3 tensor and its inverse, the Pauli read _pauli_coefficients (the
+magic basis is equivalence's, which alone needs it), unitary distance
+metrics, the one reader of a scalar real (_finite: a finite float, never
+a bool, -0.0 read as 0.0), the reader of an integer (_exact_int) and the
+type rule of the package's value arguments (_require_type). Matrix
+arguments are read by _numeric, by dtype kind, never bool.
 Every generator the package evolves under is constant over its interval.
 One closed form, _entangler, gives the five distinct entries of A and is
 the one place that refuses a phase that is not finite; _step
@@ -16,8 +16,8 @@ public exponential: the one eigendecomposition, _expm_eigh, serves only
 hamiltonian.rwa_infidelity's lab frame, whose Hamiltonian has no closed
 form. There is no time-ordered product.
 The public functions check their input (numeric dtype, shape, unitarity);
-their kernels, _coupling_operator, _expm_eigh, _distance and
-_phase_distance, trust what the package built.
+their kernels, _coupling_operator, _pauli_coefficients, _expm_eigh,
+_distance and _phase_distance, trust what the package built.
 Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
@@ -29,14 +29,9 @@ import numpy as np
 
 from .errors import NotUnitary
 
-__all__ = [
-    "I2", "SX", "SY", "SZ", "MAGIC", "MAGIC_DAG", "GEN_DIAGS",
-    "kron", "coupling_operator", "require_unitary", "distance",
-]
+__all__ = ["kron", "coupling_operator", "require_unitary", "distance"]
 
-# Tolerances of the algebraic-identity checks: a toggled coupling must be
-# diagonal to roundoff, an input gate unitary to the verification scale.
-ALGEBRA_TOL = 1e-12
+# Largest deviation from unitarity of an input gate.
 UNITARY_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
@@ -47,25 +42,6 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 # PAULI_PAIRS[m, n] = sigma^m (x) sigma^n, m, n indexing x, y, z.
 PAULI_PAIRS = np.array([[np.kron(a, b) for b in (SX, SY, SZ)]
                         for a in (SX, SY, SZ)])
-
-# Magic (Bell) basis Q = _MAGIC2 / sqrt(2): local rotations become real
-# orthogonal matrices here. _MAGIC2's entries 0, +-1 and +-i are exact, so
-# Re(Q^dag m Q) = Re(_MAGIC2^dag m _MAGIC2) / 2 carries no roundoff of
-# 1/sqrt(2).
-_MAGIC2 = np.array([
-    [1, 0, 0, 1j],
-    [0, 1j, 1, 0],
-    [0, 1j, -1, 0],
-    [1, 0, 0, -1j],
-], dtype=complex)
-_MAGIC2_DAG = _MAGIC2.conj().T
-MAGIC = (1 / math.sqrt(2)) * _MAGIC2
-MAGIC_DAG = MAGIC.conj().T
-# GEN_DIAGS[:, k]: the diagonal of PAULI_PAIRS[k, k] (XX, YY, ZZ) in the
-# magic basis, where all three are diagonal; every entry is exactly +-1.
-GEN_DIAGS = np.stack([
-    np.diag(_MAGIC2_DAG @ PAULI_PAIRS[k, k] @ _MAGIC2).real / 2
-    for k in range(3)], axis=1)
 
 
 def _finite(what: str, value) -> float:
@@ -180,7 +156,7 @@ def coupling_operator(t) -> np.ndarray:
     Every two-qubit coupling Hamiltonian and entangler generator of the
     package is this contraction of some tensor.
     """
-    t = _numeric(t, "real 3x3", kinds="biuf")
+    t = _numeric(t, "real 3x3", kinds="iuf")
     if t.shape != (3, 3):
         raise ValueError(f"expected a real 3x3 matrix, got shape {t.shape}")
     return _coupling_operator(t)
@@ -191,10 +167,17 @@ def _coupling_operator(t: np.ndarray) -> np.ndarray:
     return (t.reshape(9) @ PAULI_PAIRS.reshape(9, 16)).reshape(4, 4)
 
 
-def _numeric(m, what: str, kinds: str = "biufc") -> np.ndarray:
+def _pauli_coefficients(g: np.ndarray) -> np.ndarray:
+    """t[m, n] = tr(sigma^m (x) sigma^n g) / 4 of a Hermitian complex 4x4
+    array g, unchecked: the inverse of _coupling_operator, and the part of
+    g in its span otherwise. tr(P g) sums P[i, j] g[j, i]."""
+    return (PAULI_PAIRS.reshape(9, 16) @ g.T.ravel()).real.reshape(3, 3) / 4
+
+
+def _numeric(m, what: str, kinds: str = "iufc") -> np.ndarray:
     """m as a complex array, if of a dtype kind in kinds (by default any
-    numeric one), or as a float array if kinds holds no "c"; ValueError
-    if not."""
+    numeric one: a bool array is no matrix of numbers), or as a float
+    array if kinds holds no "c"; ValueError if not."""
     try:
         m = np.asarray(m)
     except (TypeError, ValueError) as exc:

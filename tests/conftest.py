@@ -28,17 +28,37 @@ def expm_h(h, t=1.0):
     return (v * np.exp(w * (-1j * t))) @ v.conj().T
 
 
-_PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
-           np.array([[0, -1j], [1j, 0]], dtype=complex),
-           np.array([[1, 0], [0, -1]], dtype=complex))
+PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+# The tests' own magic (Bell) basis Q = MAGIC2 / sqrt(2) (Zhang, Vala,
+# Sastry and Whaley, PRA 67, 042313 (2003)), written out apart from the
+# library's private one, which the tests check against it. Its columns
+# are (|00> + |11>), i(|01> + |10>), |01> - |10> and i(|00> - |11>), over
+# sqrt(2).
+MAGIC2 = np.array([[1, 0, 0, 1j],
+                   [0, 1j, 1, 0],
+                   [0, 1j, -1, 0],
+                   [1, 0, 0, -1j]], dtype=complex)
+MAGIC = (1 / math.sqrt(2)) * MAGIC2
+MAGIC_DAG = MAGIC.conj().T
+# GEN_DIAGS[:, k]: the diagonal of XX, YY and ZZ (k = 0, 1, 2) in Q, by
+# hand: XX swaps |00>, |11> and |01>, |10>; YY does so with a sign -1 on
+# |00> <-> |11>; ZZ is +1 on |00>, |11> and -1 on |01>, |10>.
+GEN_DIAGS = np.array([[1, -1, 1],
+                      [1, 1, -1],
+                      [-1, -1, -1],
+                      [-1, 1, 1]], dtype=float)
 
 
 def lab_hamiltonian(j, eps):
     """-(eps/2)(Z1 + Z2) + sum_mn j[m, n] sigma_1^m sigma_2^n of a 3x3
     tensor j, by Kronecker products: the tests' lab-frame reference."""
-    z = _PAULIS[2]
+    z = PAULIS[2]
     h = -(eps / 2) * (np.kron(z, np.eye(2)) + np.kron(np.eye(2), z))
-    return h + sum(j[m][n] * np.kron(_PAULIS[m], _PAULIS[n])
+    return h + sum(j[m][n] * np.kron(PAULIS[m], PAULIS[n])
                    for m in range(3) for n in range(3))
 
 

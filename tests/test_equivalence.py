@@ -20,7 +20,8 @@ from qgd.equivalence import (kak_decompose, locally_equivalent,
 from qgd.errors import NotUnitary
 from qgd.qmat import distance, kron
 
-from conftest import haar_unitary, noisy_unitaries, random_su2
+from conftest import (GEN_DIAGS, MAGIC, MAGIC2, MAGIC_DAG, PAULIS,
+                      haar_unitary, noisy_unitaries, random_su2)
 
 PI = math.pi
 
@@ -31,16 +32,17 @@ def _dressed(rng, core):
 
 
 def test_magic_basis_constants():
-    assert equivalence.MAGIC is qmat.MAGIC
-    assert np.array_equal(qmat.MAGIC_DAG, qmat.MAGIC.conj().T)
-    assert np.allclose(qmat.MAGIC_DAG @ qmat.MAGIC, np.eye(4), atol=1e-15)
+    # KAK's private magic basis is the tests' own, bit for bit.
+    assert equivalence._MAGIC2.tobytes() == MAGIC2.tobytes()
+    assert equivalence._MAGIC.tobytes() == MAGIC.tobytes()
+    assert equivalence._MAGIC_DAG.tobytes() == MAGIC_DAG.tobytes()
+    assert np.allclose(MAGIC_DAG @ MAGIC, np.eye(4), atol=1e-15)
     # XX, YY and ZZ are diagonal in the magic basis, with +-1 entries.
-    for k in range(3):
-        d = np.diag(qmat.GEN_DIAGS[:, k])
-        assert np.allclose(qmat.MAGIC @ d @ qmat.MAGIC_DAG,
-                           qmat.PAULI_PAIRS[k, k], atol=1e-15)
+    for k, p in enumerate(PAULIS):
+        assert np.allclose(MAGIC @ np.diag(GEN_DIAGS[:, k]) @ MAGIC_DAG,
+                           np.kron(p, p), atol=1e-15)
     # Exactly +-1: the eigenphase system is then an exact Hadamard matrix.
-    assert np.array_equal(np.abs(qmat.GEN_DIAGS), np.ones((4, 3)))
+    assert equivalence._GEN_DIAGS.tobytes() == GEN_DIAGS.tobytes()
     assert np.array_equal(
         equivalence._PHASE_INVERSE @ equivalence._PHASE_SYSTEM, np.eye(4))
     # The quaternion map: entries exactly 0 or +-1/4, and 4 _ASSOC is
@@ -51,12 +53,12 @@ def test_magic_basis_constants():
     # Both are read off the exact sqrt(2) Q: bit for bit the formulas over
     # Q, rounded to the nearest integer, that they replace.
     gen = np.rint(np.stack([
-        np.real(np.diag(qmat.MAGIC_DAG @ qmat.PAULI_PAIRS[k, k] @ qmat.MAGIC))
-        for k in range(3)], axis=1))
-    assert gen.tobytes() == qmat.GEN_DIAGS.tobytes()
-    quaternions = equivalence._QUATERNIONS
+        np.real(np.diag(MAGIC_DAG @ np.kron(p, p) @ MAGIC))
+        for p in PAULIS], axis=1))
+    assert gen.tobytes() == equivalence._GEN_DIAGS.tobytes()
+    quaternions = [np.eye(2)] + [-1j * p for p in PAULIS]
     rounded = np.rint(np.array([
-        (qmat.MAGIC_DAG @ np.kron(p, q) @ qmat.MAGIC).real.ravel()
+        (MAGIC_DAG @ np.kron(p, q) @ MAGIC).real.ravel()
         for p in quaternions for q in quaternions])) / 4
     assert rounded.tobytes() == assoc.tobytes()
 
@@ -101,7 +103,7 @@ class TestMakhlinInvariants:
 
 def _magic_basis_invariants(u):
     """(G1, G2) by their definition: m = ub^T ub, ub = Q^dag u Q."""
-    ub = qmat.MAGIC_DAG @ u @ qmat.MAGIC
+    ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
     det = np.prod(np.linalg.eigvals(ub))
     tr = np.trace(m)
@@ -115,9 +117,9 @@ class TestMakhlinKernel:
     def test_magic_basis_times_its_transpose_is_minus_yy(self):
         # Q Q^T = -Y (x) Y; exact on the exact sqrt(2) Q, and within the
         # rounding of 1/sqrt(2) on Q itself.
-        yy = np.kron(qmat.SY, qmat.SY)
-        assert np.array_equal(qmat._MAGIC2 @ qmat._MAGIC2.T, -2 * yy)
-        assert np.abs(qmat.MAGIC @ qmat.MAGIC.T + yy).max() <= 2.3e-16
+        yy = np.kron(PAULIS[1], PAULIS[1])
+        assert np.array_equal(MAGIC2 @ MAGIC2.T, -2 * yy)
+        assert np.abs(MAGIC @ MAGIC.T + yy).max() <= 2.3e-16
         # The signed mirror the kernel takes is (Y (x) Y) u (Y (x) Y).
         u = np.arange(16.0).reshape(4, 4) + 1j
         assert np.array_equal(equivalence._YY_SIGNS * u[::-1, ::-1],
@@ -145,7 +147,7 @@ class TestMakhlinKernel:
         for _ in range(400):
             u = haar_unitary(rng) + 10 ** rng.uniform(-10.5, -9.5) * (
                 rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-            ub = qmat.MAGIC_DAG @ u @ qmat.MAGIC
+            ub = MAGIC_DAG @ u @ MAGIC
             m = ub.T @ ub
             tr2 = complex(m.trace()) ** 2
             g2 = ((tr2 - complex((m * m).sum()))
@@ -502,7 +504,7 @@ _STRINGS = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
     ids=["strings", "strings2x2", "none", "object_gate", "none_entry",
          "datetime"])
 def test_entry_points_refuse_non_numbers(entry, bad, dtype):
-    # One dtype check admits bool, int, uint, float and complex entries;
+    # One dtype check admits int, uint, float and complex entries;
     # numpy would otherwise parse "1" as 1.
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -492,11 +492,11 @@ class TestRwaInfidelity:
 
     @pytest.mark.parametrize("ct, eps, t_final, message", [
         ({}, "x", None, "t_final None is not a finite number"),
-        ({}, "x", -1.0, "T must be positive and finite"),
+        ({}, "x", -1.0, "T must be positive$"),
         ({}, "x", 1.0, "eps 'x' is not a finite number"),
         ({}, -1.0, 1.0, "expected CouplingTensor, got {}"),
         (np.full((3, 3), 1e308), -1.0, 2.0 ** 40,
-         "eps must be positive and finite"),
+         "eps must be positive$"),
         (np.full((3, 3), 1e308), 1.0, 2.0 ** 40,
          "coupling tensor too large: eps [+] sum [|]J[|] overflows"),
         (np.eye(3), 1.0, 2.0 ** 40, "t_final 1099511627776.0 is too long"),

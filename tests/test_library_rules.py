@@ -1,8 +1,8 @@
 """Rules that the library source keeps, read off src/qgd/*.py: every qgd
 result is deterministic, one memo serves the whole package, the only
-eigensolvers are the lab frame's exponential and KAK's, each input fact is
-decided in one place, and the records the package returns are no public
-names."""
+eigensolvers are the lab frame's exponential and KAK's, the magic basis is
+KAK's alone, each input fact is decided in one place, and the records the
+package returns are no public names."""
 import ast
 import pathlib
 import re
@@ -40,6 +40,12 @@ def test_linear_algebra_only_where_no_closed_form_exists():
     # (equivalence) have no closed form; every other exponential, product
     # and determinant of the package is one.
     assert matching(r"linalg") == ["equivalence.py", "qmat.py"]
+
+
+def test_the_magic_basis_is_equivalences():
+    # Only KAK needs the magic basis; trajectories read the toggled
+    # coupling in coupling_operator's Pauli basis instead.
+    assert matching(r"MAGIC|GEN_DIAGS") == ["equivalence.py"]
 
 
 @pytest.mark.parametrize("literal", ['"phase overflows',

@@ -29,10 +29,10 @@ from qgd.hamiltonian import (CouplingTensor, RotFrameParams, reduce_coupling,
                              rot_frame_propagator, rwa_infidelity)
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         simulate_schedule, trajectory)
-from qgd.qmat import (GEN_DIAGS, I2, MAGIC, MAGIC_DAG, PAULI_PAIRS, SX, SY,
-                      SZ, distance, kron)
+from qgd.qmat import I2, PAULI_PAIRS, SX, SY, SZ, distance, kron
 
-from conftest import expm_h, haar_unitary, lab_hamiltonian, random_su2
+from conftest import (GEN_DIAGS, MAGIC, MAGIC_DAG, expm_h, haar_unitary,
+                      lab_hamiltonian, random_su2)
 
 EXACT = 1e-9
 

@@ -469,6 +469,24 @@ class TestTrajectory:
                           PulseSchedule(sched.ops[1:]))
         assert np.allclose(traj.raw[-1], [0.3, 0.3, 0.0])
 
+    @pytest.mark.parametrize("delta, drawn", [(6e-13, True),
+                                              (2e-12, False)])
+    def test_refusal_bound_is_each_off_diagonal_entry(self, delta, drawn):
+        # Rx(delta) on both qubits between two intervals of J(XX + YY),
+        # J = 1, gives t_yz = t_zy ~ J delta. Each entry is held to
+        # ALGEBRA_TOL max(r, |J_zz|) = 1e-12 on its own: 6e-13 is drawn,
+        # though t_yz + t_zy exceeds the bound, and 2e-12 is refused.
+        sched = PulseSchedule((Entangle(0.3), Rotate("x", delta, 1),
+                               Rotate("x", delta, 2), Entangle(0.3)))
+        p = RotFrameParams(1, 0, 0)
+        if drawn:
+            traj = trajectory(p, sched)
+            assert np.allclose(traj.raw[-1], [0.6, 0.6, 0.0], rtol=0,
+                               atol=1e-15)
+        else:
+            with pytest.raises(UnsupportedOp, match="^schedule op 3, "):
+                trajectory(p, sched)
+
     def test_phase_ops_ignored(self):
         traj = trajectory(RotFrameParams(1, 0, 0),
                           PulseSchedule((GlobalPhase(0.4), Entangle(0.5))))
@@ -536,7 +554,8 @@ class TestVerifySchedule:
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0, "1"])
     def test_tol_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError, match="^tolerance .*(is not a finite "
+                                             "number|must be positive)$"):
             verify_schedule(PulseSchedule(()), RotFrameParams(1, 0, 0),
                             np.eye(4), tol=tol)
 

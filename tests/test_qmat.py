@@ -49,6 +49,17 @@ class TestCouplingOperator:
         assert np.array_equal(qmat.coupling_operator(np.eye(3, dtype=int)),
                               qmat.coupling_operator(np.eye(3)))
 
+    def test_pauli_read_inverts_it(self, rng):
+        # tr(sigma^m (x) sigma^n sigma^p (x) sigma^q) = 4 [m = p][n = q]:
+        # exact on a tensor of small integers, to roundoff on any other.
+        t = rng.integers(-3, 4, size=(3, 3)).astype(float)
+        assert np.array_equal(
+            qmat._pauli_coefficients(qmat.coupling_operator(t)), t)
+        for _ in range(50):
+            t = rng.normal(size=(3, 3))
+            back = qmat._pauli_coefficients(qmat.coupling_operator(t))
+            assert np.max(np.abs(back - t)) < 1e-15
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad,match", [
         (np.eye(3) * (1 + 0.5j), "not complex128"),
@@ -230,15 +241,49 @@ def test_wrong_argument_type_refused_by_name(expected, call):
         call()
 
 
+def _bool_matrix_calls():
+    """A pytest.param(call, id=entry point) for each matrix argument of
+    each entry point, given a bool identity where numbers belong."""
+    from qgd.equivalence import (kak_decompose, locally_equivalent,
+                                 makhlin_invariants)
+    from qgd.hamiltonian import RotFrameParams
+    from qgd.pulses import Entangle, PulseSchedule, verify_schedule
+    eye2, eye3, eye4 = (np.eye(n, dtype=bool) for n in (2, 3, 4))
+    s = PulseSchedule((Entangle(0.5),))
+    p = RotFrameParams(1.0, 0.0, 0.0)
+    calls = {
+        "require_unitary": lambda: qmat.require_unitary(eye4),
+        "distance_u": lambda: distance(eye4, I4),
+        "distance_v": lambda: distance(I4, eye4, True),
+        "kron_a": lambda: kron(eye2, I2),
+        "kron_b": lambda: kron(I2, eye2),
+        "coupling_operator": lambda: qmat.coupling_operator(eye3),
+        "makhlin_invariants": lambda: makhlin_invariants(eye4),
+        "kak_decompose": lambda: kak_decompose(eye4),
+        "locally_equivalent_u": lambda: locally_equivalent(eye4, CNOT),
+        "locally_equivalent_v": lambda: locally_equivalent(CNOT, eye4),
+        "verify_schedule": lambda: verify_schedule(s, p, eye4),
+    }
+    return [pytest.param(call, id=name) for name, call in calls.items()]
+
+
+@pytest.mark.parametrize("call", _bool_matrix_calls())
+def test_bool_array_is_no_matrix_of_numbers(call):
+    # A bool array would otherwise be read as 0s and 1s: the identity.
+    with pytest.raises(ValueError, match="matrix of numbers, not bool$"):
+        call()
+
+
 class TestRequireUnitary:
     def test_unitary_passes_unchanged(self, rng):
         u = haar_unitary(rng)
         assert qmat.require_unitary(u) is u
 
-    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32,
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.float32,
                                        np.complex64])
     def test_every_numeric_dtype_accepted(self, dtype):
-        # The one dtype check (_numeric) admits every numeric kind.
+        # The one dtype check (_numeric) admits every numeric kind; a bool
+        # array is none (test_bool_array_is_no_matrix_of_numbers).
         u = qmat.require_unitary(np.eye(4, dtype=dtype))
         assert u.dtype == complex and np.array_equal(u, I4)
         assert distance(np.eye(4, dtype=dtype), I4) == 0.0
