@@ -131,12 +131,13 @@ _ROT = {(axis, angle, qubit): Rotate(axis, angle, qubit)
 
 def _interval(k: int, rate: float) -> float:
     """pi / (k rate), as two divisions so that k rate cannot overflow;
-    ZeroCoupling if the coupling is too weak for a finite interval."""
-    dt = _PI / k / rate
-    if not math.isfinite(dt):
+    ZeroCoupling if the coupling is too weak for a finite gate time
+    pi / (4 rate), the sum of the schedule's 4 / k intervals."""
+    total = _PI / 4 / rate
+    if not math.isfinite(total):
         raise ZeroCoupling(
-            f"coupling too weak: entangling time {dt} is not finite")
-    return dt
+            f"coupling too weak: entangling time {total} is not finite")
+    return _PI / k / rate
 
 
 def _refocused_schedule(p: RotFrameParams,
@@ -197,7 +198,9 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     Ry(pi) going to the other qubit. Like Rotate.qubit it must be the
     integer 1 or 2, never a bool, on every branch. The schedule is
     re-simulated and must match its target within tol, which must be
-    positive and finite.
+    positive and finite. ZeroCoupling when J, J_zz and J' are all zero, or
+    when the gate's whole entangling time pi / (4 max(r, |J_zz|)) is not
+    finite, though each refocused interval, half of it, may be.
     """
     _require_type(p, RotFrameParams)
     if prefer not in ("auto", "cnot"):

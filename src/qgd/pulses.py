@@ -110,7 +110,8 @@ _OP_BY_NAME = {name: cls for cls, (name, _) in _OPS.items()}
 class PulseSchedule:
     """Ordered Rotate, Entangle and GlobalPhase ops, first-applied first,
     from any iterable that keeps an order: a set, a mapping or a string
-    raises ValueError."""
+    raises ValueError. The Entangle durations must have a finite sum,
+    the total entangling time, summed once, here: ValueError if not."""
 
     ops: tuple
 
@@ -123,11 +124,16 @@ class PulseSchedule:
         for op in self.ops:
             if type(op) not in _OPS:
                 raise UnsupportedOp(f"unknown schedule op {op!r}")
+        total = float(sum(op.duration for op in self.ops
+                          if type(op) is Entangle))
+        if not math.isfinite(total):
+            raise ValueError(f"total entangling time {total} is not finite:"
+                             " durations are too large")
+        object.__setattr__(self, "_total", total)
 
     @property
     def total_entangling_time(self) -> float:
-        return float(sum(op.duration for op in self.ops
-                         if isinstance(op, Entangle)))
+        return self._total
 
     def pretty(self) -> str:
         """Right-to-left rendering matching the usual operator notation."""
@@ -212,12 +218,12 @@ def simulate_schedule(s: PulseSchedule, p: RotFrameParams) -> np.ndarray:
             if op.duration != dt:
                 dt, w = op.duration, _rot_frame_entries(p, op.duration)
             step = _step(w, a, b)
-            u = step if u is None else step @ u
+            u = step if u is None else step.dot(u)
             a = b = _ID2
         else:  # GlobalPhase
             phase *= cmath.exp(1j * op.angle)
     last = _step(_ID_W, [phase * x for x in a], b)
-    return last if u is None else last @ u
+    return last if u is None else last.dot(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +280,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
             frames[op.qubit] = _mul2(op._entries, frames[op.qubit])
         elif isinstance(op, Entangle) and op.duration:
             layer = _step(_ID_W, *frames.values())
-            t = _pauli_coefficients(layer.conj().T @ h @ layer)
+            t = _pauli_coefficients(layer.conj().T.dot(h).dot(layer))
             d = np.diag(t)
             if np.max(np.abs(t - np.diag(d))) > ALGEBRA_TOL * scale:
                 raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"

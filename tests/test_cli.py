@@ -466,6 +466,32 @@ class TestErrorBoundary:
         assert result.stdout == ""
         assert "phase overflows" in result.stderr
 
+    @pytest.mark.parametrize("command,code,message", [
+        ("compile", 3, "coupling too weak"),
+        ("simulate", 1, "total entangling time inf"),
+        ("trajectory", 1, "total entangling time inf"),
+    ], ids=["compile", "simulate", "trajectory"])
+    def test_infinite_entangling_time_refused(self, runner, tmp_path,
+                                              command, code, message):
+        # Each interval is finite, their sum is not: compile and simulate
+        # once printed "total_entangling_time": Infinity, which is not
+        # JSON, and trajectory said "entangling area nan".
+        weak = write_json(tmp_path, "weak.json",
+                          {"J": 4e-309, "Jzz": 0.0, "Jprime": 0.0})
+        zero = write_json(tmp_path, "zero.json",
+                          {"J": 0.0, "Jzz": 0.0, "Jprime": 0.0})
+        sched = write_json(tmp_path, "s.json",
+                           [{"op": "entangle", "duration": 1e308}] * 2)
+        args = {"compile": ["--prefer", "cnot", "--input", weak],
+                "simulate": ["--input", sched, "--coupling", zero,
+                             "--target", "I"],
+                "trajectory": ["--schedule", sched, "--coupling", zero],
+                }[command]
+        result = runner.invoke(main, [command, *args])
+        assert refused(result, code)
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("gate", ["C(1e999)", "Ctheta(-1e999)"])
     def test_non_finite_phase_gate_exit_7(self, runner, gate):
         result = runner.invoke(main, ["invariants", "--gate", gate])

@@ -131,6 +131,9 @@ class TestCompileBranches:
     @pytest.mark.parametrize("params", [
         (1e-320, 0.0, 0.0), (-1e-320, 0.0, 0.0), (0.0, 1e-320, 0.0),
         (0.0, -1e-320, 0.0), (0.0, 0.0, 1e-320),
+        # Each refocused interval pi/(8 rate) is finite, the gate time
+        # pi/(4 rate) is not: it once compiled with an infinite total.
+        (4e-309, 0.0, 0.0), (0.0, -4e-309, 0.0), (0.0, 0.0, 4e-309),
     ])
     def test_infinite_entangling_time_is_zero_coupling(self, params):
         for prefer in ("auto", "cnot"):

@@ -357,6 +357,28 @@ class TestKakDecompose:
             EntanglerCoords(0.3, 0.3, 0))))
         assert shapes == [(4, 4), (2, 2)]
 
+    def test_eigh_count_per_haar_gate_and_at_the_retry_point(
+            self, rng, monkeypatch):
+        # One eigh per Haar gate: the eigenbasis returns at once when no
+        # columns couple. Two per dressed A(x, x, 0) at the benchmark's
+        # x = atan(pi^2) / 2: the cluster walk still runs there.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for _ in range(50):
+            kak_decompose(haar_unitary(rng))
+        assert len(calls) == 50
+        calls.clear()
+        x = math.atan(PI ** 2) / 2
+        core = canonical_entangler(EntanglerCoords(x, x, 0))
+        for _ in range(50):
+            kak_decompose(_dressed(rng, core))
+        assert len(calls) == 100
+
     @pytest.mark.parametrize("core", [
         canonical_entangler(EntanglerCoords(0.3, 0.3, 0)),
         controlled_phase(1e-4),
@@ -460,6 +482,16 @@ class TestWeylCanonicalize:
             x, y, z = w.as_array()
             assert PI / 4 + 1e-12 >= x >= y >= abs(z) - 1e-12
             assert y >= 0
+
+    @pytest.mark.parametrize("coords", [
+        (7e15, 0.1, 0.05), (-3e16, 0.2, 0.1), (1e300, 0.3, -0.2),
+        (0.3, -1e300, 1e300), (1e16, 3e17, -5e18), (-1.7e308, 1e15, 2.5)])
+    def test_large_coordinates_stay_in_the_chamber(self, coords):
+        # The reduction a - pi/2 floor((a + pi/4) / (pi/2)) rounded once
+        # |a| ~ 1e15 and put 7e15 at x = 1.0; math.remainder is exact.
+        w = weyl_canonicalize(EntanglerCoords(*coords))
+        assert PI / 4 >= w.x >= w.y >= abs(w.z)
+        assert weyl_canonicalize(w) == w
 
 
 def _verify_target(target):

@@ -1,8 +1,9 @@
 """Rules that the library source keeps, read off src/qgd/*.py: every qgd
 result is deterministic, one memo serves the whole package, the only
 eigensolvers are the lab frame's exponential and KAK's, the magic basis is
-KAK's alone, each input fact is decided in one place, and the records the
-package returns are no public names."""
+KAK's alone, every product inside a function is ndarray.dot, each input
+fact is decided in one place, and the records the package returns are no
+public names."""
 import ast
 import pathlib
 import re
@@ -46,6 +47,21 @@ def test_the_magic_basis_is_equivalences():
     # Only KAK needs the magic basis; trajectories read the toggled
     # coupling in coupling_operator's Pauli basis instead.
     assert matching(r"MAGIC|GEN_DIAGS") == ["equivalence.py"]
+
+
+def test_products_are_ndarray_dot():
+    # On numpy 2.x the matmul ufunc behind @ costs more dispatch than the
+    # arithmetic of a 4x4 product; ndarray.dot gives the same bits for
+    # less. Module-level constants, built once at import, may keep @.
+    found = set()
+    for p in SOURCES:
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+                found |= {(p.name, node.lineno) for node in ast.walk(fn)
+                          if isinstance(node, (ast.BinOp, ast.AugAssign))
+                          and isinstance(node.op, ast.MatMult)}
+    assert found == set()
 
 
 @pytest.mark.parametrize("literal", ['"phase overflows',

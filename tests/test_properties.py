@@ -22,7 +22,7 @@ from qgd.compiler import (CNOT, SWAP, compile_cnot, controlled_phase,
                           named_gate)
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import (_det4, _joint_orthogonal_eigenbasis,
-                             _so4_factors, kak_decompose,
+                             _so4_pairs, kak_decompose,
                              locally_equivalent, makhlin_invariants,
                              weyl_canonicalize)
 from qgd.hamiltonian import (CouplingTensor, RotFrameParams, reduce_coupling,
@@ -333,7 +333,7 @@ def _quaternion(f: np.ndarray) -> np.ndarray:
 @given(a=local_factor, b=local_factor)
 def test_so4_factors_closed_form(a, b):
     u = kron(a, b)
-    f1, f2 = _so4_factors(_so4(u))
+    f1, f2 = _so4_pairs(_so4(u))
     assert np.max(np.abs(kron(f1, f2) - u)) < 1e-13
     for f in (f1, f2):
         assert abs(np.linalg.det(f) - 1) < 1e-12
@@ -351,8 +351,12 @@ _QUARTER, _HALF, _EDGE_TOL = math.pi / 4, math.pi / 2, 1e-12
 
 
 def _reference_weyl(x, y, z) -> tuple:
-    v = np.array([x, y, z])
-    v = v - _HALF * np.floor((v + _QUARTER) / _HALF)
+    # The exact residue: fmod is exact, and so is each half-cell fold
+    # (Sterbenz), so this is math.remainder up to the sign of a tie at
+    # -+pi/4, which the edge rule below maps to +pi/4 either way.
+    v = np.fmod(np.array([x, y, z]), _HALF)
+    v = np.where(v > _QUARTER, v - _HALF,
+                 np.where(v < -_QUARTER, v + _HALF, v))
     v[np.abs(v + _QUARTER) <= _EDGE_TOL] = _QUARTER
     neg = int(np.sum(v < -_EDGE_TOL)) % 2
     mag = np.abs(v)[np.argsort(-np.abs(v), kind="stable")]
@@ -404,7 +408,8 @@ edge = st.sampled_from([0.0, -0.0, _QUARTER, -_QUARTER, _HALF, -_HALF,
 near_edge = st.builds(lambda e, s, d: e + s * d, edge,
                       st.sampled_from([-1.0, 1.0]),
                       st.floats(min_value=1e-16, max_value=1e-11))
-weyl_coord = st.one_of(edge, near_edge, st.floats(min_value=-7, max_value=7))
+weyl_coord = st.one_of(edge, near_edge, st.floats(min_value=-7, max_value=7),
+                       st.floats(min_value=-1e300, max_value=1e300))
 
 
 @settings(PROPERTY, max_examples=500)
@@ -453,7 +458,7 @@ def _reference_kron_factor_local(u) -> tuple:
 @given(a=local_factor, b=local_factor)
 def test_so4_factors_match_block_split_up_to_common_sign(a, b):
     u = kron(a, b)
-    got = _so4_factors(_so4(u))
+    got = _so4_pairs(_so4(u))
     ref = _reference_kron_factor_local(u)
     gap = min(max(_max_diff(g, s * r) for g, r in zip(got, ref))
               for s in (1, -1))

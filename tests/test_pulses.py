@@ -129,6 +129,19 @@ class TestSchedule:
         s = PulseSchedule((Entangle(0.5), Rotate("x", PI, 1), Entangle(0.25)))
         assert s.total_entangling_time == 0.75
 
+    @pytest.mark.parametrize("durations", [
+        (1e308, 1e308), (1.7e308, 0.0, 1.7e308), (1e308,) * 3],
+        ids=["two_intervals", "zero_between", "three_intervals"])
+    def test_infinite_total_entangling_time_refused(self, durations):
+        # Each duration is finite, their sum is not: it once reached the
+        # JSON of qgd simulate as Infinity, and trajectory as area nan.
+        with pytest.raises(ValueError, match="total entangling time inf is "
+                                             "not finite"):
+            PulseSchedule([Entangle(d) for d in durations])
+        with pytest.raises(ValueError, match="total entangling time inf"):
+            PulseSchedule.from_json([{"op": "entangle", "duration": d}
+                                     for d in durations])
+
     def test_json_round_trip(self):
         s = PulseSchedule((Rotate("x", 1.5707963, 1), Entangle(0.3926991),
                            GlobalPhase(2.3561945)))
@@ -353,7 +366,6 @@ class TestTrajectory:
     @pytest.mark.parametrize("p,duration", [
         (RotFrameParams(1e300, 0.0, 0.0), 1e300),
         (RotFrameParams(0.0, -1e300, 0.0), 1e300),
-        (RotFrameParams(1.0, 0.0, 0.0), 1e308),  # two intervals sum to inf
     ])
     def test_overflowing_area_rejected(self, p, duration):
         s = PulseSchedule((Entangle(duration), Rotate("x", PI, 1),
