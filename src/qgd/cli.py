@@ -8,8 +8,9 @@ every key required; schedules as lists of op objects in application order.
 else.
 
 Exit codes: 1 invalid input (unparsable file, bad value, usage error or
-a request too large for memory), 2 non-unitary input, 3 zero coupling,
-5 unsupported schedule op, 7 unknown gate name, 8 verification failed.
+a request too large for memory), 2 input not unitary within 1e-9,
+3 coupling zero or too weak, 5 unsupported schedule op, 7 unknown gate
+name, 8 verification failed.
 
 Codes 4 (nonzero J', which trajectories now draw) and 6 (integrator
 non-convergence) are retired and not reused.

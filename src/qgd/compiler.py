@@ -132,8 +132,8 @@ _ROT = {(axis, angle, qubit): Rotate(axis, angle, qubit)
 def _interval(k: int, rate: float) -> float:
     """pi / (k rate), as two divisions so that k rate cannot overflow;
     ZeroCoupling if the coupling is too weak for a finite gate time
-    pi / (4 rate), the sum of the schedule's 4 / k intervals."""
-    total = _PI / 4 / rate
+    pi / (4 rate), the sum of the schedule's 4 / k intervals (inf at 0)."""
+    total = _PI / 4 / rate if rate else math.inf
     if not math.isfinite(total):
         raise ZeroCoupling(
             f"coupling too weak: entangling time {total} is not finite")
@@ -198,15 +198,13 @@ def compile_cnot(p: RotFrameParams, prefer: str = "auto",
     Ry(pi) going to the other qubit. Like Rotate.qubit it must be the
     integer 1 or 2, never a bool, on every branch. The schedule is
     re-simulated and must match its target within tol, which must be
-    positive and finite. ZeroCoupling when J, J_zz and J' are all zero, or
-    when the gate's whole entangling time pi / (4 max(r, |J_zz|)) is not
-    finite, though each refocused interval, half of it, may be.
+    positive and finite. ZeroCoupling when the gate's whole entangling
+    time pi / (4 max(r, |J_zz|)) is not finite (inf at zero coupling),
+    though each refocused interval, half of it, may be.
     """
     _require_type(p, RotFrameParams)
     if prefer not in ("auto", "cnot"):
         raise ValueError(f"bad prefer {prefer!r}")
-    if p.j == 0 and p.j_zz == 0 and p.j_prime == 0:
-        raise ZeroCoupling("all of J, J_zz, J' are zero")
     q = _exact_int(refocus_qubit)
     if q not in (1, 2):
         raise ValueError("refocus_qubit must be 1 or 2")

@@ -2,16 +2,16 @@
 equivalence testing, Weyl-chamber canonicalization, and a numeric KAK
 (Cartan) decomposition of arbitrary U(4) elements.
 
-makhlin_invariants checks a gate (unitarity, then the G2 residual) and
+makhlin_invariants checks a gate (qmat.require_unitary alone) and
 memoizes, for the last 32 distinct inputs by content (the C-order bytes
 of the 4x4 complex array), the invariants together with the checked gate
 u, read-only, and det u; locally_equivalent, kak_decompose,
 pulses.verify_schedule's target check and compiler's two targets gate
 through it, so each content is checked once, and a failing check is not
-memoized. Its kernel _makhlin needs no magic basis: Q Q^T = -Y (x) Y, so
-the traces of m = ub^T ub, ub = Q^dag u Q, are those of
-m' = u^T (Y (x) Y) u (Y (x) Y), one product, and det ub = det u; it also
-takes a product the package simulated, unchecked. Determinants are
+memoized. Its kernel _makhlin checks nothing and needs no magic basis:
+Q Q^T = -Y (x) Y, so the traces of m = ub^T ub, ub = Q^dag u Q, are those
+of m' = u^T (Y (x) Y) u (Y (x) Y), one product, and det ub = det u; it
+also takes a product the package simulated. Determinants are
 Laplace expansions on Python scalars (_det4); no LU factorization runs.
 KAK alone needs the magic basis Q, which is private to this module.
 KAK forms ub from the memo's u, takes it one Newton-Schulz step towards
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entangler import EntanglerCoords, canonical_entangler
-from .errors import NotUnitary
 from .qmat import (I2, SX, SY, SZ, _as_4x4, _require_type, kron,
                    require_unitary)
 
@@ -112,8 +111,8 @@ def makhlin_invariants(u: np.ndarray) -> MakhlinInvariants:
     """G1 = tr(m)^2 / (16 det u), G2 = (tr(m)^2 - tr(m^2)) / (4 det u),
     with m = (Q^dag u Q)^T (Q^dag u Q) in the magic basis.
 
-    Memoized by content: an input mutated in place is checked anew, and a
-    failing check raises on every call."""
+    NotUnitary unless u is unitary within qmat.UNITARY_TOL. Memoized by
+    content: a mutated input is checked anew, a failing one on each call."""
     return _invariants(_as_4x4(u).tobytes())[0]
 
 
@@ -128,7 +127,7 @@ def _invariants(raw: bytes) -> tuple:
 
 def _makhlin(u: np.ndarray) -> tuple:
     """(makhlin_invariants, det u) of a complex 4x4 array trusted to be
-    unitary; it still checks the G2 residual.
+    unitary, unchecked; G2 is the real part of its formula.
 
     Q Q^T = -Y (x) Y, so m = ub^T ub is similar to m' = u^T (Y (x) Y) u
     (Y (x) Y): tr m = tr m', tr m^2 = tr m'^2, and det ub = det u
@@ -145,11 +144,6 @@ def _makhlin(u: np.ndarray) -> tuple:
                  + m12 * m21 + m13 * m31 + m23 * m32))
     g1 = tr2 / (16 * det)
     g2 = (tr2 - sq) / (4 * det)
-    residual = abs(g2.imag)
-    if residual > 1e-10:
-        raise NotUnitary(
-            f"G2 imaginary residual {residual:.3e} exceeds 1e-10; "
-            "input is not unitary enough")
     return MakhlinInvariants(g1=g1, g2=g2.real), det
 
 
@@ -184,8 +178,8 @@ class KakFactors:
     a2 Y + a3 Z), the first factor's component of largest magnitude is
     positive.
 
-    Rebuilt, it is off u by about ||u^dag u - I||_F / 2 at most, plus up
-    to about _COUPLED where eigenphases of m nearly coincide.
+    Rebuilt, it is off u, within UNITARY_TOL, by about ||u^dag u - I||_F
+    / 2 at most, plus up to about _COUPLED where eigenphases coincide.
     """
 
     phase: float

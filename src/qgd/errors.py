@@ -7,7 +7,7 @@ class QgdError(Exception):
 
 
 class NotUnitary(QgdError):
-    """A matrix failed the unitarity check."""
+    """Off unitarity by qmat.UNITARY_TOL or more (qmat.require_unitary)."""
     exit_code = 2
 
 
@@ -17,7 +17,7 @@ class UnsupportedOp(QgdError):
 
 
 class ZeroCoupling(QgdError):
-    """All effective coupling parameters vanish; nothing to compile."""
+    """Coupling too weak (or zero) for a finite CNOT entangling time."""
     exit_code = 3
 
 

@@ -19,14 +19,15 @@ one scalar.
 trajectory draws a Trajectory, a record only it builds, its path
 continuous (never reduced mod 2 pi): it reads each interval's toggled
 coupling as a 3x3 tensor in qmat.coupling_operator's Pauli basis
-(qmat._pauli_coefficients), and the path advances at its diagonal.
+(qmat._pauli_coefficients), and the path advances at its diagonal; its
+one overflow rule is each interval's sample check, naming the interval.
 verify_schedule checks its mode and tolerance, and each distinct target
 once, through the invariants memo of equivalence.makhlin_invariants,
 keyed by the target's content; pulses keeps no memo of its own. It then
 runs one kernel, _verify, which compiler.compile_cnot calls directly on
 targets checked at import: the simulated product, unitary by
 construction, goes unchecked to qmat's distance kernels and to
-equivalence._makhlin.
+equivalence._makhlin, which check nothing.
 """
 from __future__ import annotations
 
@@ -254,10 +255,10 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
     inverse of qmat.coupling_operator, and advances (x, y, z) at the
     diagonal of t. Raises UnsupportedOp, naming the interval, when an
     entry of t off its diagonal exceeds ALGEBRA_TOL max(r, |J_zz|);
-    ValueError when max(r, |J_zz|) times the total entangling time is not
-    finite, when samples_per_interval is not an _exact_int of at least 1,
-    or naming the interval when its sample times or points are not finite
-    or its samples are too short to advance the running time.
+    ValueError when samples_per_interval is not an _exact_int of at least
+    1, or naming the interval when its sample times or points are not
+    finite (a finite path is drawn, however far out it goes) or its
+    samples are too short to advance the running time.
     """
     _require_type(p, RotFrameParams)
     _require_type(schedule, PulseSchedule)
@@ -266,12 +267,6 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
         raise ValueError(f"samples_per_interval {samples_per_interval!r} "
                          "must be an integer of at least 1")
     scale = max(math.hypot(p.j, p.j_prime), abs(p.j_zz))
-    # On Python floats: an overflowing area is inf here, not a warning.
-    area = scale * schedule.total_entangling_time
-    if not math.isfinite(area):
-        raise ValueError(f"entangling area {area} is not finite: "
-                         "couplings or durations are too large")
-
     h = rot_frame_matrix(p)
     frames = {1: _ID2, 2: _rotation_entries("z", p.fold[1])}
     times, points = [0.0], [np.zeros(3)]
@@ -285,8 +280,7 @@ def trajectory(p: RotFrameParams, schedule: PulseSchedule,
             if np.max(np.abs(t - np.diag(d))) > ALGEBRA_TOL * scale:
                 raise UnsupportedOp(f"schedule op {i}, {op}: the pulses before"
                                     " it turn the coupling off diagonal")
-            # A finite area still lets duration * samples, or a sample
-            # at the area's edge, overflow: refused below, not warned.
+            # A sample time or point may overflow: refused, not warned.
             with np.errstate(over="ignore", invalid="ignore"):
                 steps = op.duration * np.arange(1, samples + 1) / samples
                 new_times = times[-1] + steps
@@ -369,7 +363,7 @@ def _verify(s: PulseSchedule, p: RotFrameParams, target: np.ndarray,
     """verify_schedule's report, for a checked complex 4x4 target with
     invariants target_inv, a valid mode and a _tolerance limit; the
     simulated product, unitary by construction, goes unchecked to the
-    distance and invariant kernels."""
+    distance and invariant kernels, which check nothing."""
     u = simulate_schedule(s, p)
     d_exact = qmat._distance(u, target)
     d_phase = qmat._phase_distance(u, target)

@@ -156,7 +156,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def coupling_operator(t) -> np.ndarray:
     """sum_{mn} t[m, n] sigma_1^m sigma_2^n for a real 3x3 tensor t;
-    ValueError for a complex, non-numeric or non-3x3 one.
+    ValueError for a complex, non-numeric or non-3x3 one, or one whose
+    sum |t[m, n]|, which bounds every entry of the operator, is not finite.
 
     Every two-qubit coupling Hamiltonian and entangler generator of the
     package is this contraction of some tensor.
@@ -164,6 +165,9 @@ def coupling_operator(t) -> np.ndarray:
     t = _numeric(t, "real 3x3", kinds="iuf")
     if t.shape != (3, 3):
         raise ValueError(f"expected a real 3x3 matrix, got shape {t.shape}")
+    # Summed on Python floats: an overflow is inf, not a numpy warning.
+    if not math.isfinite(sum(map(abs, t.ravel().tolist()))):
+        raise ValueError("coupling tensor's sum |t_mn| is not finite")
     return _coupling_operator(t)
 
 
@@ -175,8 +179,9 @@ def _coupling_operator(t: np.ndarray) -> np.ndarray:
 def _pauli_coefficients(g: np.ndarray) -> np.ndarray:
     """t[m, n] = tr(sigma^m (x) sigma^n g) / 4 of a Hermitian complex 4x4
     array g, unchecked: the inverse of _coupling_operator, and the part of
-    g in its span otherwise. tr(P g) sums P[i, j] g[j, i]."""
-    return PAULI_PAIRS.reshape(9, 16).dot(g.T.ravel()).real.reshape(3, 3) / 4
+    g in its span otherwise. tr(P g) sums P[i, j] g[j, i], four terms
+    within ||g||_2 each, over 4 first (exact on normal floats): no overflow."""
+    return PAULI_PAIRS.reshape(9, 16).dot(g.T.ravel() / 4).real.reshape(3, 3)
 
 
 def _numeric(m, what: str, kinds: str = "iufc") -> np.ndarray:

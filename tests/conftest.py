@@ -21,6 +21,17 @@ def noisy_unitaries(rng, n):
         yield u + s * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
 
 
+def off_unitarity(rng, deviation):
+    """A Haar gate plus complex Gaussian noise, scaled so that it is off
+    unitarity by deviation in require_unitary's measure, the largest
+    entry of |u^dag u - I|, to first order in the noise."""
+    u = haar_unitary(rng)
+    noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    probe = u + 1e-10 * noise
+    off = np.abs(probe.conj().T @ probe - np.eye(4)).max()
+    return u + 1e-10 * deviation / off * noise
+
+
 def expm_h(h, t=1.0):
     """e^{-i h t} of a Hermitian h by eigendecomposition: the tests'
     reference exponential, in the operation order of qmat._expm_eigh."""

@@ -18,7 +18,7 @@ from qgd.cli import main
 from qgd.equivalence import kak_decompose
 from qgd.errors import QgdError
 
-from conftest import noisy_unitaries
+from conftest import noisy_unitaries, off_unitarity
 
 PI = math.pi
 
@@ -161,6 +161,20 @@ class TestKakCmd:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output) == json.loads(json.dumps(
             kak_decompose(u).to_dict()))
+
+
+@pytest.mark.parametrize("command", ["invariants", "kak"])
+@pytest.mark.parametrize("deviation", [1e-10, 5e-10, 9e-10])
+def test_gate_within_unitary_tol_exit_0(runner, tmp_path, command,
+                                        deviation):
+    # Off unitarity by less than 1e-9, the package's one tolerance: read
+    # and answered, where a G2-residual bound of 1e-10 once gave exit 2.
+    u = off_unitarity(np.random.default_rng(0), deviation)
+    path = write_json(tmp_path, "u.json",
+                      [[[z.real, z.imag] for z in row] for row in u])
+    result = runner.invoke(main, [command, "--input", path])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
 
 
 class TestCompileSimulateRoundTrip:
@@ -327,17 +341,46 @@ class TestTrajectoryCmd:
                                       "--schedule", sched])
         assert result.output.strip().split("\n")[1:] == ["0,0,0,0"]
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_area_exit_1(self, runner, tmp_path):
+        # J T overflows at the interval's one sample: the per-interval
+        # check refuses it and names it.
         cpl = write_json(tmp_path, "c.json",
                          {"J": 1e300, "Jzz": 0.0, "Jprime": 0.0})
         sched = write_json(tmp_path, "s.json",
                            [{"op": "entangle", "duration": 1e300}])
         result = runner.invoke(main, ["trajectory", "--coupling", cpl,
                                       "--schedule", sched, "--samples", "1"])
-        # A numpy warning would fail the test as an error.
         assert refused(result, 1)
         assert result.stdout == ""
-        assert result.stderr.startswith("error: entangling area")
+        assert result.stderr == (
+            "error: schedule op 0, Entangle(duration=1e+300): its 1 samples "
+            "are not finite: couplings or durations are too large\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coupling", [
+        {"J": 5e307, "Jzz": 0.0, "Jprime": 0.0},
+        {"J": 0.0, "Jzz": -8e307, "Jprime": 0.0}])
+    def test_compile_then_trajectory_near_the_float_limit(
+            self, runner, tmp_path, coupling):
+        # The path leaves the origin at a rate near the float maximum and
+        # is drawn to its target's class; J T over the whole schedule need
+        # not be finite.
+        from qgd.compiler import named_gate
+        from qgd.entangler import EntanglerCoords, canonical_entangler
+        from qgd.equivalence import locally_equivalent
+        cpl = write_json(tmp_path, "c.json", coupling)
+        compiled = runner.invoke(main, ["compile", "--input", cpl])
+        assert compiled.exit_code == 0 and compiled.stderr == ""
+        out = json.loads(compiled.stdout)
+        sched = write_json(tmp_path, "s.json", out["schedule"])
+        result = runner.invoke(main, ["trajectory", "--coupling", cpl,
+                                      "--schedule", sched, "--samples", "2"])
+        assert result.exit_code == 0 and result.stderr == ""
+        last = [float(v) for v in result.stdout.strip().split("\n")[-1]
+                .split(",")]
+        end = canonical_entangler(EntanglerCoords(*last[1:4]))
+        assert locally_equivalent(end, named_gate(out["target"]))
 
 
 class TestRwaScanCmd:

@@ -134,10 +134,13 @@ class TestCompileBranches:
         # Each refocused interval pi/(8 rate) is finite, the gate time
         # pi/(4 rate) is not: it once compiled with an infinite total.
         (4e-309, 0.0, 0.0), (0.0, -4e-309, 0.0), (0.0, 0.0, 4e-309),
+        # Zero coupling is the limit of the same rule: inf at rate 0.
+        (0.0, 0.0, 0.0),
     ])
     def test_infinite_entangling_time_is_zero_coupling(self, params):
         for prefer in ("auto", "cnot"):
-            with pytest.raises(ZeroCoupling):
+            with pytest.raises(ZeroCoupling, match="^coupling too weak: "
+                               "entangling time inf is not finite$"):
                 compile_cnot(RotFrameParams(*params), prefer=prefer)
 
     @pytest.mark.parametrize("weak", [1e-3, 1e-9, 1e-300, 1e-320])

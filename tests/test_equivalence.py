@@ -2,7 +2,6 @@ import dataclasses
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import warnings
@@ -21,7 +20,8 @@ from qgd.errors import NotUnitary
 from qgd.qmat import distance, kron
 
 from conftest import (GEN_DIAGS, MAGIC, MAGIC2, MAGIC_DAG, PAULIS,
-                      haar_unitary, noisy_unitaries, random_su2)
+                      haar_unitary, noisy_unitaries, off_unitarity,
+                      random_su2)
 
 PI = math.pi
 
@@ -138,36 +138,23 @@ class TestMakhlinKernel:
             assert abs(inv.g2 - g2) < 1e-14
             assert abs(det - np.prod(np.linalg.eigvals(u))) < 1e-14
 
-    def test_refuses_noisy_gates_as_the_magic_basis_form(self):
-        # Noise of 10^-10.5 to 10^-9.5 puts the G2 residual around its
-        # 1e-10 bound. The magic-basis form the kernel replaced: G2 from
-        # m = ub^T ub, symmetric, with det ub by Laplace expansion.
+    def test_noisy_gates_match_the_magic_basis_form(self):
+        # Noise of 10^-10.5 to 10^-9.5, which once put G2's imaginary
+        # residual around a refusal bound of its own: the kernel checks
+        # nothing, so every gate gets the magic-basis form's G1 and G2,
+        # from m = ub^T ub, symmetric, with det ub by Laplace expansion.
         rng = np.random.default_rng(20031)
-        refused = 0
         for _ in range(400):
             u = haar_unitary(rng) + 10 ** rng.uniform(-10.5, -9.5) * (
                 rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
             ub = MAGIC_DAG @ u @ MAGIC
             m = ub.T @ ub
             tr2 = complex(m.trace()) ** 2
-            g2 = ((tr2 - complex((m * m).sum()))
-                  / (4 * equivalence._det4(ub.tolist())))
-            expected = abs(g2.imag) > 1e-10
-            try:
-                equivalence._makhlin(u)
-            except NotUnitary as exc:
-                assert expected
-                # The residual is G2's roundoff-sized imaginary part: the
-                # two forms may print it one unit apart in the last digit.
-                residual, = re.fullmatch(
-                    r"G2 imaginary residual (\S+) exceeds 1e-10; "
-                    "input is not unitary enough", str(exc)).groups()
-                assert math.isclose(float(residual), abs(g2.imag),
-                                    rel_tol=2e-3)
-                refused += 1
-            else:
-                assert not expected
-        assert 0 < refused < 400
+            det = equivalence._det4(ub.tolist())
+            g2 = (tr2 - complex((m * m).sum())) / (4 * det)
+            inv, _ = equivalence._makhlin(u)
+            assert abs(inv.g1 - tr2 / (16 * det)) < 1e-14
+            assert abs(inv.g2 - g2.real) < 1e-14
 
 
 class TestInvariantsMemo:
@@ -546,13 +533,10 @@ def test_entry_points_refuse_non_numbers(entry, bad, dtype):
 
 
 def _residual_failing_gate():
-    """A Haar gate plus 1e-10 noise: unitary within UNITARY_TOL, but with
-    a G2 imaginary residual above 1e-10."""
-    rng = np.random.default_rng(0)
-    u = haar_unitary(rng)
-    u = u + 1e-10 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    qmat.require_unitary(u)
-    return u
+    """A Haar gate whose unitarity residual u^dag u - I has an entry of
+    2e-9, twice UNITARY_TOL: require_unitary, the one unitarity rule,
+    refuses it."""
+    return off_unitarity(np.random.default_rng(0), 2e-9)
 
 
 @pytest.mark.parametrize("entry", [makhlin_invariants, kak_decompose,
@@ -560,9 +544,12 @@ def _residual_failing_gate():
                          ids=["makhlin", "kak", "verify_schedule"])
 def test_residual_failing_gate_is_refused_on_every_call(entry):
     u = _residual_failing_gate()
+    misses = equivalence._invariants.cache_info().misses
     for _ in range(3):
-        with pytest.raises(NotUnitary, match="G2 imaginary residual"):
+        with pytest.raises(NotUnitary, match="deviates from unitarity"):
             entry(u)
+    # Each call checked the gate anew: the failure was not memoized.
+    assert equivalence._invariants.cache_info().misses == misses + 3
 
 
 def test_target_is_checked_before_simulation():
@@ -571,8 +558,23 @@ def test_target_is_checked_before_simulation():
     params = RotFrameParams(1e300, 0.0, 0.0)
     with pytest.raises(ValueError, match="phase overflows"):
         verify_schedule(sched, params, CNOT)
-    with pytest.raises(NotUnitary, match="G2 imaginary residual"):
+    with pytest.raises(NotUnitary, match="deviates from unitarity"):
         verify_schedule(sched, params, _residual_failing_gate())
+
+
+@pytest.mark.parametrize("deviation", [1e-10, 3e-10, 5e-10, 7e-10, 9e-10])
+def test_gates_within_unitary_tol_are_accepted(deviation):
+    # require_unitary alone decides unitarity: every gate it accepts is
+    # accepted by each entry point, and KAK rebuilds it to within half its
+    # deviation. Once a G2-residual bound of 1e-10 refused some of these.
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        u = off_unitarity(rng, deviation)
+        makhlin_invariants(u)
+        _verify_target(u)
+        rebuilt = kak_decompose(u).reconstruct()
+        half = np.linalg.norm(u.conj().T @ u - np.eye(4)) / 2
+        assert np.linalg.norm(rebuilt - u) <= half + 1e-13
 
 
 def test_no_lu_determinant_is_needed(rng, monkeypatch):

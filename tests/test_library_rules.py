@@ -64,14 +64,17 @@ def test_products_are_ndarray_dot():
     assert found == set()
 
 
-@pytest.mark.parametrize("literal", ['"phase overflows',
-                                     'is not a finite number"'],
-                         ids=["phase_overflows", "not_finite"])
-def test_each_input_fact_is_decided_once(literal):
-    # qmat._finite is the one reader of a real and qmat._entangler, the one
-    # closed form of A, the one phase rule: each message is raised once.
+@pytest.mark.parametrize("literal, where", [
+    ('"phase overflows', "qmat.py"), ('is not a finite number"', "qmat.py"),
+    ("raise NotUnitary(", "qmat.py"), ("raise ZeroCoupling(", "compiler.py")],
+    ids=["phase_overflows", "not_finite", "not_unitary", "zero_coupling"])
+def test_each_input_fact_is_decided_once(literal, where):
+    # qmat._finite is the one reader of a real, qmat._entangler, the one
+    # closed form of A, the one phase rule, qmat.require_unitary the one
+    # unitarity rule and compiler._interval the one zero-coupling rule:
+    # each is raised once.
     assert [(p.name, p.read_text().count(literal)) for p in SOURCES
-            if literal in p.read_text()] == [("qmat.py", 1)]
+            if literal in p.read_text()] == [(where, 1)]
 
 
 RECORDS = {"MakhlinInvariants", "KakFactors", "Trajectory",

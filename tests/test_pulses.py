@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -10,7 +11,7 @@ from qgd import equivalence
 from qgd.compiler import CNOT, _ROT, compile_cnot, named_gate
 from qgd.entangler import EntanglerCoords, canonical_entangler
 from qgd.equivalence import makhlin_invariants
-from qgd.errors import NotUnitary, UnsupportedOp
+from qgd.errors import NotUnitary, UnsupportedOp, ZeroCoupling
 from qgd.hamiltonian import RotFrameParams
 from qgd.pulses import (Entangle, GlobalPhase, PulseSchedule, Rotate,
                         _rotation_entries, simulate_schedule, trajectory,
@@ -363,35 +364,61 @@ class TestTrajectory:
         assert np.max(np.abs(traj.raw[-1] - end)) <= 1e-15
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("p,duration", [
-        (RotFrameParams(1e300, 0.0, 0.0), 1e300),
-        (RotFrameParams(0.0, -1e300, 0.0), 1e300),
-    ])
-    def test_overflowing_area_rejected(self, p, duration):
-        s = PulseSchedule((Entangle(duration), Rotate("x", PI, 1),
-                           Entangle(duration)))
-        with pytest.raises(ValueError, match="entangling area"):
-            trajectory(p, s, samples_per_interval=1)
-
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p,duration,samples", [
-        # A finite area of 1e308, but 1e308 * 2 overflows the sample times.
+        # 1e308 * 2 overflows the sample times.
         (RotFrameParams(1.0, 0.0, 0.0), 1e308, 2),
-        # An area a hair below the float maximum: the times stay finite,
-        # but a coordinate's rate exceeds max(r, |J_zz|) by roundoff.
+        # A hair below the float maximum: the times stay finite, but a
+        # coordinate's rate exceeds max(r, |J_zz|) by roundoff.
         (RotFrameParams(-0.5956318243301262, -1.7905532669844222,
                         1.1244767578841879), 1.0039875205108632e+308, 1),
+        # The coupling times the duration overflows, on x and y or on z.
+        (RotFrameParams(1e300, 0.0, 0.0), 1e300, 1),
+        (RotFrameParams(0.0, -1e300, 0.0), 1e300, 1),
     ])
     def test_overflowing_samples_rejected(self, p, duration, samples):
-        # Before, a RuntimeWarning and then inf or nan rows, not a
-        # ValueError naming the interval.
+        # The one overflow rule of a path: before, a RuntimeWarning and
+        # then inf or nan rows, not a ValueError naming the interval.
         s = PulseSchedule((Entangle(duration),))
-        assert math.isfinite(
-            max(math.hypot(p.j, p.j_prime), abs(p.j_zz)) * duration)
         with pytest.raises(ValueError, match=r"schedule op 0, Entangle\(.*"
                                              f"its {samples} samples are "
                                              "not finite"):
             trajectory(p, s, samples_per_interval=samples)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_path_far_out_is_drawn(self):
+        # Out to (1e308, 1e308, 0) and back: finite at every sample, though
+        # the coupling times the total entangling time, 2e308, is not.
+        s = PulseSchedule((Entangle(2.0), Rotate("z", PI, 1), Entangle(2.0)))
+        traj = trajectory(RotFrameParams(5e307, 0.0, 0.0), s,
+                          samples_per_interval=4)
+        assert traj.raw[4].tolist() == [1e308, 1e308, 0.0]
+        assert traj.raw[-1].tolist() == [0.0, 0.0, 0.0]
+        assert traj.times[-1] == 4.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_verified_compile_near_the_float_limit_is_drawn(self):
+        # Each coupling component in 0, +-1e300 and +-1e307 up to the
+        # bound RotFrameParams accepts: every CNOT compile_cnot verifies
+        # is drawn, and its path ends in its target's class.
+        grid = [0.0] + [s * v for v in (1e300, 1e307, 2.5e307, 5e307,
+                                        8e307, 8.98e307) for s in (1, -1)]
+        drawn = 0
+        for j, jzz, jp in itertools.product(grid, repeat=3):
+            try:
+                p = RotFrameParams(j, jzz, jp)
+            except ValueError:
+                continue
+            for q, prefer in itertools.product((1, 2), ("auto", "cnot")):
+                try:
+                    res = compile_cnot(p, prefer=prefer, refocus_qubit=q)
+                except ZeroCoupling:
+                    continue
+                end = trajectory(p, res.schedule, 2).raw[-1]
+                assert equivalence.locally_equivalent(
+                    canonical_entangler(EntanglerCoords(*end)),
+                    named_gate(res.target_name))
+                drawn += 1
+        assert drawn == 4368
 
     @pytest.mark.parametrize("first,short,samples", [
         (1.0, 1e-20, 2),      # the interval itself is below an ulp of t

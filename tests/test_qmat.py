@@ -75,6 +75,20 @@ class TestCouplingOperator:
             qmat.coupling_operator(bad)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf,
+                                       1e308],
+                             ids=["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_sum_refused(self, entry):
+        # Before, a nan operator, or inf and nan entries after two
+        # RuntimeWarnings. Finite entries of sum |t| below the float
+        # maximum give a finite operator.
+        with pytest.raises(ValueError, match=r"sum \|t_mn\| is not finite"):
+            qmat.coupling_operator(np.full((3, 3), entry))
+        assert np.isfinite(qmat.coupling_operator(
+            np.full((3, 3), 1.7e308 / 9))).all()
+
+
 class TestExpmHermitian:
     """The lab frame's one exponential: the kernel qmat._expm_eigh, and
     the checks rwa_infidelity makes before it runs, since the kernel
